@@ -231,6 +231,11 @@ def cmd_serve(args) -> int:
     service = svc.HandleService(config)
     tcp = svc.TcpHandleServer(service)
     port = tcp.start()
+    if service.log.dropped_tail:
+        print(
+            f"dropped a torn last line ({service.log.dropped_tail} bytes) from the update log",
+            flush=True,
+        )
     if service.replayed:
         print(f"replayed {service.replayed} logged updates", flush=True)
     print(f"serving {config.root_zone} on {config.listen_host}:{port}", flush=True)
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         if key:
             p.add_argument("--key", required=True, help="secret key file")
             p.add_argument("--serial", type=int, default=None)
-            p.add_argument("--ttl", type=int, default=srv.DEFAULT_TTL)
+            p.add_argument("--ttl", type=int, default=rec.DEFAULT_TTL)
 
     p = sub.add_parser("keygen", help="generate a keypair file")
     p.add_argument("--alg", type=int, default=crypto.RSA_SHA1,

@@ -34,6 +34,7 @@ from .records import (
     name_key,
 )
 from .server import (
+    DEFAULT_DEPTH_BUDGET,
     OUTCOME_ADDRESS,
     OUTCOME_CANCELLED,
     OUTCOME_COMPROMISED,
@@ -44,8 +45,6 @@ from .server import (
     UpdateMessage,
     Verdict,
 )
-
-DEFAULT_DEPTH_BUDGET = 16
 
 
 class ResolverEndpoint(Protocol):

@@ -62,13 +62,6 @@ def _digest_for(algorithm: int):
         raise UnsupportedAlgorithmError(f"algorithm code {algorithm} not registered") from None
 
 
-def algorithm_name(algorithm: int) -> str:
-    try:
-        return ALGORITHMS[algorithm][0]
-    except KeyError:
-        raise UnsupportedAlgorithmError(f"algorithm code {algorithm} not registered") from None
-
-
 # ---- timestamps ----------------------------------------------------------
 
 _STAMP_RE = re.compile(r"[0-9]{14}$")

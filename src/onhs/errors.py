@@ -122,3 +122,10 @@ class FrameTooLargeError(WireError):
 
 class MalformedFrameError(WireError):
     """Frame bytes could not be decoded into a message."""
+
+
+# ---- durability errors ----
+
+
+class LogFormatError(OnhsError):
+    """A complete line of the update log does not decode."""

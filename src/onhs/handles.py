@@ -288,10 +288,6 @@ def parse_handle(text: str, root_suffix: str) -> Handle:
     return Handle(labels=labels, root_suffix=root_verbatim)
 
 
-def handle_to_fqdn(handle: Handle) -> str:
-    return handle.fqdn()
-
-
 def parse_handle_guess_root(text: str) -> Handle:
     """Parse a full name, taking the root to start at the first label that
     is not a handle label. Convenient for command lines; ambiguous only if

@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import re
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -62,12 +63,6 @@ def canonical_sort_key(name: str) -> Tuple[bytes, ...]:
 
 def canonical_order(names: Iterable[str]) -> List[str]:
     return sorted(names, key=canonical_sort_key)
-
-
-def is_subdomain(name: str, ancestor: str) -> bool:
-    """True when name equals ancestor or sits anywhere below it."""
-    n, a = name_key(name), name_key(ancestor)
-    return n == a or n.endswith("." + a)
 
 
 # ---- durations -----------------------------------------------------------
@@ -250,7 +245,7 @@ class ZoneSnapshot:
     """An immutable view of one zone's record sets.
 
     rrsets maps (owner name key, rtype) to the set. Mutation goes through
-    with_rrset/without_rrset, which return new snapshots.
+    with_rrset, which returns a new snapshot.
     """
 
     apex: str
@@ -285,11 +280,6 @@ class ZoneSnapshot:
     def with_rrset(self, rrset: SignedRRset) -> "ZoneSnapshot":
         rrsets = dict(self.rrsets)
         rrsets[(name_key(rrset.owner), rrset.rtype)] = rrset
-        return ZoneSnapshot(self.apex, rrsets, self.serial, self.default_ttl)
-
-    def without_rrset(self, owner: str, rtype: str) -> "ZoneSnapshot":
-        rrsets = dict(self.rrsets)
-        rrsets.pop((name_key(owner), rtype), None)
         return ZoneSnapshot(self.apex, rrsets, self.serial, self.default_ttl)
 
 
@@ -334,18 +324,17 @@ def build_nxt_chain(zone: ZoneSnapshot) -> List[ResourceRecord]:
 
 
 def covering_nxt(chain: Sequence[ResourceRecord], target: str) -> Optional[ResourceRecord]:
-    """Pick the chain record whose interval contains target."""
+    """Pick the chain record whose interval contains target.
+
+    That is the last record whose owner sorts at or before target; a
+    target before every owner falls in the last record's interval, the
+    one that wraps around to the first owner.
+    """
     if not chain:
         return None
-    tkey = canonical_sort_key(target)
     ordered = sorted(chain, key=lambda r: canonical_sort_key(r.owner))
-    prev = ordered[0]
-    for rec in ordered:
-        if canonical_sort_key(rec.owner) <= tkey:
-            prev = rec
-        else:
-            break
-    return prev
+    keys = [canonical_sort_key(r.owner) for r in ordered]
+    return ordered[bisect_right(keys, canonical_sort_key(target)) - 1]
 
 
 # ---- zone text: serialization --------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import base64
 import json
 import threading
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -48,7 +49,10 @@ from .errors import (
     ResolutionError,
 )
 from .handles import Handle, HandleLabel, parse_handle
+# covering_nxt is not called in this module; it stays imported because
+# perfbench/tracer.py wraps it here by name.
 from .records import (
+    DEFAULT_TTL,
     IMPOSSIBLE_ADDRESS,
     NxtData,
     ResourceRecord,
@@ -56,6 +60,7 @@ from .records import (
     SoaData,
     ZoneSnapshot,
     build_nxt_chain,
+    canonical_sort_key,
     covering_nxt,
     name_key,
     strip_dot,
@@ -87,7 +92,6 @@ R_SUBSCRIPTION_LIMIT = "subscription-limit"
 
 DEFAULT_DEPTH_BUDGET = 16
 DEFAULT_AUDIT_CAP = 8
-DEFAULT_TTL = 3600
 DEFAULT_VALIDITY = 7 * 86400
 IRREVOCABLE_VALIDITY = 10 * 366 * 86400
 SERVER_SIG_VALIDITY = 86400
@@ -323,6 +327,13 @@ class RecordAnswer:
 
 # ---- internal state --------------------------------------------------------
 
+SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
+
+
+def _sort_key_name(key: SortKey) -> str:
+    """The name key a canonical sort key was made from."""
+    return ".".join(label.decode() for label in reversed(key))
+
 
 @dataclass
 class HandleStatus:
@@ -349,6 +360,7 @@ class Slot:
 @dataclass
 class HandleEntry:
     handle: Handle
+    sort_key: SortKey
     status: HandleStatus = field(default_factory=HandleStatus)
     slots: Dict[str, Slot] = field(default_factory=dict)
     apex_key: Optional[PublicKey] = None
@@ -573,7 +585,14 @@ def make_compromise(
 
 
 class HandleServer:
-    """Single-writer authoritative store for one handle root zone."""
+    """Single-writer authoritative store for one handle root zone.
+
+    Denial proofs come from one sorted index of owner names per zone: an
+    owner zone lists the names under its apex that hold a slot; the root
+    zone lists the root, every apex holding a KEY slot and every name
+    holding a sticky slot, as root_zone_snapshot mirrors them. Bisection
+    finds the same NXT records build_nxt_chain gives for the whole zone.
+    """
 
     def __init__(
         self,
@@ -591,7 +610,13 @@ class HandleServer:
         self.depth_budget = depth_budget
         self.audit_cap = audit_cap
         self._entries: Dict[str, HandleEntry] = {}
-        self._update_log: List[Tuple[UpdateMessage, Verdict, str]] = []
+        self._update_count = 0
+        self._root_key = canonical_sort_key(self.root_zone)
+        self._apex_len = len(self._root_key) + 1  # labels in an apex's sort key
+        # zone apex sort key -> sorted sort keys of the zone's owner names
+        self._zones: Dict[SortKey, List[SortKey]] = {self._root_key: [self._root_key]}
+        # (zone, owner) -> (NXT record, its signed set, last stamp to serve it at)
+        self._nxt_sigs: Dict[Tuple[SortKey, SortKey], Tuple[ResourceRecord, SignedRRset, str]] = {}
         self._subscribers: Dict[str, List[AuditSubscription]] = {}
         self._event_seq = 0
         self._event_sinks: List[Callable[[AuditSubscription, AuditEvent], None]] = []
@@ -608,8 +633,9 @@ class HandleServer:
         self._event_sinks.append(sink)
 
     @property
-    def update_log(self) -> List[Tuple[UpdateMessage, Verdict, str]]:
-        return list(self._update_log)
+    def update_count(self) -> int:
+        """apply_update calls so far, accepted or not; the zone serial."""
+        return self._update_count
 
     # -- update path --
 
@@ -621,7 +647,7 @@ class HandleServer:
                 base64.b64encode(canonical_json(msg.to_dict())).decode()
                 + f" {verdict.tag()} {stamp}"
             )
-            self._update_log.append((msg, verdict, stamp))
+            self._update_count += 1
             if self._log_writer is not None:
                 self._log_writer(line)
             self._notify(msg, verdict, stamp)
@@ -787,32 +813,65 @@ class HandleServer:
         for node in handle.ancestry():
             key = node.name_key()
             if key not in self._entries:
-                self._entries[key] = HandleEntry(handle=node)
+                self._entries[key] = HandleEntry(handle=node, sort_key=canonical_sort_key(key))
         return self._entries[handle.name_key()]
 
     def _purge_revocable(self, target: Handle) -> None:
-        prefix = target.name_key()
-        for key, entry in self._entries.items():
-            if key != prefix and not key.endswith("." + prefix):
-                continue
-            for rtype in list(entry.slots):
-                slot = entry.slots[rtype]
-                if slot.sticky or rtype == "KEY":
-                    continue
+        for entry in self._subtree(target):
+            revocable = [
+                rtype for rtype, slot in entry.slots.items()
+                if not (slot.sticky or rtype == "KEY")
+            ]
+            for rtype in revocable:
                 del entry.slots[rtype]
+            if revocable:
+                self._reindex(entry)
 
     def _merge_slot(self, entry: HandleEntry, rtype: str, candidate: Slot) -> None:
         existing = entry.slots.get(rtype)
-        if existing is None:
-            entry.slots[rtype] = candidate
-            return
-        if existing.sticky and not candidate.sticky:
-            return
-        if candidate.sticky and not existing.sticky:
-            entry.slots[rtype] = candidate
-            return
-        if candidate.merge_key() > existing.merge_key():
-            entry.slots[rtype] = candidate
+        if existing is not None:
+            if existing.sticky != candidate.sticky:
+                if existing.sticky:
+                    return
+            elif candidate.merge_key() <= existing.merge_key():
+                return
+        entry.slots[rtype] = candidate
+        self._reindex(entry)
+
+    # -- owner index --
+
+    @staticmethod
+    def _in_root_zone(entry: HandleEntry, rtype: str, slot: Slot) -> bool:
+        """Whether the root zone mirrors this slot: apex keys and sticky sets."""
+        return slot.sticky or (rtype == "KEY" and entry.handle.is_apex())
+
+    def _reindex(self, entry: HandleEntry) -> None:
+        """Put entry in, or take it out of, its owner zone's and the root's index."""
+        key = entry.sort_key
+        in_root = any(self._in_root_zone(entry, rt, s) for rt, s in entry.slots.items())
+        self._place(key[:self._apex_len], key, bool(entry.slots))
+        self._place(self._root_key, key, in_root)
+
+    def _place(self, zone: SortKey, key: SortKey, present: bool) -> None:
+        index = self._zones.setdefault(zone, [])
+        i = bisect_left(index, key)
+        held = i < len(index) and index[i] == key
+        if present and not held:
+            index.insert(i, key)
+        elif held and not present:
+            del index[i]
+            self._nxt_sigs.pop((zone, key), None)
+
+    def _subtree(self, top: Handle) -> List[HandleEntry]:
+        """Entries holding a slot at or below top, in canonical order."""
+        prefix = canonical_sort_key(top.fqdn_no_dot())
+        index = self._zones.get(prefix[:self._apex_len], [])
+        out = []
+        for i in range(bisect_left(index, prefix), len(index)):
+            if index[i][:len(prefix)] != prefix:
+                break
+            out.append(self._entries[_sort_key_name(index[i])])
+        return out
 
     def _commit(
         self, msg: UpdateMessage, target: Handle, rrsets: List[Tuple[bool, SignedRRset]]
@@ -1015,23 +1074,64 @@ class HandleServer:
             return finish(OUTCOME_NOT_FOUND)
 
     def _nxt_proof(self, target: Handle, now: str) -> List[SignedRRset]:
-        apex = target.apex()
-        if self._entry(apex) is not None:
-            zone = self.owner_zone_snapshot(apex, now=now, include_nxt=False)
-            chain_zone = zone
-        else:
-            chain_zone = self.root_zone_snapshot(now=now, include_nxt=False)
-        chain = build_nxt_chain(chain_zone)
-        out: List[SignedRRset] = []
-        cover = covering_nxt(chain, target.fqdn_no_dot())
-        if cover is not None:
-            out.append(self._server_sign([cover], now))
-        apex_rec = next(
-            (r for r in chain if name_key(r.owner) == name_key(chain_zone.apex)), None
+        zone, records = self._denial(target)
+        return [self._signed_nxt(zone, rec, now) for rec in records]
+
+    def _denial(self, target: Handle) -> Tuple[SortKey, List[ResourceRecord]]:
+        """The zone that denies target, and its NXT records that do so.
+
+        The zone is target's owner zone once anything under its apex was
+        stored (every commit leaves a slot there), else the root zone. The
+        records are the one covering target, then the zone apex's own when
+        that is a different one.
+        """
+        key = canonical_sort_key(target.fqdn_no_dot())
+        zone = key[:self._apex_len]
+        if _sort_key_name(zone) not in self._entries:
+            zone = self._root_key
+        index = self._zones[zone]
+        i = (bisect_right(index, key) - 1) % len(index)  # -1: the wrap-around record
+        records = [self._indexed_nxt(zone, index, i)]
+        if i != 0 and index[0] == zone:
+            records.append(self._indexed_nxt(zone, index, 0))
+        return zone, records
+
+    def _indexed_nxt(self, zone: SortKey, index: List[SortKey], i: int) -> ResourceRecord:
+        owner, types = self._nxt_owner(zone, index[i])
+        next_owner, _ = self._nxt_owner(zone, index[(i + 1) % len(index)])
+        return ResourceRecord(
+            owner=owner, ttl=DEFAULT_TTL, rtype="NXT",
+            rdata=NxtData(next_owner=next_owner, types=types),
         )
-        if apex_rec is not None and apex_rec is not cover:
-            out.append(self._server_sign([apex_rec], now))
-        return out
+
+    def _nxt_owner(self, zone: SortKey, key: SortKey) -> Tuple[str, Tuple[str, ...]]:
+        """Owner text and NXT type bitmap of one indexed name in one zone."""
+        if key == self._root_key:
+            # root_zone_snapshot's signed SOA and NS and unsigned KEY
+            return self.root_zone, ("KEY", "NS", "NXT", "SIG", "SOA")
+        entry = self._entries[_sort_key_name(key)]
+        slots = [
+            (rtype, slot) for rtype, slot in sorted(entry.slots.items())
+            if zone != self._root_key or self._in_root_zone(entry, rtype, slot)
+        ]
+        types = {rtype for rtype, _ in slots} | {"NXT"}
+        if any(slot.rrset.signature is not None for _, slot in slots):
+            types.add("SIG")
+        return slots[0][1].rrset.owner, tuple(types)
+
+    def _signed_nxt(self, zone: SortKey, rec: ResourceRecord, now: str) -> SignedRRset:
+        """rec signed by the server, reusing the last signature of zone's
+        record at rec's owner while the record is unchanged, now is not
+        before its inception and at least half its validity remains."""
+        key = (zone, canonical_sort_key(rec.owner))
+        cached = self._nxt_sigs.get(key)
+        if cached is not None:
+            record, signed, fresh_until = cached
+            if record == rec and signed.signature.params.inception <= now <= fresh_until:
+                return signed
+        signed = self._server_sign([rec], now)
+        self._nxt_sigs[key] = (rec, signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
+        return signed
 
     def query_record(
         self, handle: Handle, rtype: str, now: Optional[str] = None
@@ -1086,52 +1186,63 @@ class HandleServer:
         self, now: Optional[str] = None, include_nxt: bool = True
     ) -> ZoneSnapshot:
         """Root zone: its own SOA/NS/KEY, claimed keys, irrevocable mirrors."""
-        stamp = now or now_stamp()
-        zone = ZoneSnapshot(apex=self.root_zone, serial=len(self._update_log))
-        soa = ResourceRecord(
-            owner=self.root_zone,
-            ttl=DEFAULT_TTL,
-            rtype="SOA",
-            rdata=SoaData(
-                primary=f"ns.{self.root_zone}",
-                contact=f"hostmaster.{self.root_zone}",
-                serial=len(self._update_log),
-                refresh=86400,
-                retry=3600,
-                expire=604800,
-                minimum=3600,
-            ),
-        )
-        zone = zone.with_rrset(self._server_sign([soa], stamp))
-        ns = ResourceRecord(
-            owner=self.root_zone, ttl=DEFAULT_TTL, rtype="NS", rdata=f"ns.{self.root_zone}"
-        )
-        zone = zone.with_rrset(self._server_sign([ns], stamp))
-        zone = zone.with_rrset(self.root_key_rrset())
-        for entry in self._entries.values():
-            for rtype, slot in sorted(entry.slots.items()):
-                if (entry.handle.is_apex() and rtype == "KEY") or slot.sticky:
-                    zone = zone.with_rrset(slot.rrset)
-        if include_nxt:
-            for rec in build_nxt_chain(zone):
-                zone = zone.with_rrset(self._server_sign([rec], stamp))
-        return zone
+        with self._lock:
+            stamp = now or now_stamp()
+            soa = ResourceRecord(
+                owner=self.root_zone,
+                ttl=DEFAULT_TTL,
+                rtype="SOA",
+                rdata=SoaData(
+                    primary=f"ns.{self.root_zone}",
+                    contact=f"hostmaster.{self.root_zone}",
+                    serial=self._update_count,
+                    refresh=86400,
+                    retry=3600,
+                    expire=604800,
+                    minimum=3600,
+                ),
+            )
+            ns = ResourceRecord(
+                owner=self.root_zone, ttl=DEFAULT_TTL, rtype="NS", rdata=f"ns.{self.root_zone}"
+            )
+            rrsets = [self._server_sign([soa], stamp), self._server_sign([ns], stamp)]
+            rrsets.append(self.root_key_rrset())
+            for key in self._zones[self._root_key][1:]:
+                entry = self._entries[_sort_key_name(key)]
+                rrsets.extend(
+                    slot.rrset for rtype, slot in sorted(entry.slots.items())
+                    if self._in_root_zone(entry, rtype, slot)
+                )
+            return self._zone(self.root_zone, rrsets, stamp, include_nxt)
 
     def owner_zone_snapshot(
         self, apex: Handle, now: Optional[str] = None, include_nxt: bool = True
     ) -> ZoneSnapshot:
-        stamp = now or now_stamp()
-        zone = ZoneSnapshot(apex=apex.fqdn_no_dot(), serial=len(self._update_log))
-        prefix = apex.name_key()
-        for key, entry in self._entries.items():
-            if key != prefix and not key.endswith("." + prefix):
-                continue
-            for _, slot in sorted(entry.slots.items()):
-                zone = zone.with_rrset(slot.rrset)
-        if include_nxt:
-            for rec in build_nxt_chain(zone):
-                zone = zone.with_rrset(self._server_sign([rec], stamp))
-        return zone
+        with self._lock:
+            stamp = now or now_stamp()
+            rrsets = [
+                slot.rrset for entry in self._subtree(apex) for _, slot in sorted(entry.slots.items())
+            ]
+            return self._zone(apex.fqdn_no_dot(), rrsets, stamp, include_nxt)
+
+    def _zone(
+        self, apex: str, rrsets: List[SignedRRset], now: str, include_nxt: bool
+    ) -> ZoneSnapshot:
+        # rrsets come in type order within each name: build_nxt_chain takes
+        # a name's text from its first set, as _nxt_owner does
+        zone = ZoneSnapshot(
+            apex=apex,
+            rrsets={(name_key(s.owner), s.rtype): s for s in rrsets},
+            serial=self._update_count,
+        )
+        if not include_nxt:
+            return zone
+        zone_key = canonical_sort_key(apex)
+        chain = {
+            (name_key(rec.owner), "NXT"): self._signed_nxt(zone_key, rec, now)
+            for rec in build_nxt_chain(zone)
+        }
+        return replace(zone, rrsets={**zone.rrsets, **chain})
 
     # -- zone ingestion --
 

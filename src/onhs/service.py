@@ -25,12 +25,15 @@ from .errors import (
     DelegationLoopError,
     DepthExceededError,
     FrameTooLargeError,
+    LogFormatError,
     MalformedFrameError,
     OnhsError,
     WireError,
 )
 from .handles import Handle, parse_handle
 from .server import (
+    DEFAULT_AUDIT_CAP,
+    DEFAULT_DEPTH_BUDGET,
     AuditEvent,
     AuditSubscription,
     HandleServer,
@@ -53,8 +56,8 @@ class ServerConfig:
     listen_host: str = "127.0.0.1"
     listen_port: int = DEFAULT_PORT
     data_dir: str = "./onhs-data"
-    depth_budget: int = 16
-    audit_cap: int = 8
+    depth_budget: int = DEFAULT_DEPTH_BUDGET
+    audit_cap: int = DEFAULT_AUDIT_CAP
 
     @staticmethod
     def parse(text: str) -> "ServerConfig":
@@ -99,6 +102,7 @@ class UpdateLog:
     def __init__(self, path: Path):
         self.path = Path(path)
         self._fh = None
+        self.dropped_tail = 0  # bytes of a torn last line cut off at replay
 
     def open_for_append(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -116,33 +120,53 @@ class UpdateLog:
             self._fh = None
 
     def replay_into(self, server: HandleServer) -> int:
-        """Re-apply every logged update; returns the number applied."""
+        """Re-apply every logged update; returns the number applied.
+
+        A last line with no newline is an append a crash cut short. If it
+        does not decode, it is cut off the file and its length kept in
+        dropped_tail; if it does, its newline is restored. Either way the
+        next append starts a line of its own. Any other line that does not
+        decode raises LogFormatError naming its line number.
+        """
+        self.dropped_tail = 0
         if not self.path.exists():
             return 0
         count = 0
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
+        end = 0
+        torn_at = None
+        raw = b"\n"
+        with open(self.path, "rb") as fh:
+            for number, raw in enumerate(fh, start=1):
+                start, end = end, end + len(raw)
+                if not raw.strip():
                     continue
-                blob, _, rest = line.partition(" ")
-                _tag, _, stamp = rest.rpartition(" ")
-                msg = UpdateMessage.from_dict(
-                    json.loads(base64.b64decode(blob, validate=True))
-                )
+                try:
+                    msg, stamp = _decode_line(raw)
+                except (ValueError, KeyError, TypeError, OnhsError) as exc:
+                    if raw.endswith(b"\n"):
+                        raise LogFormatError(f"{self.path} line {number}: {exc}") from exc
+                    torn_at = start
+                    break
                 server.apply_update(msg, now=stamp)
                 count += 1
+        if torn_at is not None:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(torn_at)
+                os.fsync(fh.fileno())
+            self.dropped_tail = end - torn_at
+        elif not raw.endswith(b"\n"):
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
+                os.fsync(fh.fileno())
         return count
 
 
-def load_or_create_server_key(path: Path, algorithm: int = crypto.RSA_SHA1) -> crypto.SecretKey:
-    path = Path(path)
-    if path.exists():
-        return crypto.load_secret_key(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _, secret = crypto.generate_keypair(algorithm)
-    crypto.save_secret_key(path, secret)
-    return secret
+def _decode_line(raw: bytes) -> Tuple[UpdateMessage, str]:
+    """One log line's update and arrival timestamp."""
+    blob, _, rest = raw.decode("utf-8").strip().partition(" ")
+    _tag, _, stamp = rest.rpartition(" ")
+    msg = UpdateMessage.from_dict(json.loads(base64.b64decode(blob, validate=True)))
+    return msg, crypto.check_stamp(stamp)
 
 
 # ---- request dispatch (shared by sockets and in-process use) ----------------

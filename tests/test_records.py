@@ -313,6 +313,17 @@ class TestDenialChain:
         assert cover.owner == f"h0k1.{APEX}"
         assert cover.rdata.next_owner == APEX
 
+    def test_covering_nxt_wraps_before_the_first(self, keypool):
+        # no record at the apex: h0k1 sorts before every owner, so the
+        # wrap-around record h0k3 -> h0k2 is the one that covers it
+        owners = [f"h0k2.{APEX}", f"h0k3.{APEX}"]
+        zone = self.build_zone(keypool, [(o, "A") for o in owners])
+        chain = build_nxt_chain(zone)
+        cover = covering_nxt(chain, f"h0k1.{APEX}")
+        assert cover is not None
+        assert cover.owner == f"h0k3.{APEX}"
+        assert cover.rdata.next_owner == f"h0k2.{APEX}"
+
     def test_existing_name_is_its_own_cover(self, keypool):
         owners = [f"h0k1.{APEX}", APEX]
         zone = self.build_zone(keypool, [(o, "A") for o in owners])

@@ -422,7 +422,7 @@ class TestKeyUpgrade:
         res = server.resolve(leaf, now=NOW)
         assert res.outcome == OUTCOME_ADDRESS
         assert res.transfer_notices == ()
-        actions = [m.action for m, _, _ in server.update_log]
+        actions = [m.action for m, _ in server.entry_log(apex)]
         assert "TRANSFER" not in actions
 
     def test_cancel_old_key_after_upgrade(self, example_zones, keypool):

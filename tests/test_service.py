@@ -13,7 +13,7 @@ from conftest import ROOT
 
 from onhs import wire
 from onhs.client import verify_resolution
-from onhs.errors import DelegationLoopError, OnhsError
+from onhs.errors import DelegationLoopError, LogFormatError, OnhsError
 from onhs.handles import HandleLabel, parse_handle
 from onhs.server import (
     OUTCOME_ADDRESS,
@@ -154,6 +154,70 @@ class TestDurability:
         # the log did not grow from replaying
         lines = (tmp_path / "data" / "updates.log").read_text().splitlines()
         assert len(lines) == 4
+
+    def test_torn_last_line_is_cut_off_and_reported(self, tmp_path, keypool):
+        cfg = service_config(tmp_path)
+        service = HandleService(cfg, key_bits=1024)
+        leaf = self.populate(service, keypool)
+        service.close()
+        log = tmp_path / "data" / "updates.log"
+        whole = log.read_bytes()
+        last = whole[whole.rindex(b"\n", 0, len(whole) - 1) + 1:]
+        log.write_bytes(whole[:-7])  # a crash inside the last timestamp
+
+        reborn = HandleService(cfg, key_bits=1024)
+        assert reborn.replayed == 3
+        assert reborn.log.dropped_tail == len(last) - 7
+        assert log.read_bytes() == whole[:-len(last)]
+        _, sec1 = keypool.key(0)
+        assert reborn.server.apply_update(make_assign(sec1, leaf, "10.0.0.9", 5)).accepted
+        reborn.close()
+
+        again = HandleService(cfg, key_bits=1024)
+        try:
+            assert again.replayed == 4
+            assert again.log.dropped_tail == 0
+            got = again.server.resolve(leaf)
+            assert (got.outcome, got.address) == (OUTCOME_ADDRESS, "10.0.0.9")
+        finally:
+            again.close()
+
+    def test_complete_last_line_missing_its_newline_is_kept(self, tmp_path, keypool):
+        cfg = service_config(tmp_path)
+        service = HandleService(cfg, key_bits=1024)
+        leaf = self.populate(service, keypool)
+        state = service.server.dump_state()
+        service.close()
+        log = tmp_path / "data" / "updates.log"
+        log.write_bytes(log.read_bytes()[:-1])
+
+        reborn = HandleService(cfg, key_bits=1024)
+        assert reborn.replayed == 4
+        assert reborn.log.dropped_tail == 0
+        assert reborn.server.dump_state() == state
+        _, sec1 = keypool.key(0)
+        assert reborn.server.apply_update(make_assign(sec1, leaf, "10.0.0.9", 5)).accepted
+        reborn.close()
+        assert len(log.read_text().splitlines()) == 5
+
+    def test_bad_line_before_the_end_names_its_line(self, tmp_path, keypool):
+        cfg = service_config(tmp_path)
+        service = HandleService(cfg, key_bits=1024)
+        self.populate(service, keypool)
+        service.close()
+        log = tmp_path / "data" / "updates.log"
+        lines = log.read_bytes().split(b"\n")
+        lines[1] = lines[1][:-7]
+        log.write_bytes(b"\n".join(lines))
+        with pytest.raises(LogFormatError, match="line 2"):
+            HandleService(cfg, key_bits=1024)
+        # a complete last line that does not decode is corruption too
+        lines = log.read_bytes().split(b"\n")
+        lines[1] = lines[0]
+        lines[3] = b"not an update 20260816120000"
+        log.write_bytes(b"\n".join(lines))
+        with pytest.raises(LogFormatError, match="line 4"):
+            HandleService(cfg, key_bits=1024)
 
 
 @pytest.fixture()
