@@ -18,7 +18,7 @@ import datetime as _dt
 import hashlib
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence, Tuple
 
 from cryptography.hazmat.primitives import hashes
@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.serialization import (
     PrivateFormat,
     load_der_private_key,
 )
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 
 from .errors import (
     KeyFormatError,
@@ -173,24 +173,44 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Private half of a keypair; private_bytes is a DER blob."""
+    """Private half of a keypair; private_bytes is a DER blob.
+
+    The DER is parsed and validated once, when the key is made, unless the
+    maker passes the key it encodes as parsed (generate_keypair does). The
+    parsed key and the public half are kept, so signing costs only the RSA
+    operation. Equality and hashing see only algorithm and private_bytes;
+    repr shows only the algorithm.
+    """
 
     algorithm: int
-    private_bytes: bytes
+    private_bytes: bytes = field(repr=False)
+    parsed: InitVar[Optional[rsa.RSAPrivateKey]] = None
+    _key: rsa.RSAPrivateKey = field(init=False, repr=False, compare=False)
+    _public: PublicKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, parsed: Optional[rsa.RSAPrivateKey]) -> None:
+        key = self._load() if parsed is None else parsed
+        head = struct.pack(">HBB", KEY_FLAGS, KEY_PROTOCOL, self.algorithm)
+        material = _rsa_material(key.public_key())
+        public = PublicKey(algorithm=self.algorithm, key_bytes=head + material)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_public", public)
 
     def _load(self) -> rsa.RSAPrivateKey:
-        key = load_der_private_key(self.private_bytes, password=None)
+        """Parse and validate private_bytes."""
+        try:
+            key = load_der_private_key(self.private_bytes, password=None)
+        except (ValueError, TypeError, UnsupportedAlgorithm) as exc:
+            raise KeyFormatError(f"bad secret key: {exc}") from exc
         if not isinstance(key, rsa.RSAPrivateKey):
             raise KeyFormatError("secret key is not RSA")
         return key
 
     def public_key(self) -> PublicKey:
-        material = _rsa_material(self._load().public_key())
-        head = struct.pack(">HBB", KEY_FLAGS, KEY_PROTOCOL, self.algorithm)
-        return PublicKey(algorithm=self.algorithm, key_bytes=head + material)
+        return self._public
 
     def sign(self, message: bytes) -> bytes:
-        return self._load().sign(message, padding.PKCS1v15(), _digest_for(self.algorithm))
+        return self._key.sign(message, padding.PKCS1v15(), _digest_for(self.algorithm))
 
 
 def generate_keypair(algorithm: int, bits: int = 2048) -> Tuple[PublicKey, SecretKey]:
@@ -198,7 +218,7 @@ def generate_keypair(algorithm: int, bits: int = 2048) -> Tuple[PublicKey, Secre
         raise UnsupportedAlgorithmError(f"algorithm code {algorithm} not registered")
     priv = rsa.generate_private_key(public_exponent=65537, key_size=bits)
     der = priv.private_bytes(Encoding.DER, PrivateFormat.PKCS8, NoEncryption())
-    secret = SecretKey(algorithm=algorithm, private_bytes=der)
+    secret = SecretKey(algorithm=algorithm, private_bytes=der, parsed=priv)
     return secret.public_key(), secret
 
 
@@ -285,7 +305,7 @@ class RecordLike(Protocol):
     def canonical_rdata_text(self) -> str: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignatureParams:
     """Everything a verifier needs besides the records and the key.
 
@@ -313,7 +333,7 @@ class SignatureParams:
             raise ParamsMismatchError("negative original ttl")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordSignature:
     params: SignatureParams
     signature_bytes: bytes

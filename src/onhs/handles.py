@@ -53,7 +53,7 @@ def _check_ordinal(text: str) -> None:
         raise LeadingZeroError(f"ordinal {text!r} has a leading zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HandleLabel:
     """One label of a handle.
 
@@ -155,7 +155,7 @@ def _norm(name: str) -> str:
     return _strip_dot(name).lower()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Handle:
     """A full handle: labels ordered apex first, under a root suffix.
 

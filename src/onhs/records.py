@@ -92,7 +92,7 @@ def render_duration(seconds: int) -> str:
 # ---- record payloads -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoaData:
     primary: str
     contact: str
@@ -103,7 +103,7 @@ class SoaData:
     minimum: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NxtData:
     next_owner: str
     types: Tuple[str, ...]
@@ -138,7 +138,7 @@ def key_payload_fields(payload: bytes) -> Tuple[int, int, int, bytes]:
     return flags, proto, alg, payload[4:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     owner: str
     ttl: int
@@ -195,7 +195,7 @@ class ResourceRecord:
 # ---- signed record sets --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedRRset:
     """One record set (single owner and type) plus its signature.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import base64
 import json
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -97,7 +98,7 @@ IRREVOCABLE_VALIDITY = 10 * 366 * 86400
 SERVER_SIG_VALIDITY = 86400
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     accepted: bool
     reason: Optional[str] = None
@@ -105,6 +106,16 @@ class Verdict:
 
     def tag(self) -> str:
         return "accepted" if self.accepted else f"rejected:{self.reason}"
+
+    @staticmethod
+    def from_tag(tag: str) -> "Verdict":
+        """The verdict tag() was taken from, less its detail."""
+        if tag == "accepted":
+            return Verdict(True)
+        kind, sep, reason = tag.partition(":")
+        if kind != "rejected" or not sep:
+            raise ValueError(f"bad verdict tag {tag!r}")
+        return Verdict(False, reason)
 
     @staticmethod
     def ok() -> "Verdict":
@@ -159,6 +170,23 @@ class UpdateMessage:
 
 def canonical_json(data: dict) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+# -- the update log's line form --
+
+
+def encode_log_line(msg: UpdateMessage, verdict: Verdict, stamp: str) -> str:
+    """One updates.log line: base64 canonical update, verdict tag, arrival stamp."""
+    blob = base64.b64encode(canonical_json(msg.to_dict())).decode()
+    return f"{blob} {verdict.tag()} {stamp}"
+
+
+def decode_log_line(raw: bytes) -> Tuple[UpdateMessage, Verdict, str]:
+    """The update, verdict (without detail) and arrival stamp of one line."""
+    blob, _, rest = raw.decode("utf-8").strip().partition(" ")
+    tag, _, stamp = rest.rpartition(" ")
+    msg = UpdateMessage.from_dict(json.loads(base64.b64decode(blob, validate=True)))
+    return msg, Verdict.from_tag(tag), crypto.check_stamp(stamp)
 
 
 # -- plain-dict codecs for the pieces updates and answers are made of --
@@ -335,14 +363,14 @@ def _sort_key_name(key: SortKey) -> str:
     return ".".join(label.decode() for label in reversed(key))
 
 
-@dataclass
+@dataclass(slots=True)
 class HandleStatus:
     cancelled: bool = False
     compromised: bool = False
     transferred_to: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     serial: int
     sticky: bool
@@ -357,14 +385,14 @@ class Slot:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class HandleEntry:
     handle: Handle
     sort_key: SortKey
     status: HandleStatus = field(default_factory=HandleStatus)
     slots: Dict[str, Slot] = field(default_factory=dict)
     apex_key: Optional[PublicKey] = None
-    log: List[Tuple[UpdateMessage, Verdict]] = field(default_factory=list)
+    log: array = field(default_factory=lambda: array("q"))  # offsets of its log lines
 
 
 @dataclass
@@ -620,13 +648,18 @@ class HandleServer:
         self._subscribers: Dict[str, List[AuditSubscription]] = {}
         self._event_seq = 0
         self._event_sinks: List[Callable[[AuditSubscription, AuditEvent], None]] = []
-        self._log_writer: Optional[Callable[[str], None]] = None
+        self._log_writer: Optional[Callable[[str], Optional[int]]] = None
         self._lock = threading.RLock()
 
     # -- persistence hooks --
 
-    def set_log_writer(self, writer: Optional[Callable[[str], None]]) -> None:
-        """Install the append-only log sink; one line per apply_update call."""
+    def set_log_writer(self, writer: Optional[Callable[[str], Optional[int]]]) -> None:
+        """Install the append-only log sink; one line per apply_update call.
+
+        The writer returns the byte offset of the line it wrote; the target's
+        entry keeps it, and the audit backlog reads the line back from there.
+        Without a writer the server keeps no update history.
+        """
         self._log_writer = writer
 
     def add_event_sink(self, sink: Callable[[AuditSubscription, AuditEvent], None]) -> None:
@@ -639,17 +672,24 @@ class HandleServer:
 
     # -- update path --
 
-    def apply_update(self, msg: UpdateMessage, now: Optional[str] = None) -> Verdict:
+    def apply_update(
+        self, msg: UpdateMessage, now: Optional[str] = None, *, logged_at: Optional[int] = None
+    ) -> Verdict:
+        """Process one update and log it.
+
+        logged_at is where the update's line already sits in the log, when
+        it is replayed from there; the line is then not written again.
+        """
         with self._lock:
             stamp = now or now_stamp()
             verdict = self._process(msg, stamp)
-            line = (
-                base64.b64encode(canonical_json(msg.to_dict())).decode()
-                + f" {verdict.tag()} {stamp}"
-            )
             self._update_count += 1
-            if self._log_writer is not None:
-                self._log_writer(line)
+            if logged_at is None and self._log_writer is not None:
+                logged_at = self._log_writer(encode_log_line(msg, verdict, stamp))
+            if logged_at is not None:
+                entry = self._entries.get(name_key(msg.target))
+                if entry is not None:
+                    entry.log.append(logged_at)
             self._notify(msg, verdict, stamp)
             return verdict
 
@@ -810,11 +850,25 @@ class HandleServer:
     # -- commit --
 
     def _ensure_entry(self, handle: Handle) -> HandleEntry:
+        """handle's entry, made along with any missing ancestor's. A new
+        entry's handle and sort key extend its parent entry's, so the label
+        objects and label bytes of a subtree are stored once."""
+        parent = None
         for node in handle.ancestry():
             key = node.name_key()
-            if key not in self._entries:
-                self._entries[key] = HandleEntry(handle=node, sort_key=canonical_sort_key(key))
-        return self._entries[handle.name_key()]
+            entry = self._entries.get(key)
+            if entry is None:
+                if parent is None:
+                    entry = HandleEntry(handle=node, sort_key=canonical_sort_key(key))
+                else:
+                    label = node.labels[-1]
+                    entry = HandleEntry(
+                        handle=Handle(parent.handle.labels + (label,), node.root_suffix),
+                        sort_key=parent.sort_key + (label.encode().lower().encode(),),
+                    )
+                self._entries[key] = entry
+            parent = entry
+        return parent
 
     def _purge_revocable(self, target: Handle) -> None:
         for entry in self._subtree(target):
@@ -917,11 +971,7 @@ class HandleServer:
             return list(self._subscribers.get(handle.name_key(), []))
 
     def _notify(self, msg: UpdateMessage, verdict: Verdict, stamp: str) -> None:
-        key = name_key(msg.target)
-        subs = self._subscribers.get(key)
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.log.append((msg, verdict))
+        subs = self._subscribers.get(name_key(msg.target))
         if not subs:
             return
         self._event_seq += 1
@@ -935,7 +985,8 @@ class HandleServer:
             for sink in self._event_sinks:
                 sink(sub, event)
 
-    def entry_log(self, handle: Handle) -> List[Tuple[UpdateMessage, Verdict]]:
+    def entry_log_offsets(self, handle: Handle) -> List[int]:
+        """Byte offsets of the log lines of updates to handle, oldest first."""
         with self._lock:
             entry = self._entries.get(handle.name_key())
             return list(entry.log) if entry else []

@@ -10,8 +10,6 @@ across restarts.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
 import socket
 import threading
@@ -41,7 +39,7 @@ from .server import (
     Resolution,
     UpdateMessage,
     Verdict,
-    canonical_json,
+    decode_log_line,
 )
 
 DEFAULT_PORT = 4431
@@ -97,7 +95,11 @@ class ServerConfig:
 
 
 class UpdateLog:
-    """Append-only file: base64 canonical update, verdict tag, timestamp."""
+    """Append-only file: base64 canonical update, verdict tag, timestamp.
+
+    The lines are also the store's update history: each entry keeps the
+    byte offsets of its lines, and read_at reads them back.
+    """
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -106,13 +108,25 @@ class UpdateLog:
 
     def open_for_append(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab")
 
-    def append(self, line: str) -> None:
+    def append(self, line: str) -> int:
+        """Write one line and fsync it; returns the byte offset it starts at."""
         assert self._fh is not None, "log not opened"
-        self._fh.write(line + "\n")
+        start = self._fh.tell()
+        self._fh.write(line.encode("utf-8") + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        return start
+
+    def read_at(self, offsets: List[int]) -> List[bytes]:
+        """The lines that start at these byte offsets."""
+        with open(self.path, "rb") as fh:
+            out = []
+            for offset in offsets:
+                fh.seek(offset)
+                out.append(fh.readline())
+            return out
 
     def close(self) -> None:
         if self._fh is not None:
@@ -141,13 +155,13 @@ class UpdateLog:
                 if not raw.strip():
                     continue
                 try:
-                    msg, stamp = _decode_line(raw)
+                    msg, _, stamp = decode_log_line(raw)
                 except (ValueError, KeyError, TypeError, OnhsError) as exc:
                     if raw.endswith(b"\n"):
                         raise LogFormatError(f"{self.path} line {number}: {exc}") from exc
                     torn_at = start
                     break
-                server.apply_update(msg, now=stamp)
+                server.apply_update(msg, now=stamp, logged_at=start)
                 count += 1
         if torn_at is not None:
             with open(self.path, "r+b") as fh:
@@ -159,14 +173,6 @@ class UpdateLog:
                 fh.write(b"\n")
                 os.fsync(fh.fileno())
         return count
-
-
-def _decode_line(raw: bytes) -> Tuple[UpdateMessage, str]:
-    """One log line's update and arrival timestamp."""
-    blob, _, rest = raw.decode("utf-8").strip().partition(" ")
-    _tag, _, stamp = rest.rpartition(" ")
-    msg = UpdateMessage.from_dict(json.loads(base64.b64decode(blob, validate=True)))
-    return msg, crypto.check_stamp(stamp)
 
 
 # ---- request dispatch (shared by sockets and in-process use) ----------------
@@ -202,6 +208,12 @@ class HandleService:
     def close(self) -> None:
         self.server.set_log_writer(None)
         self.log.close()
+
+    def entry_log(self, handle: Handle) -> List[Tuple[UpdateMessage, Verdict]]:
+        """The updates to handle with their verdicts, oldest first, read back
+        from the log; a verdict keeps its reason but not its detail."""
+        lines = self.log.read_at(self.server.entry_log_offsets(handle))
+        return [decode_log_line(raw)[:2] for raw in lines]
 
     # -- audit push --
 
@@ -267,7 +279,7 @@ class HandleService:
             if verdict.accepted and body.get("backlog", True):
                 backlog = [
                     {"update": u.to_dict(), "verdict": _verdict_dict(v)}
-                    for u, v in self.server.entry_log(handle)
+                    for u, v in self.entry_log(handle)
                 ]
             return _response(
                 msg.correlation_id,

@@ -1,13 +1,15 @@
 """Shared fixtures: a session key pool and the worked-example zone setup.
 
 Key generation dominates test time, so tests draw RSA-1024 keys from one
-session-scoped pool instead of generating their own. 1024-bit keys are
-fine here: nothing in the tests depends on key strength, only on the
-signing and hashing relationships.
+session-scoped pool instead of generating their own, and every server
+built with new_server() signs with one pooled key instead of making an
+RSA-2048 key of its own. 1024-bit keys are fine here: nothing in the tests
+depends on key strength, only on the signing and hashing relationships.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -15,6 +17,7 @@ from onhs import crypto
 from onhs.crypto import PublicKey, SecretKey
 from onhs.handles import Handle, HandleLabel, parse_handle
 from onhs import server as srv
+from onhs.service import HandleService, ServerConfig
 
 ROOT = "handleroot.example.org"
 TEST_BITS = 1024
@@ -44,6 +47,31 @@ def keypool() -> KeyPool:
     return KeyPool()
 
 
+_SERVER_KEYS = KeyPool()
+
+
+def new_server(**kwargs) -> srv.HandleServer:
+    """A HandleServer for ROOT signing with the pooled server key."""
+    return srv.HandleServer(ROOT, _SERVER_KEYS.key(0)[1], **kwargs)
+
+
+def new_service(data_dir: Path) -> HandleService:
+    """A HandleService for ROOT over data_dir, signing with the pooled
+    server key; it logs every update, so it keeps the update history."""
+    data_dir.mkdir(parents=True, exist_ok=True)
+    key_path = data_dir / "server.key"
+    if not key_path.exists():
+        crypto.save_secret_key(key_path, _SERVER_KEYS.key(0)[1])
+    return HandleService(ServerConfig(root_zone=ROOT, data_dir=str(data_dir), listen_port=0))
+
+
+@pytest.fixture()
+def logged_service(tmp_path):
+    service = new_service(tmp_path / "data")
+    yield service
+    service.close()
+
+
 @dataclass
 class ExampleZones:
     """The three-owner setup from the worked examples, with live keys.
@@ -68,11 +96,14 @@ class ExampleZones:
     under_compromised: Handle  # h0k9.<apex2>, created before the compromise
 
 
-def build_example_zones(keypool: KeyPool, now: str = FIXED_NOW) -> ExampleZones:
+def build_example_zones(
+    keypool: KeyPool, now: str = FIXED_NOW, server: Optional[srv.HandleServer] = None
+) -> ExampleZones:
     _, sec1 = keypool.key(0)
     _, sec2 = keypool.key(1)
     _, sec3 = keypool.key(2)
-    server = srv.HandleServer(ROOT)
+    if server is None:
+        server = new_server()
 
     claim1 = srv.make_claim(sec1, ROOT, 16, 1, now=now)
     claim2 = srv.make_claim(sec2, ROOT, 16, 1, now=now)

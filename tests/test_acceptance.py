@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXED_NOW, ROOT, build_example_zones
+from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
 
 from oracles import sha1_hex
 
@@ -28,7 +28,6 @@ from onhs.server import (
     OUTCOME_CANCELLED,
     OUTCOME_COMPROMISED,
     OUTCOME_TRANSFERRED_AND_ADDRESS,
-    HandleServer,
     make_assign,
     make_cancel,
     make_claim,
@@ -181,7 +180,7 @@ def _update_corpus(keypool):
 
 
 def _state_after(messages):
-    server = HandleServer(ROOT)
+    server = new_server()
     for msg in messages:
         server.apply_update(msg, now=NOW)
     return server.dump_state()
@@ -226,7 +225,7 @@ def _sticky_flags(state_dump):
 
 def test_criterion_05_irrevocability(keypool):
     rng = random.Random(0xACC5)
-    server = HandleServer(ROOT)
+    server = new_server()
     secrets = []
     apexes = []
     for i in range(3):
@@ -292,7 +291,7 @@ def test_criterion_05_irrevocability(keypool):
 
 def test_criterion_06_cycle_termination(keypool):
     _, sec = keypool.key(0)
-    server = HandleServer(ROOT)
+    server = new_server()
     claim = make_claim(sec, ROOT, 16, 1, now=NOW)
     assert server.apply_update(claim, now=NOW).accepted
     apex = parse_handle(claim.target, ROOT)
@@ -389,7 +388,7 @@ def _relative_owners(server, apex):
 def test_criterion_08_key_upgrade(keypool):
     _, old_secret = keypool.key(6)
     _, new_secret = keypool.key(7)
-    server = HandleServer(ROOT)
+    server = new_server()
     claim = make_claim(old_secret, ROOT, 16, 1, now=NOW)
     assert server.apply_update(claim, now=NOW).accepted
     apex = parse_handle(claim.target, ROOT)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line tools, run as subprocesses."""
 
+import base64
 import os
 import re
 import subprocess
@@ -231,6 +232,33 @@ def test_missing_key_file_is_a_clean_error(tmp_path):
         expect=1,
     )
     assert proc.stderr.startswith("error:")
+
+
+def _garbage_der_key(path):
+    """A key file of the right shape whose secret line is valid base64
+    over bytes that are no DER key."""
+    junk = base64.b64encode(b"not a DER private key").decode()
+    path.write_text(f"5\n{junk}\n{junk}\n")
+    return path
+
+
+def test_corrupt_key_file_is_a_clean_error(tmp_path):
+    proc = run_cli(
+        "claim", "--server", "127.0.0.1:1", "--root", ROOT,
+        "--key", _garbage_der_key(tmp_path / "bad.key"), "--serial", 1,
+        expect=1,
+    )
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_serve_with_a_corrupt_server_key_is_a_clean_error(tmp_path):
+    conf = write_config(tmp_path)
+    (tmp_path / "data").mkdir()
+    _garbage_der_key(tmp_path / "data" / "server.key")
+    proc = run_cli("serve", "--config", conf, expect=1)
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_zone_dump_and_load(tmp_path, keypool):

@@ -5,6 +5,7 @@ SHA-1 in oracles.py, so a digest bug in either implementation shows up as
 a disagreement rather than a shared blind spot.
 """
 
+import base64
 import hashlib
 import random
 
@@ -16,6 +17,7 @@ from onhs import crypto
 from onhs.crypto import (
     PublicKey,
     RecordSignature,
+    SecretKey,
     SignatureParams,
     canonical_rrset_bytes,
     derive_pk_label,
@@ -168,6 +170,59 @@ class TestKeyMaterial:
         path.write_text("hello\n")
         with pytest.raises(KeyFormatError):
             crypto.load_public_key(path)
+
+
+    def test_secret_key_file_with_garbage_der_rejected_at_load(self, tmp_path):
+        # valid base64 over bytes that are no DER key
+        junk = base64.b64encode(b"not a DER private key").decode()
+        path = tmp_path / "bad.key"
+        path.write_text(f"5\n{junk}\n{junk}\n")
+        with pytest.raises(KeyFormatError):
+            crypto.load_secret_key(path)
+
+
+class TestSecretKeyCache:
+    """A SecretKey parses its DER once; the parsed key stays out of sight."""
+
+    @pytest.fixture()
+    def der_loads(self, monkeypatch):
+        calls = []
+        real = crypto.load_der_private_key
+
+        def counting(data, password=None, **kwargs):
+            calls.append(data)
+            return real(data, password=password, **kwargs)
+
+        monkeypatch.setattr(crypto, "load_der_private_key", counting)
+        return calls
+
+    def test_one_parse_per_key_however_often_it_signs(self, keypool, der_loads):
+        public, pooled = keypool.key(0)
+        secret = SecretKey(pooled.algorithm, pooled.private_bytes)
+        assert len(der_loads) == 1
+        for i in range(5):
+            assert public.verify(secret.sign(b"m%d" % i), b"m%d" % i)
+            assert secret.public_key() == public
+        assert len(der_loads) == 1
+
+    def test_generated_key_signs_without_loading_der(self, der_loads):
+        public, secret = generate_keypair(crypto.RSA_SHA1, bits=1024)
+        assert public.verify(secret.sign(b"hello"), b"hello")
+        assert secret.public_key() == public
+        assert der_loads == []
+
+    def test_equality_and_hash_follow_algorithm_and_der(self, keypool):
+        _, secret = keypool.key(0)
+        again = SecretKey(secret.algorithm, secret.private_bytes)
+        assert again == secret and hash(again) == hash(secret)
+        assert SecretKey(crypto.RSA_SHA256, secret.private_bytes) != secret
+        assert SecretKey(secret.algorithm, keypool.key(1)[1].private_bytes) != secret
+
+    def test_repr_shows_neither_der_nor_parsed_key(self, keypool):
+        _, secret = keypool.key(0)
+        text = repr(secret)
+        assert text == f"SecretKey(algorithm={secret.algorithm})"
+        assert repr(secret.private_bytes) not in text
 
 
 class TestTimestamps:

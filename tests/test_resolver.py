@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXED_NOW, ROOT
+from conftest import FIXED_NOW, ROOT, new_server
 
 from onhs.client import (
     HandleReference,
@@ -24,7 +24,6 @@ from onhs.server import (
     OUTCOME_COMPROMISED,
     OUTCOME_NOT_FOUND,
     OUTCOME_TRANSFERRED_AND_ADDRESS,
-    HandleServer,
     make_assign,
     make_cancel,
     make_claim,
@@ -176,7 +175,7 @@ class TestVerifyResolution:
 
     def test_expired_signature_on_irrevocable_content_warns_only(self, keypool):
         then = "20250101000000"
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.key(3)
         claim = make_claim(sec, ROOT, 16, 1, now=then)
         assert server.apply_update(claim, now=then).accepted
@@ -194,7 +193,7 @@ class TestVerifyResolution:
 
     def test_expired_signature_on_plain_address_fails(self, keypool):
         then = "20250101000000"
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.key(3)
         claim = make_claim(sec, ROOT, 16, 1, now=then)
         assert server.apply_update(claim, now=then).accepted
@@ -293,7 +292,7 @@ class TestHandleReference:
         assert moved.current_handle() == z.new_leaf
 
     def test_plain_delegation_does_not_move_the_reference(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.key(3)
         claim = make_claim(sec, ROOT, 16, 1, now=NOW)
         assert server.apply_update(claim, now=NOW).accepted
@@ -360,7 +359,7 @@ class TestKeyUpgrade:
         assert not z.server.apply_update(late, now=NOW).accepted
 
     def test_internal_delegations_are_rewritten(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, old_sec = keypool.fresh()
         _, new_sec = keypool.fresh()
         claim = make_claim(old_sec, ROOT, 16, 1, now=NOW)
@@ -390,8 +389,8 @@ class TestKeyUpgrade:
         ghost = report.new_apex.child(IA("3")).child(IA("3"))
         assert z.server.resolve(ghost, now=NOW).outcome == OUTCOME_NOT_FOUND
 
-    def test_replica_verification_failure_aborts_before_transfer(self, keypool):
-        server = HandleServer(ROOT)
+    def test_replica_verification_failure_aborts_before_transfer(self, keypool, logged_service):
+        server = logged_service.server
         _, old_sec = keypool.fresh()
         _, new_sec = keypool.fresh()
         claim = make_claim(old_sec, ROOT, 16, 1, now=NOW)
@@ -422,7 +421,8 @@ class TestKeyUpgrade:
         res = server.resolve(leaf, now=NOW)
         assert res.outcome == OUTCOME_ADDRESS
         assert res.transfer_notices == ()
-        actions = [m.action for m, _ in server.entry_log(apex)]
+        actions = [m.action for m, _ in logged_service.entry_log(apex)]
+        assert actions[0] == "CLAIM"
         assert "TRANSFER" not in actions
 
     def test_cancel_old_key_after_upgrade(self, example_zones, keypool):
@@ -441,7 +441,7 @@ class TestKeyUpgrade:
         assert res.address == "192.253.254.63"
 
     def test_cancel_without_transfer_warns_about_stranding(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.fresh()
         claim = make_claim(sec, ROOT, 16, 1, now=NOW)
         assert server.apply_update(claim, now=NOW).accepted
@@ -453,7 +453,7 @@ class TestKeyUpgrade:
         assert server.resolve(apex.child(IA("1")), now=NOW).outcome == OUTCOME_CANCELLED
 
     def test_compromise_flag_reaches_the_store(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.fresh()
         claim = make_claim(sec, ROOT, 16, 1, now=NOW)
         assert server.apply_update(claim, now=NOW).accepted

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXED_NOW, ROOT, build_example_zones
+from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
 
 from onhs import crypto, server as srv
 from onhs.crypto import SignatureParams, stamp_add
@@ -30,7 +30,6 @@ from onhs.server import (
     R_SUBSCRIPTION_LIMIT,
     R_UNKNOWN_PARENT,
     R_WRONG_AUTHORITY,
-    HandleServer,
     UpdateMessage,
     make_assign,
     make_cancel,
@@ -47,7 +46,7 @@ NOW = FIXED_NOW
 
 def claimed_server(keypool, *indexes):
     """Fresh server with one claimed apex per key index."""
-    server = HandleServer(ROOT)
+    server = new_server()
     apexes = []
     for i in indexes:
         _, sec = keypool.key(i)
@@ -60,7 +59,7 @@ def claimed_server(keypool, *indexes):
 class TestClaims:
     def test_reclaim_with_same_key_is_idempotent(self, keypool):
         _, sec = keypool.key(0)
-        server = HandleServer(ROOT)
+        server = new_server()
         claim = make_claim(sec, ROOT, 16, 1, now=NOW)
         assert server.apply_update(claim, now=NOW).accepted
         before = server.dump_state()
@@ -78,7 +77,7 @@ class TestClaims:
         assert verdict.reason == R_KEY_LABEL_MISMATCH
 
     def test_claim_payload_must_carry_the_signer_key(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec1 = keypool.key(0)
         pub2, _ = keypool.key(1)
         claim = make_claim(sec1, ROOT, 16, 1, now=NOW)
@@ -119,7 +118,7 @@ class TestClaims:
 
     def test_same_key_may_claim_distinct_suffix_lengths(self, keypool):
         _, sec = keypool.key(0)
-        server = HandleServer(ROOT)
+        server = new_server()
         short = make_claim(sec, ROOT, 16, 1, now=NOW)
         long = make_claim(sec, ROOT, 24, 1, now=NOW)
         assert server.apply_update(short, now=NOW).accepted
@@ -130,14 +129,14 @@ class TestClaims:
 
 class TestVerdicts:
     def test_unknown_action_rejected(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.key(0)
         msg = replace(make_claim(sec, ROOT, 16, 1, now=NOW), action="DESTROY")
         verdict = server.apply_update(msg, now=NOW)
         assert verdict.reason == R_MALFORMED
 
     def test_garbage_target_rejected(self, keypool):
-        server = HandleServer(ROOT)
+        server = new_server()
         _, sec = keypool.key(0)
         msg = replace(make_claim(sec, ROOT, 16, 1, now=NOW), target="not a name")
         assert server.apply_update(msg, now=NOW).reason == R_MALFORMED
@@ -274,7 +273,7 @@ class TestMerge:
             make_assign(sec1, leaf, "10.0.0.70", 5, now=NOW),
         ]
         for order in ([0, 1, 2, 3], [0, 3, 2, 1], [0, 2, 1, 3]):
-            server = HandleServer(ROOT)
+            server = new_server()
             for i in order:
                 assert server.apply_update(msgs[i], now=NOW).accepted
             assert server.resolve(leaf, now=NOW).address == "10.0.0.60"
@@ -288,7 +287,7 @@ class TestMerge:
         b = make_assign(sec1, leaf, "10.0.0.9", 5, now=NOW)
         states = []
         for pair in ((a, b), (b, a)):
-            server = HandleServer(ROOT)
+            server = new_server()
             server.apply_update(claim, now=NOW)
             for msg in pair:
                 assert server.apply_update(msg, now=NOW).accepted
@@ -329,7 +328,7 @@ class TestMerge:
         for _ in range(8):
             batch = list(msgs) + rng.choices(msgs, k=3)
             rng.shuffle(batch)
-            server = HandleServer(ROOT)
+            server = new_server()
             for msg in batch:
                 server.apply_update(msg, now=NOW)
             state = server.dump_state()
@@ -546,9 +545,9 @@ class TestAudit:
         assert len(sub.queue) == 2
         assert sub.dropped == 1
 
-    def test_entry_log_records_history(self, example_zones):
-        z = example_zones
-        log = z.server.entry_log(z.leaf_2_3)
+    def test_entry_log_records_history(self, keypool, logged_service):
+        z = build_example_zones(keypool, server=logged_service.server)
+        log = logged_service.entry_log(z.leaf_2_3)
         actions = [msg.action for msg, _ in log]
         assert actions == ["CREATE_CHILD", "ASSIGN"]
         assert all(v.accepted for _, v in log)
@@ -577,7 +576,7 @@ class TestZones:
     def test_owner_zone_round_trips_through_text(self, example_zones):
         z = example_zones
         text = serialize_zone(z.server.owner_zone_snapshot(z.apex1, now=NOW))
-        fresh = srv.HandleServer(ROOT)
+        fresh = new_server()
         loaded, problems = fresh.load_zone(parse_zone(text), now=NOW)
         assert problems == []
         assert loaded > 0
@@ -586,7 +585,7 @@ class TestZones:
 
     def test_full_snapshot_reload_preserves_status(self, example_zones):
         z = example_zones
-        fresh = srv.HandleServer(ROOT)
+        fresh = new_server()
         zones = [z.server.root_zone_snapshot(now=NOW)]
         zones += [
             z.server.owner_zone_snapshot(apex, now=NOW)
@@ -614,7 +613,7 @@ class TestZones:
         zone = zone.with_rrset(
             type(victim)(records=(forged_rec,), signature=victim.signature)
         )
-        fresh = srv.HandleServer(ROOT)
+        fresh = new_server()
         _, problems = fresh.load_zone(zone, now=NOW)
         assert any(z.leaf_2_3.fqdn_no_dot() in p and "A" in p for p in problems)
         assert not fresh.query_record(z.leaf_2_3, "A", now=NOW).found

@@ -1,15 +1,17 @@
 """Config, durability, and the TCP front end."""
 
 import base64
+import gc
 import json
 import socket
 import struct
 import threading
+import types
 import uuid
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, new_service
 
 from onhs import wire
 from onhs.client import verify_resolution
@@ -17,6 +19,9 @@ from onhs.errors import DelegationLoopError, LogFormatError, OnhsError
 from onhs.handles import HandleLabel, parse_handle
 from onhs.server import (
     OUTCOME_ADDRESS,
+    R_WRONG_AUTHORITY,
+    HandleEntry,
+    UpdateMessage,
     make_assign,
     make_claim,
     make_create_child,
@@ -218,6 +223,77 @@ class TestDurability:
         log.write_bytes(b"\n".join(lines))
         with pytest.raises(LogFormatError, match="line 4"):
             HandleService(cfg, key_bits=1024)
+
+
+def _reachable(root):
+    """Every object reachable from root's state, not following classes,
+    modules or functions (through which everything is reachable)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.CodeType)
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, skip):
+                seen.add(id(ref))
+                stack.append(ref)
+
+
+class TestHistoryInTheLog:
+    """The audit backlog is read back from updates.log, not kept in memory."""
+
+    def backlog(self, service, handle):
+        request = wire.WireMessage(
+            wire.KIND_AUDIT_SUBSCRIBE, "c1", {"handle": handle.fqdn_no_dot()}
+        )
+        reply = service.handle_request(request, endpoint_id="watcher")
+        assert reply.kind == wire.KIND_RESPONSE, reply.body
+        return [
+            (e["update"]["action"], e["update"]["serial"],
+             e["verdict"]["accepted"], e["verdict"]["reason"])
+            for e in reply.body["backlog"]
+        ]
+
+    def test_backlog_survives_restarts_and_a_torn_last_line(self, tmp_path, keypool):
+        data = tmp_path / "data"
+        service = new_service(data)
+        leaf = TestDurability().populate(service, keypool)
+        _, sec1 = keypool.key(0)
+        _, sec2 = keypool.key(1)
+        foreign = make_assign(sec2, leaf, "10.0.0.3", 5)
+        assert not service.server.apply_update(foreign).accepted
+        before = self.backlog(service, leaf)
+        assert before == [
+            ("CREATE_CHILD", 2, True, None),
+            ("ASSIGN", 3, True, None),
+            ("ASSIGN", 5, False, R_WRONG_AUTHORITY),
+        ]
+        service.close()
+
+        reborn = new_service(data)
+        assert self.backlog(reborn, leaf) == before
+        assert reborn.server.apply_update(make_assign(sec1, leaf, "10.0.0.6", 6)).accepted
+        reborn.close()
+        log = data / "updates.log"
+        log.write_bytes(log.read_bytes()[:-7])  # a crash inside the last line
+
+        torn = new_service(data)
+        try:
+            assert torn.log.dropped_tail > 0
+            assert self.backlog(torn, leaf) == before
+            # lines appended after the cut are found at their offsets
+            assert torn.server.apply_update(make_assign(sec1, leaf, "10.0.0.7", 7)).accepted
+            assert self.backlog(torn, leaf) == before + [("ASSIGN", 7, True, None)]
+        finally:
+            torn.close()
+
+    def test_no_update_message_stays_in_the_server(self, logged_service, keypool):
+        leaf = TestDurability().populate(logged_service, keypool)
+        reached = list(_reachable(logged_service.server))
+        assert any(isinstance(o, HandleEntry) for o in reached)
+        assert not [o for o in reached if isinstance(o, UpdateMessage)]
+        assert len(logged_service.entry_log(leaf)) == 2
 
 
 @pytest.fixture()
