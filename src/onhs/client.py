@@ -1,18 +1,14 @@
 """Verifying resolver client.
 
-The client never trusts a resolution outcome as served. It rebuilds the
-walk from the signed evidence alone: apex keys are checked against the
-hash embedded in their label, every signature is verified against the key
-of the zone its signer field names, DNAME rewrites are re-applied locally,
-and the final address must sit in a record set that survived all of that.
-A served answer whose evidence does not reproduce the same outcome is
-reported unverified.
-
-Irrevocable records (cancel, transfer, compromise) are accepted past their
-signature expiration with a warning; a revocation must not silently lapse
-because nobody re-signed it. Denial proofs are checked against the served
-root server key, which only authenticates the root server itself; that
-weaker trust level is surfaced as a warning, not hidden.
+The client never trusts a resolution outcome as served. verify_resolution
+checks apex keys against the hash embedded in their label and every
+signature against the key of the zone its signer field names, then runs
+server.walk, which holds the resolution rules, over the sets that
+verified. A served answer whose evidence does not reproduce the same
+outcome and address is reported unverified. Denial proofs are checked
+against the served root server key, which only authenticates the root
+server itself; that weaker trust level is surfaced as a warning, not
+hidden.
 """
 
 from __future__ import annotations
@@ -25,21 +21,19 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from . import crypto, server as srv
 from .crypto import PublicKey, SecretKey, now_stamp, verify_key_matches_label, verify_rrset
-from .errors import OnhsError, ResolutionError, VerificationError
-from .handles import Handle, parse_handle
-from .records import (
-    IMPOSSIBLE_ADDRESS,
-    SignedRRset,
-    canonical_sort_key,
-    name_key,
+from .errors import (
+    DelegationLoopError,
+    DepthExceededError,
+    OnhsError,
+    ResolutionError,
+    VerificationError,
 )
+from .handles import Handle, parse_handle
+from .records import SignedRRset, canonical_sort_key, is_irrevocable, name_key
 from .server import (
     DEFAULT_DEPTH_BUDGET,
     OUTCOME_ADDRESS,
-    OUTCOME_CANCELLED,
-    OUTCOME_COMPROMISED,
     OUTCOME_NOT_FOUND,
-    OUTCOME_TRANSFERRED_AND_ADDRESS,
     RecordAnswer,
     Resolution,
     UpdateMessage,
@@ -80,15 +74,6 @@ class VerifiedResolution:
     @property
     def address(self) -> Optional[str]:
         return self.resolution.address
-
-
-def _is_irrevocable_content(rrset: SignedRRset) -> bool:
-    rec = rrset.records[0]
-    if rrset.rtype == "A" and rec.rdata == IMPOSSIBLE_ADDRESS:
-        return True
-    if rrset.rtype == "TXT" and isinstance(rec.rdata, str) and rec.rdata.startswith("Compromised "):
-        return True
-    return False
 
 
 def verify_resolution(
@@ -191,7 +176,7 @@ def verify_resolution(
             verdicts.append((owner, rrset.rtype, V_OK))
             note_good(rrset)
         elif result.reason == crypto.REJECT_EXPIRED and (
-            _is_irrevocable_content(rrset) or rrset in notice_ids
+            is_irrevocable(rrset) or rrset in notice_ids
         ):
             warnings.append(f"{V_STALE} {owner} {rrset.rtype}")
             verdicts.append((owner, rrset.rtype, V_STALE))
@@ -212,11 +197,27 @@ def verify_resolution(
             verdicts.append((owner, notice.rtype, "unverified-notice"))
 
     # Pass 3: re-walk from the verified evidence only and compare outcomes.
-    outcome, address, walk_problems, walk_warnings = _rewalk(
-        queried, root_zone, good, notice_ids, server_key, depth_budget, stamp
-    )
-    failures.extend(walk_problems)
-    warnings.extend(walk_warnings)
+    first: Dict[str, Dict[str, SignedRRset]] = {}
+    for (owner, rtype), sets in good.items():
+        first.setdefault(owner, {})[rtype] = sets[0]
+    nodes = {owner: (sets, sets.get("DNAME") in notice_ids) for owner, sets in first.items()}
+
+    outcome, address = OUTCOME_NOT_FOUND, None
+    try:
+        found = srv.walk(queried, lambda key: nodes.get(key, srv.NO_SETS), depth_budget)
+    except DepthExceededError:
+        failures.append(f"rewrite budget of {depth_budget} exhausted")
+    except DelegationLoopError as exc:
+        failures.append(f"delegation loop at {exc.at}")
+    except ResolutionError as exc:
+        failures.append(str(exc))
+    else:
+        outcome, address = found.outcome, found.address
+        if outcome == OUTCOME_NOT_FOUND:
+            if _nxt_covers(good, found.final, server_key) is None:
+                failures.append(f"no denial proof covers {found.final.fqdn_no_dot()}")
+            else:
+                warnings.append("nxt-server-trust")
     if outcome != resolution.outcome:
         failures.append(
             f"served outcome {resolution.outcome} but evidence reconstructs {outcome}"
@@ -233,80 +234,6 @@ def verify_resolution(
         failures=tuple(failures),
         warnings=tuple(dict.fromkeys(warnings)),
     )
-
-
-def _rewalk(
-    queried: Handle,
-    root_zone: str,
-    good: Dict[Tuple[str, str], List[SignedRRset]],
-    notices: set,
-    server_key: Optional[PublicKey],
-    depth_budget: int,
-    stamp: str,
-) -> Tuple[str, Optional[str], List[str], List[str]]:
-    problems: List[str] = []
-    warnings: List[str] = []
-
-    def first(owner_key: str, rtype: str) -> Optional[SignedRRset]:
-        sets = good.get((owner_key, rtype))
-        return sets[0] if sets else None
-
-    current = queried
-    visited = {current.name_key()}
-    rewrites = 0
-    saw_notice = False
-    while True:
-        rewritten = False
-        for node in current.ancestry():
-            nk = node.name_key()
-            txt = first(nk, "TXT")
-            if txt is not None:
-                body = txt.records[0].rdata
-                if isinstance(body, str) and body.startswith("Compromised "):
-                    return OUTCOME_COMPROMISED, None, problems, warnings
-            at_target = nk == current.name_key()
-            a_set = first(nk, "A")
-            cancelled_here = a_set is not None and _is_irrevocable_content(a_set)
-            if at_target and cancelled_here:
-                return OUTCOME_CANCELLED, None, problems, warnings
-            dname = first(nk, "DNAME")
-            if dname is not None:
-                dest_text = dname.records[0].rdata
-                assert isinstance(dest_text, str)
-                try:
-                    dest = parse_handle(dest_text, root_zone)
-                except OnhsError as exc:
-                    problems.append(f"{nk} DNAME target unusable: {exc}")
-                    return OUTCOME_NOT_FOUND, None, problems, warnings
-                if dname in notices:
-                    saw_notice = True
-                rewrites += 1
-                if rewrites > depth_budget:
-                    problems.append(f"rewrite budget of {depth_budget} exhausted")
-                    return OUTCOME_NOT_FOUND, None, problems, warnings
-                current = current.replace_prefix(node, dest)
-                if current.name_key() in visited:
-                    problems.append(f"delegation loop at {current.fqdn_no_dot()}")
-                    return OUTCOME_NOT_FOUND, None, problems, warnings
-                visited.add(current.name_key())
-                rewritten = True
-                break
-            if at_target and a_set is not None:
-                addr = a_set.records[0].rdata
-                assert isinstance(addr, str)
-                outcome = OUTCOME_TRANSFERRED_AND_ADDRESS if saw_notice else OUTCOME_ADDRESS
-                return outcome, addr, problems, warnings
-            if not at_target and cancelled_here:
-                return OUTCOME_CANCELLED, None, problems, warnings
-        if rewritten:
-            continue
-        # Nothing found: insist on a denial proof covering the final name.
-        covered = _nxt_covers(good, current, server_key)
-        if covered is None:
-            problems.append(f"no denial proof covers {current.fqdn_no_dot()}")
-        else:
-            warnings.append("nxt-server-trust")
-        return OUTCOME_NOT_FOUND, None, problems, warnings
 
 
 def _nxt_covers(
@@ -542,15 +469,7 @@ def key_upgrade(
         a_answer = endpoint.query_record(owner, "A")
         txt_answer = endpoint.query_record(owner, "TXT")
         dname_answer = endpoint.query_record(owner, "DNAME")
-        compromised = (
-            txt_answer.found
-            and isinstance(txt_answer.rrset.records[0].rdata, str)
-            and txt_answer.rrset.records[0].rdata.startswith("Compromised ")
-        )
-        cancelled = (
-            a_answer.found and a_answer.rrset.records[0].rdata == IMPOSSIBLE_ADDRESS
-        )
-        if compromised or cancelled:
+        if any(ans.found and is_irrevocable(ans.rrset) for ans in (a_answer, txt_answer)):
             report.warnings.append(
                 f"skipping {owner.fqdn_no_dot()}: cancelled in the old hierarchy"
             )

@@ -95,7 +95,11 @@ class ResolutionError(OnhsError):
 
 
 class DelegationLoopError(ResolutionError):
-    """The rewrite walk revisited a name it had already visited."""
+    """The rewrite walk revisited a name it had already visited; at names it."""
+
+    def __init__(self, message: str, at: str = "") -> None:
+        super().__init__(message)
+        self.at = at
 
 
 class DepthExceededError(ResolutionError):

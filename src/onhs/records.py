@@ -237,6 +237,16 @@ class SignedRRset:
         return self.records[0].rtype
 
 
+def is_irrevocable(rrset: SignedRRset) -> bool:
+    """Whether rrset records a cancel (an A set holding IMPOSSIBLE_ADDRESS)
+    or a compromise (a TXT set starting "Compromised "): content that no
+    later update revokes, and that outlives its signature."""
+    rdata = rrset.records[0].rdata
+    if rrset.rtype == "A":
+        return rdata == IMPOSSIBLE_ADDRESS
+    return rrset.rtype == "TXT" and isinstance(rdata, str) and rdata.startswith("Compromised ")
+
+
 # ---- zone snapshots ------------------------------------------------------
 
 

@@ -5,8 +5,8 @@ accepted updates, never on their arrival order or multiplicity:
 
   * per-(handle, rtype) slots keep the record set with the highest serial,
     ties broken by canonical payload text, then signature octets;
-  * cancel, transfer, and compromise set flags that only ever turn on, and
-    their record sets occupy slots that revocable updates cannot displace;
+  * cancel, transfer, and compromise record sets occupy sticky slots that
+    revocable updates cannot displace; a name's status is read from them;
   * a sticky operation purges revocable slots in the subtree it kills, the
     mirror image of the rule that rejects revocable updates arriving after
     it (KEY slots survive: verifiers always need the key);
@@ -14,11 +14,8 @@ accepted updates, never on their arrival order or multiplicity:
     the apex label hash, so a message is verifiable on arrival even when it
     outruns the claim it depends on.
 
-Resolution walks from the apex toward the leaf, rewriting on DNAME records,
-collecting signed evidence as it goes. A compromise anywhere on the path is
-terminal. A cancel is terminal at the queried name itself, but a transfer
-record at a cancelled ancestor still redirects queries below it, which is
-what lets a retired key hierarchy keep forwarding to its successor.
+walk holds the resolution rules; HandleServer.resolve and
+client.verify_resolution both run it.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import crypto
 from .crypto import (
@@ -63,6 +60,7 @@ from .records import (
     build_nxt_chain,
     canonical_sort_key,
     covering_nxt,
+    is_irrevocable,
     name_key,
     strip_dot,
 )
@@ -353,6 +351,137 @@ class RecordAnswer:
         )
 
 
+# ---- the resolution walk ---------------------------------------------------
+
+# One name's record sets by type, and whether its DNAME set is a transfer.
+NodeSets = Tuple[Mapping[str, SignedRRset], bool]
+NO_SETS: NodeSets = ({}, False)
+
+
+@dataclass(frozen=True, slots=True)
+class Walk:
+    """What walk found. evidence lists the sets it relied on, in the order
+    it met them; notices the transfers it followed; irrevocable the
+    evidence sets no update can revoke. final is the name it ended at."""
+
+    outcome: str
+    address: Optional[str]
+    final: Handle
+    evidence: List[SignedRRset]
+    notices: List[SignedRRset]
+    irrevocable: List[SignedRRset]
+
+
+def irrevocable_sets(node: NodeSets) -> List[SignedRRset]:
+    """A name's cancel, transfer and compromise sets, in type order."""
+    sets, transfer = node
+    out = []
+    for rtype in ("A", "DNAME", "TXT"):
+        rrset = sets.get(rtype)
+        if rrset is not None and (transfer if rtype == "DNAME" else is_irrevocable(rrset)):
+            out.append(rrset)
+    return out
+
+
+def walk(queried: Handle, lookup: Callable[[str], NodeSets], budget: int) -> Walk:
+    """Resolve queried over the record sets lookup gives for each name key.
+
+    These are the resolution rules, in their one copy: HandleServer.resolve
+    walks its store, client.verify_resolution the evidence that verified.
+    Each pass goes from the apex toward the current name and restarts
+    whenever a DNAME set rewrites it, so every name on the path is seen
+    from its apex down. records.is_irrevocable tells a cancel and a
+    compromise from other content; a transfer is a DNAME set lookup marks
+    as one. A compromise anywhere on the path is terminal. A cancel is
+    terminal at the current name itself, but a transfer record at a
+    cancelled ancestor still redirects names below it, which is what lets
+    a retired key hierarchy keep forwarding to its successor. An address
+    is served only from the current name's own A set, and a transfer
+    followed on the way makes it TRANSFERRED_AND_ADDRESS. A walk that
+    finds neither ends NOT_FOUND at the current name, which the caller
+    must back with a denial proof.
+
+    Irrevocable sets outlive their signatures: they are served and
+    accepted past their expiration, with a stale-irrevocable warning, so
+    a revocation never lapses because nobody re-signed it.
+
+    Raises DepthExceededError after more than budget rewrites,
+    DelegationLoopError on a rewrite to a name already visited, and
+    ResolutionError on a DNAME target that is not a handle.
+    """
+    evidence: List[SignedRRset] = []
+    notices: List[SignedRRset] = []
+    irrevocable: List[SignedRRset] = []
+    seen: set = set()  # ids: lookup gives one object per name and type
+
+    def emit(rrset: SignedRRset, sticky: bool = False) -> None:
+        if id(rrset) not in seen:
+            seen.add(id(rrset))
+            evidence.append(rrset)
+            if sticky:
+                irrevocable.append(rrset)
+
+    def done(outcome: str, address: Optional[str] = None) -> Walk:
+        return Walk(outcome, address, current, evidence, notices, irrevocable)
+
+    current = queried
+    visited = {current.name_key()}
+    apexes: set = set()
+    rewrites = 0
+    while True:
+        current_key = current.name_key()
+        for node in current.ancestry():
+            node_key = node.name_key()
+            node_sets = lookup(node_key)
+            sets, transfer = node_sets
+            if node_key not in apexes and node.is_apex():
+                apexes.add(node_key)
+                if "KEY" in sets:
+                    emit(sets["KEY"])
+            stuck = {rrset.rtype: rrset for rrset in irrevocable_sets(node_sets)}
+            for rrset in stuck.values():
+                emit(rrset, sticky=True)
+            if "TXT" in stuck:
+                return done(OUTCOME_COMPROMISED)
+            at_target = node_key == current_key
+            if at_target and "A" in stuck:
+                return done(OUTCOME_CANCELLED)
+            dname = sets.get("DNAME")
+            if dname is not None:
+                try:
+                    dest = parse_handle(dname.records[0].rdata, queried.root_suffix)
+                except OnhsError as exc:
+                    raise ResolutionError(f"{node_key} DNAME target unusable: {exc}") from exc
+                emit(dname)
+                if transfer and dname not in notices:
+                    notices.append(dname)
+                rewrites += 1
+                if rewrites > budget:
+                    raise DepthExceededError(
+                        f"depth-exceeded after {budget} rewrites resolving {queried.fqdn_no_dot()}"
+                    )
+                current = current.replace_prefix(node, dest)
+                if current.name_key() in visited:
+                    at = current.fqdn_no_dot()
+                    raise DelegationLoopError(
+                        f"delegation-loop at {at} resolving {queried.fqdn_no_dot()}", at
+                    )
+                visited.add(current.name_key())
+                break
+            address_set = sets.get("A")
+            if at_target and address_set is not None:
+                emit(address_set)
+                address = address_set.records[0].rdata
+                assert isinstance(address, str)
+                return done(
+                    OUTCOME_TRANSFERRED_AND_ADDRESS if notices else OUTCOME_ADDRESS, address
+                )
+            if "A" in stuck:
+                return done(OUTCOME_CANCELLED)
+        else:
+            return done(OUTCOME_NOT_FOUND)
+
+
 # ---- internal state --------------------------------------------------------
 
 SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
@@ -361,13 +490,6 @@ SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
 def _sort_key_name(key: SortKey) -> str:
     """The name key a canonical sort key was made from."""
     return ".".join(label.decode() for label in reversed(key))
-
-
-@dataclass(slots=True)
-class HandleStatus:
-    cancelled: bool = False
-    compromised: bool = False
-    transferred_to: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,10 +511,20 @@ class Slot:
 class HandleEntry:
     handle: Handle
     sort_key: SortKey
-    status: HandleStatus = field(default_factory=HandleStatus)
     slots: Dict[str, Slot] = field(default_factory=dict)
     apex_key: Optional[PublicKey] = None
     log: array = field(default_factory=lambda: array("q"))  # offsets of its log lines
+
+    def sticky(self, rtype: str) -> Optional[SignedRRset]:
+        """The set in rtype's slot when that slot is sticky: a cancel (A),
+        transfer (DNAME) or compromise (TXT)."""
+        slot = self.slots.get(rtype)
+        return slot.rrset if slot is not None and slot.sticky else None
+
+    @property
+    def cancelled(self) -> bool:
+        """Cancelled or compromised."""
+        return self.sticky("A") is not None or self.sticky("TXT") is not None
 
 
 @dataclass
@@ -502,6 +634,13 @@ def make_create_child(
     return _signed_message(secret, target, CREATE_CHILD, {"ttl": ttl}, serial, [rec], ttl, now, validity)
 
 
+def _assignable(address: str) -> str:
+    """address, unless it is the one a cancel binds."""
+    if address == IMPOSSIBLE_ADDRESS:
+        raise _Malformed(f"address {IMPOSSIBLE_ADDRESS} is reserved for cancel")
+    return address
+
+
 def make_assign(
     secret: SecretKey,
     target: Handle,
@@ -513,7 +652,7 @@ def make_assign(
     validity: int = DEFAULT_VALIDITY,
 ) -> UpdateMessage:
     now = now or now_stamp()
-    rec = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="A", rdata=address)
+    rec = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="A", rdata=_assignable(address))
     payload = {"address": address, "ttl": ttl}
     return _signed_message(secret, target, ASSIGN, payload, serial, [rec], ttl, now, validity)
 
@@ -767,7 +906,7 @@ class HandleServer:
                 address = p.get("address")
                 if not isinstance(address, str):
                     raise _Malformed("assign payload needs an address")
-                rec = ResourceRecord(owner=owner, ttl=ttl, rtype="A", rdata=address)
+                rec = ResourceRecord(owner=owner, ttl=ttl, rtype="A", rdata=_assignable(address))
                 return [(False, SignedRRset((rec,), msg.signature))]
             if msg.action in (DELEGATE, TRANSFER):
                 dest_text = p.get("target")
@@ -812,9 +951,9 @@ class HandleServer:
             entry = self._entries.get(node.name_key())
             if entry is None:
                 continue
-            if entry.status.cancelled or entry.status.compromised:
+            if entry.cancelled:
                 return Verdict.rejected(R_HANDLE_CANCELLED, f"{node.fqdn_no_dot()} is cancelled")
-            if entry.status.transferred_to is not None:
+            if entry.sticky("DNAME") is not None:
                 return Verdict.rejected(
                     R_HANDLE_TRANSFERRED, f"{node.fqdn_no_dot()} was transferred"
                 )
@@ -834,13 +973,11 @@ class HandleServer:
             return self._sticky_block(target)
         if msg.action == TRANSFER:
             if entry is not None:
-                if entry.status.cancelled or entry.status.compromised:
+                if entry.cancelled:
                     return Verdict.rejected(R_HANDLE_CANCELLED)
                 dest = name_key(str(msg.payload.get("target", "")))
-                if (
-                    entry.status.transferred_to is not None
-                    and name_key(entry.status.transferred_to) != dest
-                ):
+                moved = entry.sticky("DNAME")
+                if moved is not None and name_key(moved.records[0].rdata) != dest:
                     return Verdict.rejected(
                         R_HANDLE_TRANSFERRED, "already transferred to a different target"
                     )
@@ -933,13 +1070,6 @@ class HandleServer:
         entry = self._ensure_entry(target)
         if msg.action == CLAIM and entry.apex_key is None:
             entry.apex_key = msg.signer_key
-        if msg.action == TRANSFER:
-            entry.status.transferred_to = str(msg.payload["target"])
-        if msg.action == CANCEL:
-            entry.status.cancelled = True
-        if msg.action == COMPROMISE:
-            entry.status.compromised = True
-            entry.status.cancelled = True
         if msg.action in STICKY_ACTIONS:
             self._purge_revocable(target)
         for sticky, rrset in rrsets:
@@ -993,11 +1123,14 @@ class HandleServer:
 
     # -- queries --
 
-    def _entry(self, handle: Handle) -> Optional[HandleEntry]:
-        return self._entries.get(handle.name_key())
-
-    def _sticky_rrsets(self, entry: HandleEntry) -> List[SignedRRset]:
-        return [slot.rrset for _, slot in sorted(entry.slots.items()) if slot.sticky]
+    def _node_sets(self, key: str) -> NodeSets:
+        """walk's view of one entry: its slot sets, and a sticky DNAME as a transfer."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return NO_SETS
+        return {rtype: slot.rrset for rtype, slot in entry.slots.items()}, (
+            entry.sticky("DNAME") is not None
+        )
 
     def _server_sign(self, records: Sequence[ResourceRecord], now: str) -> SignedRRset:
         params = SignatureParams(
@@ -1022,107 +1155,29 @@ class HandleServer:
         depth_budget: Optional[int] = None,
         now: Optional[str] = None,
     ) -> Resolution:
-        with self._lock:
-            return self._resolve_locked(handle, depth_budget, now)
-
-    def _resolve_locked(
-        self, handle: Handle, depth_budget: Optional[int], now: Optional[str]
-    ) -> Resolution:
         budget = depth_budget if depth_budget is not None else self.depth_budget
         if budget < 1:
             raise ResolutionError("depth budget must be at least 1")
-        stamp = now or now_stamp()
-        queried = handle.fqdn_no_dot()
-        current = handle
-        visited = {current.name_key()}
-        evidence: List[SignedRRset] = []
-        notices: List[SignedRRset] = []
-        warnings: List[str] = []
-        seen_sets: set = set()
-        seen_apexes: set = set()
-        rewrites = 0
-
-        def emit(rrset: SignedRRset, irrevocable: bool = False) -> None:
-            if rrset in seen_sets:
-                return
-            seen_sets.add(rrset)
-            evidence.append(rrset)
-            if irrevocable and rrset.signature is not None:
-                if stamp >= rrset.signature.params.expiration:
-                    warnings.append(
-                        f"stale-irrevocable {rrset.owner} {rrset.rtype}"
-                    )
-
-        def finish(outcome: str, address: Optional[str] = None) -> Resolution:
+        with self._lock:
+            stamp = now or now_stamp()
+            found = walk(handle, self._node_sets, budget)
+            evidence = found.evidence
+            if found.outcome == OUTCOME_NOT_FOUND:
+                evidence += self._nxt_proof(found.final, stamp)
+                evidence.append(self.root_key_rrset())
             return Resolution(
-                queried=queried,
-                outcome=outcome,
-                address=address,
+                queried=handle.fqdn_no_dot(),
+                outcome=found.outcome,
+                address=found.address,
                 evidence=tuple(evidence),
-                transfer_notices=tuple(notices),
-                warnings=tuple(warnings),
+                transfer_notices=tuple(found.notices),
+                warnings=tuple(
+                    f"stale-irrevocable {rrset.owner} {rrset.rtype}"
+                    for rrset in found.irrevocable
+                    if rrset.signature is not None
+                    and stamp >= rrset.signature.params.expiration
+                ),
             )
-
-        while True:
-            apex = current.apex()
-            if apex.name_key() not in seen_apexes:
-                seen_apexes.add(apex.name_key())
-                apex_entry = self._entry(apex)
-                if apex_entry is not None and "KEY" in apex_entry.slots:
-                    emit(apex_entry.slots["KEY"].rrset)
-
-            rewritten = False
-            for node in current.ancestry():
-                entry = self._entry(node)
-                if entry is None:
-                    continue
-                for sticky_set in self._sticky_rrsets(entry):
-                    emit(sticky_set, irrevocable=True)
-                if entry.status.compromised:
-                    return finish(OUTCOME_COMPROMISED)
-                at_target = node.name_key() == current.name_key()
-                if at_target and entry.status.cancelled:
-                    return finish(OUTCOME_CANCELLED)
-                dname = entry.slots.get("DNAME")
-                if dname is not None:
-                    target_text = dname.rrset.records[0].rdata
-                    assert isinstance(target_text, str)
-                    dest = parse_handle(target_text, self.root_zone)
-                    emit(dname.rrset, irrevocable=dname.sticky)
-                    if entry.status.transferred_to is not None:
-                        if dname.rrset not in notices:
-                            notices.append(dname.rrset)
-                    rewrites += 1
-                    if rewrites > budget:
-                        raise DepthExceededError(
-                            f"depth-exceeded after {budget} rewrites resolving {queried}"
-                        )
-                    current = current.replace_prefix(node, dest)
-                    if current.name_key() in visited:
-                        raise DelegationLoopError(
-                            f"delegation-loop at {current.fqdn_no_dot()} resolving {queried}"
-                        )
-                    visited.add(current.name_key())
-                    rewritten = True
-                    break
-                if at_target:
-                    a_slot = entry.slots.get("A")
-                    if a_slot is not None:
-                        emit(a_slot.rrset, irrevocable=a_slot.sticky)
-                        address = a_slot.rrset.records[0].rdata
-                        assert isinstance(address, str)
-                        outcome = (
-                            OUTCOME_TRANSFERRED_AND_ADDRESS if notices else OUTCOME_ADDRESS
-                        )
-                        return finish(outcome, address)
-                if not at_target and entry.status.cancelled:
-                    return finish(OUTCOME_CANCELLED)
-            if rewritten:
-                continue
-            for proof_set in self._nxt_proof(current, stamp):
-                emit(proof_set)
-            emit(self.root_key_rrset())
-            return finish(OUTCOME_NOT_FOUND)
 
     def _nxt_proof(self, target: Handle, now: str) -> List[SignedRRset]:
         zone, records = self._denial(target)
@@ -1189,17 +1244,11 @@ class HandleServer:
     ) -> RecordAnswer:
         with self._lock:
             stamp = now or now_stamp()
-            status_records: List[SignedRRset] = []
-            seen: set = set()
-            for node in handle.ancestry():
-                entry = self._entry(node)
-                if entry is None:
-                    continue
-                for sticky_set in self._sticky_rrsets(entry):
-                    if sticky_set not in seen:
-                        seen.add(sticky_set)
-                        status_records.append(sticky_set)
-            entry = self._entry(handle)
+            status_records = tuple(
+                rrset for node in handle.ancestry()
+                for rrset in irrevocable_sets(self._node_sets(node.name_key()))
+            )
+            entry = self._entries.get(handle.name_key())
             slot = entry.slots.get(rtype) if entry is not None else None
             if rtype == "NXT" and slot is None:
                 proof = self._nxt_proof(handle, stamp)
@@ -1207,20 +1256,20 @@ class HandleServer:
                 return RecordAnswer(
                     found=cover is not None,
                     rrset=cover,
-                    status_records=tuple(status_records),
+                    status_records=status_records,
                     proof=tuple(proof),
                 )
             if slot is not None:
                 return RecordAnswer(
                     found=True,
                     rrset=slot.rrset,
-                    status_records=tuple(status_records),
+                    status_records=status_records,
                     proof=(),
                 )
             return RecordAnswer(
                 found=False,
                 rrset=None,
-                status_records=tuple(status_records),
+                status_records=status_records,
                 proof=tuple(self._nxt_proof(handle, stamp)),
             )
 
@@ -1306,8 +1355,8 @@ class HandleServer:
         Every other set must verify against the key of the zone its signer
         names, expired signatures allowed only for irrevocable content.
         Returns (sets loaded, problems for sets skipped). A bare DNAME is
-        taken as a delegation; cancel and compromise flags are recovered
-        from their record content.
+        taken as a delegation; a set records.is_irrevocable calls a cancel
+        or a compromise takes a sticky slot.
         """
         with self._lock:
             stamp = now or now_stamp()
@@ -1370,14 +1419,7 @@ class HandleServer:
                         f"{rrset.owner} {rrset.rtype}: no key for signer {sig.params.signer}"
                     )
                     continue
-                rec = rrset.records[0]
-                cancel_set = rrset.rtype == "A" and rec.rdata == IMPOSSIBLE_ADDRESS
-                compromise_set = (
-                    rrset.rtype == "TXT"
-                    and isinstance(rec.rdata, str)
-                    and rec.rdata.startswith("Compromised ")
-                )
-                sticky = cancel_set or compromise_set
+                sticky = is_irrevocable(rrset)
                 result = verify_rrset(rrset.records, sig, signer_key, stamp)
                 if not result.ok:
                     if result.reason == crypto.REJECT_EXPIRED and sticky:
@@ -1389,11 +1431,6 @@ class HandleServer:
                         continue
                 entry = self._ensure_entry(handle)
                 self._merge_slot(entry, rrset.rtype, Slot(0, sticky, rrset))
-                if cancel_set:
-                    entry.status.cancelled = True
-                if compromise_set:
-                    entry.status.compromised = True
-                    entry.status.cancelled = True
                 loaded += 1
             return loaded, problems
 
@@ -1405,22 +1442,15 @@ class HandleServer:
             lines = ["onhs-state-v1", f"root {name_key(self.root_zone)}"]
             for key in sorted(self._entries):
                 entry = self._entries[key]
-                st = entry.status
-                observable = (
-                    entry.slots
-                    or entry.apex_key is not None
-                    or st.cancelled
-                    or st.compromised
-                    or st.transferred_to is not None
-                )
-                if not observable:
+                if not entry.slots and entry.apex_key is None:
                     # an ancestor shell left by vivification or purging;
                     # no query can distinguish it from absence
                     continue
+                moved = entry.sticky("DNAME")
                 lines.append(
-                    f"entry {key} cancelled={int(st.cancelled)} "
-                    f"compromised={int(st.compromised)} "
-                    f"transferred_to={name_key(st.transferred_to) if st.transferred_to else '-'}"
+                    f"entry {key} cancelled={int(entry.cancelled)} "
+                    f"compromised={int(entry.sticky('TXT') is not None)} "
+                    f"transferred_to={name_key(moved.records[0].rdata) if moved else '-'}"
                 )
                 if entry.apex_key is not None:
                     lines.append(

@@ -91,6 +91,7 @@ class ServeProcess:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
 
 @pytest.fixture(scope="module")

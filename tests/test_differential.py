@@ -1,0 +1,98 @@
+"""The server and the verifier run one walk, so they must agree.
+
+For every stored name, an absent child of each and an unclaimed apex,
+either HandleServer.resolve raises DelegationLoopError or
+DepthExceededError, or verify_resolution re-derives the served outcome and
+address from the served evidence alone. Stores: the worked examples, the
+denial corpus, and update sequences drawn by hypothesis.
+
+Names stored under an apex nobody has claimed are left out. The server
+answers from updates that outran their claim, but it has no key to serve
+with them, so no client can verify those answers; that is an open defect.
+The drawn sequences therefore claim every apex at the end, and the
+corpus's unclaimed zone is skipped.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
+from test_denial import corpus, probes  # noqa: F401  (corpus is a fixture)
+
+from onhs import crypto, server as srv
+from onhs.client import verify_resolution
+from onhs.errors import DelegationLoopError, DepthExceededError
+from onhs.handles import Handle, HandleLabel, parse_handle
+
+IA = HandleLabel.ia
+NOW = FIXED_NOW
+PATHS = ((), (IA(1),), (IA(2),), (IA(1), IA(1)), (IA(2), IA(1)))
+OPS = ("claim", "create", "assign", "delegate", "cancel", "transfer", "compromise")
+
+
+def apex_of(keypool, index: int) -> Handle:
+    label = crypto.derive_pk_label(keypool.key(index)[0], 16)
+    return Handle(labels=(label,), root_suffix=ROOT)
+
+
+def stored_and_absent(server, unclaimed: Handle) -> list:
+    """Every stored name, one absent child of each, and an unclaimed apex."""
+    stored = [parse_handle(key, ROOT) for key in server._entries]
+    return stored + [h.child(HandleLabel.oa(9)) for h in stored] + [unclaimed]
+
+
+def assert_agree(server, handles) -> int:
+    """Check every handle; return how many answers were verified."""
+    verified = 0
+    for handle in handles:
+        try:
+            got = server.resolve(handle, now=NOW)
+        except (DelegationLoopError, DepthExceededError):
+            continue
+        checked = verify_resolution(got, handle, ROOT, now=NOW)
+        assert checked.verified, (str(handle), got.outcome, got.address, checked.failures)
+        verified += 1
+    return verified
+
+
+def test_example_zones(keypool):
+    zones = build_example_zones(keypool)
+    handles = stored_and_absent(zones.server, apex_of(keypool, 3))
+    assert assert_agree(zones.server, handles) == len(handles)
+
+
+def test_denial_corpus(corpus):  # noqa: F811
+    server = corpus.server()
+    handles = [h for h in probes(server, corpus) if h.apex() != corpus.unclaimed]
+    assert assert_agree(server, handles) == len(handles)
+
+
+step = st.tuples(
+    st.sampled_from(OPS),
+    st.integers(0, 2), st.sampled_from(PATHS),  # owner key, name under its apex
+    st.integers(0, 2), st.sampled_from(PATHS),  # destination apex and name
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(step, min_size=1, max_size=14))
+def test_drawn_update_sequences(keypool, steps):
+    apexes = [apex_of(keypool, i) for i in range(3)]
+    server = new_server()
+    for serial, (op, owner, path, dest_owner, dest_path) in enumerate(steps, start=1):
+        secret = keypool.key(owner)[1]
+        target = Handle(apexes[owner].labels + path, ROOT)
+        dest = Handle(apexes[dest_owner].labels + dest_path, ROOT)
+        at = {"now": NOW}
+        msg = {
+            "claim": lambda: srv.make_claim(secret, ROOT, 16, serial, **at),
+            "create": lambda: srv.make_create_child(secret, target, serial, **at),
+            "assign": lambda: srv.make_assign(secret, target, f"10.0.0.{serial}", serial, **at),
+            "delegate": lambda: srv.make_delegate(secret, target, dest, serial, **at),
+            "cancel": lambda: srv.make_cancel(secret, target, serial, **at),
+            "transfer": lambda: srv.make_transfer(secret, target, dest, serial, **at),
+            "compromise": lambda: srv.make_compromise(secret, target, "2026-08-01", serial, **at),
+        }[op]()
+        server.apply_update(msg, now=NOW)
+    for i in range(3):  # last, so updates often outrun their claim
+        server.apply_update(srv.make_claim(keypool.key(i)[1], ROOT, 16, 1, now=NOW), now=NOW)
+    assert_agree(server, stored_and_absent(server, apex_of(keypool, 3)))

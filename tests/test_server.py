@@ -10,10 +10,17 @@ import pytest
 from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
 
 from onhs import crypto, server as srv
+from onhs.client import verify_resolution
 from onhs.crypto import SignatureParams, stamp_add
-from onhs.errors import DelegationLoopError, DepthExceededError, ResolutionError
+from onhs.errors import DelegationLoopError, DepthExceededError, OnhsError, ResolutionError
 from onhs.handles import Handle, HandleLabel, parse_handle
-from onhs.records import ResourceRecord, parse_zone, serialize_zone
+from onhs.records import (
+    DEFAULT_TTL,
+    IMPOSSIBLE_ADDRESS,
+    ResourceRecord,
+    parse_zone,
+    serialize_zone,
+)
 from onhs.server import (
     OUTCOME_ADDRESS,
     OUTCOME_CANCELLED,
@@ -173,6 +180,20 @@ class TestVerdicts:
         bad[0] ^= 0x40
         forged = replace(msg, signature=replace(msg.signature, signature_bytes=bytes(bad)))
         assert server.apply_update(forged, now=NOW).reason == R_BAD_SIGNATURE
+
+    def test_assign_of_the_cancel_address_rejected(self, keypool):
+        server, (apex1,) = claimed_server(keypool, 0)
+        _, sec1 = keypool.key(0)
+        leaf = apex1.child(IA("4"))
+        with pytest.raises(OnhsError):
+            make_assign(sec1, leaf, IMPOSSIBLE_ADDRESS, 2, now=NOW)
+        # the owner's signature over A 0.0.0.0, sent as an ASSIGN
+        payload = {"address": IMPOSSIBLE_ADDRESS, "ttl": DEFAULT_TTL}
+        msg = replace(make_cancel(sec1, leaf, 2, now=NOW), action=srv.ASSIGN, payload=payload)
+        assert server.apply_update(msg, now=NOW).reason == R_MALFORMED
+        got = server.resolve(leaf, now=NOW)
+        assert got.outcome == OUTCOME_NOT_FOUND
+        assert verify_resolution(got, leaf, ROOT, now=NOW).verified
 
     def test_create_child_on_apex_rejected(self, keypool):
         server, (apex1,) = claimed_server(keypool, 0)
