@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import base64
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
@@ -57,6 +59,52 @@ class ResolverEndpoint(Protocol):
 
 V_OK = "ok"
 V_STALE = "stale-irrevocable"
+
+VERIFIED_SIGNATURES_CAP = 4096
+
+
+class VerifiedSignatures:
+    """The signature checks that held in this process, for reuse.
+
+    An entry is (signer key, canonical set octets, signature octets); it
+    means the RSA check held over exactly those octets, which no clock or
+    later input can change. The octets include the signature's validity
+    window, and verify_rrset still tests that window against now, with
+    every other rule, on each use: only the RSA step is skipped. Failures
+    are never kept. Past cap entries, the least recently used one goes.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self._cap = cap
+        self._held: "OrderedDict[Tuple[PublicKey, bytes, bytes], None]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, key: PublicKey, signature: bytes, message: bytes) -> bool:
+        entry = (key, message, signature)
+        with self._lock:
+            if entry in self._held:
+                self._held.move_to_end(entry)
+                return True
+        if not crypto.rsa_check(key, signature, message):
+            return False
+        with self._lock:
+            self._held[entry] = None
+            if len(self._held) > self._cap:
+                self._held.popitem(last=False)
+        return True
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+
+
+# Shared by every verify_resolution in the process. The server's own
+# checks of incoming updates (apply_update, replay) never use it: each
+# update is a new message, so it would only fill.
+verified_signatures = VerifiedSignatures(VERIFIED_SIGNATURES_CAP)
 
 
 @dataclass(frozen=True)
@@ -171,7 +219,7 @@ def verify_resolution(
             failures.append(f"{owner} {rrset.rtype}: no verified key for signer {signer}")
             verdicts.append((owner, rrset.rtype, "no-signer-key"))
             continue
-        result = verify_rrset(rrset.records, sig, key, stamp)
+        result = verify_rrset(rrset.records, sig, key, stamp, verified_signatures)
         if result.ok:
             verdicts.append((owner, rrset.rtype, V_OK))
             note_good(rrset)

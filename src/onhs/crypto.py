@@ -19,7 +19,7 @@ import hashlib
 import re
 import struct
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Tuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -421,17 +421,28 @@ class VerifyResult:
         return self.ok
 
 
+# (key, signature bytes, message) -> whether the signature holds.
+SignatureCheck = Callable[[PublicKey, bytes, bytes], bool]
+
+
+def rsa_check(key: PublicKey, signature: bytes, message: bytes) -> bool:
+    return key.verify(signature, message)
+
+
 def verify_rrset(
     records: Sequence[RecordLike],
     signature: RecordSignature,
     key: PublicKey,
     now: str,
+    check: SignatureCheck = rsa_check,
 ) -> VerifyResult:
     """Check one signed record set against key at time now.
 
     The window test is inception <= now < expiration; param inconsistencies
     report params-mismatch rather than a crypto failure so callers can tell
-    tampering from clock problems.
+    tampering from clock problems. Every rule runs here on every call; only
+    the last step, whether the signature holds over the canonical octets,
+    is left to check, so a caller may pass one that remembers its answers.
     """
     params = signature.params
     check_stamp(now)
@@ -444,6 +455,6 @@ def verify_rrset(
     if now >= params.expiration:
         return VerifyResult(False, REJECT_EXPIRED)
     message = canonical_rrset_bytes(records, params)
-    if key.verify(signature.signature_bytes, message):
+    if check(key, signature.signature_bytes, message):
         return VerifyResult(True, ACCEPT)
     return VerifyResult(False, REJECT_BAD_SIGNATURE)

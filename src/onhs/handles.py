@@ -19,7 +19,7 @@ label, 253 for the full name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 from .errors import (
@@ -161,11 +161,13 @@ class Handle:
 
     The apex label must be PK; labels below it must be IA or OA. The root
     suffix is kept verbatim (case and trailing dot) so rendering reproduces
-    the parsed text; comparisons ignore both.
+    the parsed text; comparisons ignore both. The rendered name is built
+    once, here, and kept outside equality, hashing and repr.
     """
 
     labels: Tuple[HandleLabel, ...]
     root_suffix: str
+    _fqdn: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -181,6 +183,8 @@ class Handle:
         for part in root.split("."):
             if not part or len(part) > MAX_LABEL_LEN:
                 raise LabelLengthError(f"bad root suffix label {part!r}")
+        head = ".".join(lab.encode() for lab in reversed(self.labels))
+        object.__setattr__(self, "_fqdn", f"{head}.{self.root_suffix}")
         if len(self.fqdn_no_dot()) > MAX_NAME_LEN:
             raise HandleStructureError(
                 f"rendered name longer than {MAX_NAME_LEN} octets"
@@ -190,24 +194,23 @@ class Handle:
 
     def fqdn(self) -> str:
         """Leaf-first dotted name ending in the root suffix, verbatim."""
-        head = ".".join(lab.encode() for lab in reversed(self.labels))
-        return f"{head}.{self.root_suffix}"
+        return self._fqdn
 
     def fqdn_no_dot(self) -> str:
-        return _strip_dot(self.fqdn())
+        return _strip_dot(self._fqdn)
 
     def root_suffix_no_dot(self) -> str:
         return _strip_dot(self.root_suffix)
 
     def name_key(self) -> str:
         """Case-folded, dot-stripped form for use as a map key."""
-        return _norm(self.fqdn())
+        return _norm(self._fqdn)
 
     def __str__(self) -> str:
-        return self.fqdn()
+        return self._fqdn
 
     def __repr__(self) -> str:
-        return f"Handle({self.fqdn()!r})"
+        return f"Handle({self._fqdn!r})"
 
     # -- identity --
 

@@ -156,14 +156,48 @@ class UpdateMessage:
 
     @staticmethod
     def from_dict(data: dict) -> "UpdateMessage":
-        return UpdateMessage(
-            target=str(data["target"]),
-            action=str(data["action"]),
-            payload=dict(data["payload"]),
-            serial=int(data["serial"]),
-            signer_key=public_key_from_dict(data["signer_key"]),
-            signature=signature_from_dict(data["signature"]),
+        fields = {
+            "target": body_field(data, "target", str, "update"),
+            "action": body_field(data, "action", str, "update"),
+            "payload": dict(body_field(data, "payload", dict, "update")),
+            "serial": body_field(data, "serial", int, "update"),
+        }
+        for name, decode in (
+            ("signer_key", public_key_from_dict), ("signature", signature_from_dict)
+        ):
+            try:
+                fields[name] = decode(body_field(data, name, dict, "update"))
+            except KeyError as exc:
+                raise ValueError(f"update field {name!r} lacks field {exc}") from None
+        return UpdateMessage(**fields)
+
+
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _json_type(value: object) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def body_field(data: object, name: str, kind: type, where: str):
+    """data[name], which must be a JSON value of type kind.
+
+    A ValueError naming the field and what was found takes the place of the
+    KeyError or TypeError that indexing a malformed body would raise.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, not {_json_type(data)}")
+    if name not in data:
+        raise ValueError(f"{where} lacks field {name!r}")
+    value = data[name]
+    if type(value) is not kind:
+        raise ValueError(
+            f"{where} field {name!r} must be {_JSON_TYPES[kind]}, not {_json_type(value)}"
         )
+    return value
 
 
 def canonical_json(data: dict) -> bytes:

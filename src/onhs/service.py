@@ -39,6 +39,7 @@ from .server import (
     Resolution,
     UpdateMessage,
     Verdict,
+    body_field,
     decode_log_line,
 )
 
@@ -256,22 +257,24 @@ class HandleService:
         body = msg.body
         root = self.config.root_zone
         if msg.kind == wire.KIND_QUERY_RESOLVE:
-            handle = parse_handle(str(body["handle"]), root)
-            budget = body.get("depth_budget")
-            resolution = self.server.resolve(
-                handle, None if budget is None else int(budget)
-            )
+            handle = parse_handle(body_field(body, "handle", str, "resolve request"), root)
+            budget = None
+            if body.get("depth_budget") is not None:
+                budget = body_field(body, "depth_budget", int, "resolve request")
+            resolution = self.server.resolve(handle, budget)
             return _response(msg.correlation_id, {"resolution": resolution.to_dict()})
         if msg.kind == wire.KIND_QUERY_RECORD:
-            handle = parse_handle(str(body["handle"]), root)
-            answer = self.server.query_record(handle, str(body["rtype"]))
+            handle = parse_handle(body_field(body, "handle", str, "record query"), root)
+            answer = self.server.query_record(
+                handle, body_field(body, "rtype", str, "record query")
+            )
             return _response(msg.correlation_id, {"answer": answer.to_dict()})
         if msg.kind == wire.KIND_UPDATE:
-            update = UpdateMessage.from_dict(body["update"])
+            update = UpdateMessage.from_dict(body_field(body, "update", dict, "update request"))
             verdict = self.server.apply_update(update)
             return _response(msg.correlation_id, {"verdict": _verdict_dict(verdict)})
         if msg.kind == wire.KIND_AUDIT_SUBSCRIBE:
-            handle = parse_handle(str(body["handle"]), root)
+            handle = parse_handle(body_field(body, "handle", str, "audit subscription"), root)
             sub_id = endpoint_id or str(body.get("endpoint_id", "")) or str(uuid.uuid4())
             owner = bool(body.get("owner", False))
             verdict = self.server.subscribe_audit(handle, sub_id, owner=owner)

@@ -11,6 +11,12 @@ answers from updates that outran their claim, but it has no key to serve
 with them, so no client can verify those answers; that is an open defect.
 The drawn sequences therefore claim every apex at the end, and the
 corpus's unclaimed zone is skipped.
+
+Each answer is also verified with the verifier's signature cache emptied
+and again with it warm: at the stamp the answer was made, a month later
+(when only the sets signed for ten years still hold) and eleven years
+later (when those have expired too). The cache must change no verdict, failure or
+warning.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,12 +25,13 @@ from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
 from test_denial import corpus, probes  # noqa: F401  (corpus is a fixture)
 
 from onhs import crypto, server as srv
-from onhs.client import verify_resolution
+from onhs.client import verified_signatures, verify_resolution
 from onhs.errors import DelegationLoopError, DepthExceededError
 from onhs.handles import Handle, HandleLabel, parse_handle
 
 IA = HandleLabel.ia
 NOW = FIXED_NOW
+LATER = ("20260916120000", "20370816120000")
 PATHS = ((), (IA(1),), (IA(2),), (IA(1), IA(1)), (IA(2), IA(1)))
 OPS = ("claim", "create", "assign", "delegate", "cancel", "transfer", "compromise")
 
@@ -48,10 +55,23 @@ def assert_agree(server, handles) -> int:
             got = server.resolve(handle, now=NOW)
         except (DelegationLoopError, DepthExceededError):
             continue
-        checked = verify_resolution(got, handle, ROOT, now=NOW)
+        checked = verify_cold_and_warm(got, handle, NOW)
         assert checked.verified, (str(handle), got.outcome, got.address, checked.failures)
+        for later in LATER:
+            verify_cold_and_warm(got, handle, later)
         verified += 1
     return verified
+
+
+def verify_cold_and_warm(got, handle, now):
+    """verify_resolution with the signature cache emptied, then warm; both
+    runs must return the same VerifiedResolution."""
+    verified_signatures.clear()
+    cold = verify_resolution(got, handle, ROOT, now=now)
+    verify_resolution(got, handle, ROOT, now=NOW)  # caches every set that holds
+    warm = verify_resolution(got, handle, ROOT, now=now)
+    assert warm == cold, (str(handle), now, cold.failures, warm.failures)
+    return cold
 
 
 def test_example_zones(keypool):

@@ -68,6 +68,21 @@ class TestGoldenNames:
         assert a == b.apex()
         assert b.name_key().endswith("handleroot.example.org")
 
+    @pytest.mark.parametrize("root", ["HandleRoot.Example.ORG", "HandleRoot.Example.ORG."])
+    def test_rendered_name_keeps_a_mixed_case_root_verbatim(self, root):
+        text = f"h0k2.h0k3.h1g5k0061A38F9A3540B9.{root}"
+        handle = parse_handle(text, ROOT)
+        built = Handle(labels=handle.labels, root_suffix=root)
+        plain = parse_handle(GOLDEN_LEAF, ROOT)
+        for h in (handle, built):
+            assert h.fqdn() == str(h) == text
+            assert h.fqdn_no_dot() == text.rstrip(".")
+            assert h.name_key() == GOLDEN_LEAF.lower()
+            assert repr(h) == f"Handle({text!r})"
+            assert h == plain and hash(h) == hash(plain)
+        assert handle.parent().fqdn() == f"h0k3.h1g5k0061A38F9A3540B9.{root}"
+        assert handle.apex().fqdn() == f"h1g5k0061A38F9A3540B9.{root}"
+
 
 class TestLabelGrammar:
     def test_pk_parses(self):

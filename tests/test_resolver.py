@@ -1,18 +1,23 @@
 """Client-side verification, handle references, and key upgrade."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
-from conftest import FIXED_NOW, ROOT, new_server
+from conftest import FIXED_NOW, ROOT, build_example_zones, new_server, new_service
 
+from onhs import crypto
 from onhs.client import (
     HandleReference,
     V_STALE,
+    VerifiedSignatures,
     cancel_old_key,
     key_upgrade,
     resolve_and_verify,
     update_reference,
+    verified_signatures,
     verify_resolution,
 )
 from onhs.errors import ResolutionError, VerificationError
@@ -66,6 +71,7 @@ class TestVerifyResolution:
     def test_tampered_address_evidence_fails(self, example_zones):
         z = example_zones
         res = z.server.resolve(z.leaf_2_3, now=NOW)
+        assert verify_resolution(res, z.leaf_2_3, ROOT, now=NOW).verified  # warms the cache
         evidence = []
         for rrset in res.evidence:
             if rrset.rtype == "A":
@@ -80,6 +86,7 @@ class TestVerifyResolution:
         )
         got = verify_resolution(forged_res, z.leaf_2_3, ROOT, now=NOW)
         assert not got.verified
+        assert (z.leaf_2_3.name_key(), "A", "bad-signature") in got.record_verdicts
 
     def test_injected_transfer_notice_is_caught(self, example_zones, keypool):
         # evidence stays honest; the server merely appends a forged notice
@@ -206,6 +213,155 @@ class TestVerifyResolution:
         got = verify_resolution(res, leaf, ROOT, now=NOW)
         assert not got.verified
         assert any("expired" in f for f in got.failures)
+
+
+class TestVerifiedSignatureCache:
+    """verify_resolution remembers the RSA checks that held, and nothing else."""
+
+    THEN = "20250101000000"
+    SOON = "20250101000100"  # a minute later, inside a one-hour validity
+
+    def signed_address(self, keypool):
+        """A server holding one address signed at THEN for one hour."""
+        server = new_server()
+        _, sec = keypool.key(3)
+        claim = make_claim(sec, ROOT, 16, 1, now=self.THEN)
+        assert server.apply_update(claim, now=self.THEN).accepted
+        leaf = parse_handle(claim.target, ROOT).child(IA("1"))
+        msg = make_assign(sec, leaf, "10.0.0.1", 2, now=self.THEN, validity=3600)
+        assert server.apply_update(msg, now=self.THEN).accepted
+        return server, leaf, msg
+
+    def test_warm_cache_still_reports_an_expired_set(self, keypool):
+        server, leaf, _ = self.signed_address(keypool)
+        verified_signatures.clear()
+        res = server.resolve(leaf, now=self.SOON)
+        assert verify_resolution(res, leaf, ROOT, now=self.SOON).verified
+        assert len(verified_signatures) > 0
+        got = verify_resolution(res, leaf, ROOT, now=NOW)
+        assert not got.verified
+        assert (leaf.name_key(), "A", crypto.REJECT_EXPIRED) in got.record_verdicts
+
+    def test_warm_cache_keeps_the_stale_irrevocable_path(self, keypool):
+        server = new_server()
+        _, sec_a = keypool.key(3)
+        _, sec_b = keypool.key(4)
+        claims = [make_claim(sec, ROOT, 16, 1, now=self.THEN) for sec in (sec_a, sec_b)]
+        apex_a, apex_b = (parse_handle(c.target, ROOT) for c in claims)
+        leaf = apex_a.child(IA("1"))
+        for msg in claims + [
+            make_assign(sec_a, leaf, "10.0.0.1", 2, now=self.THEN),
+            make_cancel(sec_a, leaf, 3, now=self.THEN, validity=3600),
+            make_compromise(sec_b, apex_b, "2025-01-01", 2, now=self.THEN, validity=3600),
+        ]:
+            assert server.apply_update(msg, now=self.THEN).accepted
+        verified_signatures.clear()
+        for name, outcome, stale in (
+            (leaf, OUTCOME_CANCELLED, (leaf.name_key(), "A", V_STALE)),
+            (apex_b, OUTCOME_COMPROMISED, (apex_b.name_key(), "TXT", V_STALE)),
+        ):
+            res = server.resolve(name, now=self.SOON)
+            fresh = verify_resolution(res, name, ROOT, now=self.SOON)
+            assert fresh.verified and stale not in fresh.record_verdicts
+            later = verify_resolution(server.resolve(name, now=NOW), name, ROOT, now=NOW)
+            assert later.verified, later.failures
+            assert later.outcome == outcome
+            assert stale in later.record_verdicts
+            assert f"{V_STALE} {stale[0]} {stale[1]}" in later.warnings
+
+    def test_warm_cache_rejects_altered_records_signatures_and_keys(self, keypool):
+        _, leaf, msg = self.signed_address(keypool)
+        sig, key = msg.signature, msg.signer_key
+        record = ResourceRecord(leaf.fqdn_no_dot(), 3600, "A", "10.0.0.1")
+        cache = VerifiedSignatures(16)
+        assert crypto.verify_rrset([record], sig, key, self.SOON, cache).ok
+        assert len(cache) == 1
+        flipped = bytearray(sig.signature_bytes)
+        flipped[10] ^= 1
+        for records, signature, signer in (
+            ([replace(record, rdata="10.0.0.2")], sig, key),
+            ([record], replace(sig, signature_bytes=bytes(flipped)), key),
+            ([record], sig, keypool.key(4)[0]),
+        ):
+            result = crypto.verify_rrset(records, signature, signer, self.SOON, cache)
+            assert result.reason == crypto.REJECT_BAD_SIGNATURE
+        assert len(cache) == 1
+        assert crypto.verify_rrset([record], sig, key, self.SOON, cache).ok
+
+    def test_a_failed_check_is_never_stored(self, keypool):
+        server, leaf, _ = self.signed_address(keypool)
+        res = server.resolve(leaf, now=self.SOON)
+        evidence = []
+        for rrset in res.evidence:
+            if rrset.signature is not None:
+                flipped = bytes([rrset.signature.signature_bytes[0] ^ 1])
+                sig = replace(
+                    rrset.signature,
+                    signature_bytes=flipped + rrset.signature.signature_bytes[1:],
+                )
+                rrset = SignedRRset(rrset.records, sig)
+            evidence.append(rrset)
+        verified_signatures.clear()
+        got = verify_resolution(replace(res, evidence=tuple(evidence)), leaf, ROOT, now=self.SOON)
+        assert not got.verified
+        assert len(verified_signatures) == 0
+
+    def test_least_recently_used_entry_goes_past_the_cap(self):
+        class Key:
+            calls = 0
+
+            def verify(self, signature, message):
+                Key.calls += 1
+                return True
+
+        key = Key()
+        cache = VerifiedSignatures(2)
+        for message in (b"a", b"b", b"a", b"c"):
+            assert cache(key, b"sig", message)
+        assert len(cache) == 2 and Key.calls == 3
+        assert cache(key, b"sig", b"a") and Key.calls == 3  # kept: used after b
+        assert cache(key, b"sig", b"b") and Key.calls == 4  # evicted by c
+
+    def test_concurrent_callers_lose_no_entry(self):
+        class Key:
+            def verify(self, signature, message):
+                return True
+
+        key, cache = Key(), VerifiedSignatures(1200)
+        errors = []
+
+        def work(worker):
+            try:
+                for i in range(200):
+                    assert cache(key, b"sig", b"%d-%d" % (worker, i))
+                    assert cache(key, b"sig", b"%d-%d" % ((worker + 1) % 8, i // 2))
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(cache) == 1200  # 1,600 distinct entries, capped
+
+    def test_the_server_never_fills_it(self, keypool, tmp_path):
+        verified_signatures.clear()
+        build_example_zones(keypool)
+        service = new_service(tmp_path / "data")
+        build_example_zones(keypool, server=service.server)
+        service.close()
+        again = new_service(tmp_path / "data")
+        again.close()
+        assert again.replayed == 17
+        assert len(verified_signatures) == 0
 
 
 class _DownEndpoint:

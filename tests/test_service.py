@@ -296,6 +296,55 @@ class TestHistoryInTheLog:
         assert len(logged_service.entry_log(leaf)) == 2
 
 
+class TestMalformedRequests:
+    """A malformed body is a bad-request whose detail names the field."""
+
+    APEX = "h1g5k0061A38F9A3540B9." + ROOT
+
+    def detail(self, service, kind, body) -> str:
+        reply = service.handle_request(wire.WireMessage(kind, "c-1", body))
+        assert reply.kind == wire.KIND_ERROR
+        assert reply.body["error"] == "bad-request"
+        return reply.body["detail"]
+
+    def test_update_body_that_is_an_array(self, logged_service):
+        detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": []})
+        assert detail == "update request field 'update' must be an object, not an array"
+
+    def test_update_body_that_is_null(self, logged_service):
+        detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": None})
+        assert detail == "update request field 'update' must be an object, not null"
+
+    def test_update_body_without_fields(self, logged_service):
+        detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": {}})
+        assert detail == "update lacks field 'target'"
+
+    def test_update_with_a_bare_signer_key(self, logged_service, keypool):
+        update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
+        update["signer_key"] = {}
+        detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": update})
+        assert detail == "update field 'signer_key' lacks field 'algorithm'"
+
+    def test_resolve_without_handle(self, logged_service):
+        detail = self.detail(logged_service, wire.KIND_QUERY_RESOLVE, {})
+        assert detail == "resolve request lacks field 'handle'"
+
+    @pytest.mark.parametrize("budget, found", [("4", "a string"), (2.5, "a number"),
+                                                (True, "a boolean")])
+    def test_resolve_with_a_non_integer_depth_budget(self, logged_service, budget, found):
+        body = {"handle": self.APEX, "depth_budget": budget}
+        detail = self.detail(logged_service, wire.KIND_QUERY_RESOLVE, body)
+        assert detail == f"resolve request field 'depth_budget' must be an integer, not {found}"
+
+    def test_resolve_with_an_integer_depth_budget_is_served(self, logged_service):
+        body = {"handle": self.APEX, "depth_budget": 4}
+        reply = logged_service.handle_request(
+            wire.WireMessage(wire.KIND_QUERY_RESOLVE, "c-1", body)
+        )
+        assert reply.kind == wire.KIND_RESPONSE
+        assert reply.body["resolution"]["outcome"] == "NOT_FOUND"
+
+
 @pytest.fixture()
 def tcp_server(tmp_path):
     cfg = service_config(tmp_path)
