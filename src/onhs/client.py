@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import base64
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
@@ -31,7 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .handles import Handle, parse_handle
-from .records import SignedRRset, canonical_sort_key, is_irrevocable, name_key
+from .records import CACHE_CAP, LruCache, SignedRRset, canonical_sort_key, is_irrevocable, name_key
 from .server import (
     DEFAULT_DEPTH_BUDGET,
     OUTCOME_ADDRESS,
@@ -60,10 +58,8 @@ class ResolverEndpoint(Protocol):
 V_OK = "ok"
 V_STALE = "stale-irrevocable"
 
-VERIFIED_SIGNATURES_CAP = 4096
 
-
-class VerifiedSignatures:
+class VerifiedSignatures(LruCache):
     """The signature checks that held in this process, for reuse.
 
     An entry is (signer key, canonical set octets, signature octets); it
@@ -74,37 +70,20 @@ class VerifiedSignatures:
     are never kept. Past cap entries, the least recently used one goes.
     """
 
-    def __init__(self, cap: int) -> None:
-        self._cap = cap
-        self._held: "OrderedDict[Tuple[PublicKey, bytes, bytes], None]" = OrderedDict()
-        self._lock = threading.Lock()
-
     def __call__(self, key: PublicKey, signature: bytes, message: bytes) -> bool:
         entry = (key, message, signature)
-        with self._lock:
-            if entry in self._held:
-                self._held.move_to_end(entry)
-                return True
+        if self.get(entry):
+            return True
         if not crypto.rsa_check(key, signature, message):
             return False
-        with self._lock:
-            self._held[entry] = None
-            if len(self._held) > self._cap:
-                self._held.popitem(last=False)
+        self.put(entry, True)
         return True
-
-    def __len__(self) -> int:
-        return len(self._held)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._held.clear()
 
 
 # Shared by every verify_resolution in the process. The server's own
 # checks of incoming updates (apply_update, replay) never use it: each
 # update is a new message, so it would only fill.
-verified_signatures = VerifiedSignatures(VERIFIED_SIGNATURES_CAP)
+verified_signatures = VerifiedSignatures(CACHE_CAP)
 
 
 @dataclass(frozen=True)
@@ -219,7 +198,9 @@ def verify_resolution(
             failures.append(f"{owner} {rrset.rtype}: no verified key for signer {signer}")
             verdicts.append((owner, rrset.rtype, "no-signer-key"))
             continue
-        result = verify_rrset(rrset.records, sig, key, stamp, verified_signatures)
+        result = verify_rrset(
+            rrset.records, sig, key, stamp, verified_signatures, rrset.canonical
+        )
         if result.ok:
             verdicts.append((owner, rrset.rtype, V_OK))
             note_good(rrset)
@@ -396,9 +377,16 @@ class HandleReference:
             superseded = parse_handle(fields["superseded_by"], root)
         last = None
         if "last_resolution" in fields:
-            last = Resolution.from_dict(
-                json.loads(base64.b64decode(fields["last_resolution"], validate=True))
-            )
+            try:
+                last = Resolution.from_dict(
+                    json.loads(base64.b64decode(fields["last_resolution"], validate=True))
+                )
+            except (ValueError, OnhsError) as exc:  # binascii and JSON errors are ValueErrors
+                raise VerificationError(
+                    f"{path}: last_resolution does not decode: {exc}. Files saved before "
+                    "answers carried each set as its canonical octets hold it in an older "
+                    "form; deleting that line keeps the rest of the reference"
+                ) from None
         return HandleReference(
             handle=handle, pinned_key=pinned, last_resolution=last, superseded_by=superseded
         )

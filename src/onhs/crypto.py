@@ -19,7 +19,7 @@ import hashlib
 import re
 import struct
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -34,6 +34,7 @@ from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from .errors import (
     KeyFormatError,
     ParamsMismatchError,
+    RRsetFormatError,
     SuffixLengthError,
     UnsupportedAlgorithmError,
     WrongLabelKindError,
@@ -347,23 +348,33 @@ def _name_labels(name: str) -> int:
     return len(name.rstrip(".").split("."))
 
 
-def canonical_rrset_bytes(records: Sequence[RecordLike], params: SignatureParams) -> bytes:
+_SIGNED_SET_MAGIC = b"onhs-sig-v1"
+
+
+def canonical_rrset_bytes(
+    records: Sequence[RecordLike], params: Optional[SignatureParams]
+) -> bytes:
     """Deterministic octets covering params and every record field.
 
-    Records sort by rdata text; owner and signer names fold to lowercase
-    (name comparisons are case-insensitive); every field is length-prefixed
-    so no two distinct sets share an encoding.
+    They are what a signature covers and the wire form of a set. Records
+    sort by rdata text; owner and signer names fold to lowercase (name
+    comparisons are case-insensitive); every field is length-prefixed so
+    no two distinct sets share an encoding. An unsigned set (params None)
+    encodes as the records part alone: the record count, then each record.
+    decode_canonical_rrset splits them again.
     """
-    out = [b"onhs-sig-v1"]
-    for field in (
-        str(params.algorithm),
-        str(params.label_count),
-        str(params.original_ttl),
-        params.expiration,
-        params.inception,
-        params.signer.rstrip(".").lower(),
-    ):
-        out.append(_lp(field.encode()))
+    out = []
+    if params is not None:
+        out.append(_SIGNED_SET_MAGIC)
+        for field in (
+            str(params.algorithm),
+            str(params.label_count),
+            str(params.original_ttl),
+            params.expiration,
+            params.inception,
+            params.signer.rstrip(".").lower(),
+        ):
+            out.append(_lp(field.encode()))
     ordered = sorted(records, key=lambda r: r.canonical_rdata_text().encode())
     out.append(_lp(str(len(ordered)).encode()))
     for rec in ordered:
@@ -372,6 +383,85 @@ def canonical_rrset_bytes(records: Sequence[RecordLike], params: SignatureParams
         out.append(_lp(rec.rtype.encode()))
         out.append(_lp(rec.canonical_rdata_text().encode()))
     return b"".join(out)
+
+
+# (owner, ttl, rtype, rdata text) of one record, as canonical octets hold it
+RecordFields = Tuple[str, int, str, str]
+
+
+def decode_canonical_rrset(
+    data: bytes, signed: bool
+) -> Tuple[Optional[SignatureParams], List[RecordFields]]:
+    """Split what canonical_rrset_bytes made into params and record fields.
+
+    signed says whether data is a signed set's encoding (with params) or
+    an unsigned one's. Raises RRsetFormatError, naming the field, when
+    data does not split; that data is the canonical encoding of what it
+    splits into is the caller's check, by encoding that again.
+    """
+    offset = 0
+    if signed:
+        if not data.startswith(_SIGNED_SET_MAGIC):
+            raise RRsetFormatError("signed set octets lack the onhs-sig-v1 header")
+        offset = len(_SIGNED_SET_MAGIC)
+    fields = []
+    while offset < len(data):
+        if len(data) - offset < 4:
+            raise RRsetFormatError(f"length prefix cut short at offset {offset}")
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        if length > len(data) - offset:
+            raise RRsetFormatError(
+                f"field at offset {offset - 4} declares {length} octets, "
+                f"{len(data) - offset} remain"
+            )
+        fields.append(data[offset:offset + length])
+        offset += length
+    params = None
+    if signed:
+        if len(fields) < 6:
+            raise RRsetFormatError(f"signature params need 6 fields, found {len(fields)}")
+        head, fields = [_field_text(f, "signature params") for f in fields[:6]], fields[6:]
+        try:
+            params = SignatureParams(
+                algorithm=_field_number(head[0], "signature algorithm"),
+                label_count=_field_number(head[1], "signature label count"),
+                original_ttl=_field_number(head[2], "signature original ttl"),
+                expiration=head[3],
+                inception=head[4],
+                signer=head[5],
+            )
+        except ParamsMismatchError as exc:
+            raise RRsetFormatError(f"signature params: {exc}") from None
+    if not fields:
+        raise RRsetFormatError("no record count")
+    count = _field_number(_field_text(fields[0], "record count"), "record count")
+    if len(fields) - 1 != 4 * count:
+        raise RRsetFormatError(
+            f"record count {count} needs {4 * count} record fields, found {len(fields) - 1}"
+        )
+    records = []
+    for i in range(count):
+        what = f"record {i}"
+        owner, ttl, rtype, rdata = (_field_text(f, what) for f in fields[1 + 4 * i:5 + 4 * i])
+        records.append((owner, _field_number(ttl, f"{what} ttl"), rtype, rdata))
+    return params, records
+
+
+def _field_text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RRsetFormatError(f"{what}: not UTF-8: {exc}") from None
+
+
+def _field_number(text: str, what: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise RRsetFormatError(f"{what} {text[:40]!r} is not a decimal number")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise RRsetFormatError(f"{what}: {exc}") from None
 
 
 def _check_set_shape(records: Sequence[RecordLike], params: SignatureParams) -> Optional[str]:
@@ -435,6 +525,7 @@ def verify_rrset(
     key: PublicKey,
     now: str,
     check: SignatureCheck = rsa_check,
+    message: Optional[bytes] = None,
 ) -> VerifyResult:
     """Check one signed record set against key at time now.
 
@@ -443,6 +534,8 @@ def verify_rrset(
     tampering from clock problems. Every rule runs here on every call; only
     the last step, whether the signature holds over the canonical octets,
     is left to check, so a caller may pass one that remembers its answers.
+    message, when given, must be canonical_rrset_bytes(records,
+    signature.params), as a set parsed from those octets holds them.
     """
     params = signature.params
     check_stamp(now)
@@ -454,7 +547,8 @@ def verify_rrset(
         return VerifyResult(False, REJECT_NOT_YET_VALID)
     if now >= params.expiration:
         return VerifyResult(False, REJECT_EXPIRED)
-    message = canonical_rrset_bytes(records, params)
+    if message is None:
+        message = canonical_rrset_bytes(records, params)
     if check(key, signature.signature_bytes, message):
         return VerifyResult(True, ACCEPT)
     return VerifyResult(False, REJECT_BAD_SIGNATURE)

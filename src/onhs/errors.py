@@ -76,6 +76,10 @@ class RdataFormatError(RecordError):
     """Record payload text is malformed for its type."""
 
 
+class RRsetFormatError(RecordError):
+    """Octets received as a record set are not the canonical encoding of one."""
+
+
 class ZoneSyntaxError(RecordError):
     """Zone text could not be parsed.
 

@@ -244,8 +244,9 @@ class Handle:
 
     def ancestry(self) -> Iterator["Handle"]:
         """Yield apex, then each deeper prefix, ending with this handle."""
-        for i in range(1, len(self.labels) + 1):
+        for i in range(1, len(self.labels)):
             yield Handle(labels=self.labels[:i], root_suffix=self.root_suffix)
+        yield self
 
     def is_under(self, other: "Handle") -> bool:
         """True when this handle sits strictly below other."""

@@ -17,15 +17,20 @@ from __future__ import annotations
 import base64
 import re
 import struct
+import threading
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
+from . import crypto
 from .crypto import RecordSignature, SignatureParams, check_stamp
 from .errors import (
+    OnhsError,
     ParamsMismatchError,
     RdataFormatError,
     RecordError,
+    RRsetFormatError,
     UnknownRecordTypeError,
     ZoneSyntaxError,
 )
@@ -192,6 +197,30 @@ class ResourceRecord:
         return rd
 
 
+def rdata_from_text(rtype: str, text: str) -> Rdata:
+    """The rdata whose canonical_rdata_text is text, for a record of rtype.
+
+    Unlike zone text, a TXT string is bare (spaces, no quotes) and a name
+    is complete (no origin, no trailing dot). A, NS, DNAME and TXT rdata
+    is the text itself; ResourceRecord checks it. Raises RdataFormatError.
+    """
+    if rtype not in ("KEY", "SOA", "NXT"):
+        return text
+    parts = text.split(" ")
+    fields = {"KEY": 4, "SOA": 7, "NXT": 2}[rtype]  # NXT: at least
+    if len(parts) < fields or (rtype != "NXT" and len(parts) > fields):
+        raise RdataFormatError(f"{rtype} rdata {text[:80]!r} has {len(parts)} fields")
+    try:
+        if rtype == "KEY":
+            header = struct.pack(">HBB", *(int(p) for p in parts[:3]))
+            return header + base64.b64decode(parts[3], validate=True)
+        if rtype == "SOA":
+            return SoaData(parts[0], parts[1], *(int(p) for p in parts[2:]))
+        return NxtData(next_owner=parts[0], types=tuple(parts[1:]))
+    except (ValueError, struct.error) as exc:
+        raise RdataFormatError(f"bad {rtype} rdata {text[:80]!r}: {exc}") from None
+
+
 # ---- signed record sets --------------------------------------------------
 
 
@@ -204,10 +233,17 @@ class SignedRRset:
     acceptable is the consumer's decision. Keys registered in the root
     zone are the one case that legitimately stays unsigned (the label
     hash self-certifies them).
+
+    canonical, when held, is the set's canonical octets, which verifiers
+    check the signature over. Only parse_rrset, with the octets a set
+    arrived as, and encoded() set it; the constructor and
+    dataclasses.replace leave it None. It takes no part in equality,
+    hashing or repr.
     """
 
     records: Tuple[ResourceRecord, ...]
     signature: Optional[RecordSignature] = None
+    canonical: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -235,6 +271,84 @@ class SignedRRset:
     @property
     def rtype(self) -> str:
         return self.records[0].rtype
+
+    def canonical_bytes(self) -> bytes:
+        """The set's canonical octets: its wire form, and what its
+        signature covers (crypto.canonical_rrset_bytes)."""
+        if self.canonical is not None:
+            return self.canonical
+        sig = self.signature
+        return crypto.canonical_rrset_bytes(self.records, None if sig is None else sig.params)
+
+    def encoded(self) -> "SignedRRset":
+        """This set, made to hold its canonical octets: for a holder that
+        keeps a set and serves it often. Returns the set itself."""
+        if self.canonical is None:
+            object.__setattr__(self, "canonical", self.canonical_bytes())
+        return self
+
+
+def parse_rrset(data: bytes, signature: Optional[bytes]) -> SignedRRset:
+    """The set whose canonical octets are data, signed with signature
+    octets when those are given, else unsigned; the set holds data.
+
+    Raises RRsetFormatError, naming the field, for octets that do not
+    split into fields, fields that make no valid set, and a valid set
+    whose own canonical octets differ from data: records out of order, an
+    upper-case owner, a number written with a leading zero, and so on.
+    """
+    params, fields = crypto.decode_canonical_rrset(data, signature is not None)
+    records = []
+    for i, (owner, ttl, rtype, text) in enumerate(fields):
+        try:
+            records.append(ResourceRecord(owner, ttl, rtype, rdata_from_text(rtype, text)))
+        except RecordError as exc:
+            raise RRsetFormatError(f"record {i}: {exc}") from None
+    sig = None if params is None else RecordSignature(params, signature)
+    try:
+        rrset = SignedRRset(tuple(records), sig)
+    except OnhsError as exc:
+        raise RRsetFormatError(str(exc)) from None
+    if rrset.canonical_bytes() != data:
+        raise RRsetFormatError("octets are not the canonical encoding of the set they hold")
+    object.__setattr__(rrset, "canonical", data)
+    return rrset
+
+
+# ---- a bounded cache -----------------------------------------------------
+
+CACHE_CAP = 4096  # entries in each of the verifier's caches
+
+
+class LruCache:
+    """A map of at most cap entries, safe to share between threads; past
+    cap, the least recently used entry goes. Values are never None."""
+
+    def __init__(self, cap: int) -> None:
+        self._cap = cap
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Optional[object]:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._cap:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 def is_irrevocable(rrset: SignedRRset) -> bool:
@@ -519,11 +633,7 @@ def _parse_rdata(
                 raise RdataFormatError("TXT takes one quoted string")
             return _unquote_txt(args[0], line_no)
         if rtype == "KEY":
-            if len(args) != 4:
-                raise RdataFormatError("KEY takes flags, protocol, algorithm, base64")
-            flags, proto, alg = (int(args[0]), int(args[1]), int(args[2]))
-            material = base64.b64decode(args[3], validate=True)
-            return struct.pack(">HBB", flags, proto, alg) + material
+            return rdata_from_text(rtype, " ".join(args))
         if rtype == "SOA":
             if len(args) != 7:
                 raise RdataFormatError("SOA takes seven fields")

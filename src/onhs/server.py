@@ -21,6 +21,7 @@ client.verify_resolution both run it.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import threading
 from array import array
@@ -44,14 +45,18 @@ from .errors import (
     DelegationLoopError,
     DepthExceededError,
     OnhsError,
+    ParamsMismatchError,
     ResolutionError,
+    RRsetFormatError,
 )
 from .handles import Handle, HandleLabel, parse_handle
 # covering_nxt is not called in this module; it stays imported because
 # perfbench/tracer.py wraps it here by name.
 from .records import (
+    CACHE_CAP,
     DEFAULT_TTL,
     IMPOSSIBLE_ADDRESS,
+    LruCache,
     NxtData,
     ResourceRecord,
     SignedRRset,
@@ -62,6 +67,7 @@ from .records import (
     covering_nxt,
     is_irrevocable,
     name_key,
+    parse_rrset,
     strip_dot,
 )
 
@@ -156,20 +162,18 @@ class UpdateMessage:
 
     @staticmethod
     def from_dict(data: dict) -> "UpdateMessage":
-        fields = {
-            "target": body_field(data, "target", str, "update"),
-            "action": body_field(data, "action", str, "update"),
-            "payload": dict(body_field(data, "payload", dict, "update")),
-            "serial": body_field(data, "serial", int, "update"),
-        }
-        for name, decode in (
-            ("signer_key", public_key_from_dict), ("signature", signature_from_dict)
-        ):
-            try:
-                fields[name] = decode(body_field(data, name, dict, "update"))
-            except KeyError as exc:
-                raise ValueError(f"update field {name!r} lacks field {exc}") from None
-        return UpdateMessage(**fields)
+        return UpdateMessage(
+            target=body_field(data, "target", str, "update"),
+            action=body_field(data, "action", str, "update"),
+            payload=dict(body_field(data, "payload", dict, "update")),
+            serial=body_field(data, "serial", int, "update"),
+            signer_key=public_key_from_dict(
+                body_field(data, "signer_key", dict, "update"), "update field 'signer_key'"
+            ),
+            signature=signature_from_dict(
+                body_field(data, "signature", dict, "update"), "update field 'signature'"
+            ),
+        )
 
 
 _JSON_TYPES = {
@@ -200,6 +204,14 @@ def body_field(data: object, name: str, kind: type, where: str):
     return value
 
 
+def base64_field(data: object, name: str, where: str) -> bytes:
+    """The octets of data[name], which must be a base64 string."""
+    try:
+        return base64.b64decode(body_field(data, name, str, where), validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{where} field {name!r} is not base64: {exc}") from None
+
+
 def canonical_json(data: dict) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
@@ -228,11 +240,14 @@ def public_key_to_dict(key: PublicKey) -> dict:
     return {"algorithm": key.algorithm, "key": base64.b64encode(key.key_bytes).decode()}
 
 
-def public_key_from_dict(data: dict) -> PublicKey:
-    return PublicKey(
-        algorithm=int(data["algorithm"]),
-        key_bytes=base64.b64decode(str(data["key"]), validate=True),
-    )
+def public_key_from_dict(data: object, where: str) -> PublicKey:
+    """The key in data; a ValueError names the field at fault."""
+    algorithm = body_field(data, "algorithm", int, where)
+    key_bytes = base64_field(data, "key", where)
+    try:
+        return PublicKey(algorithm=algorithm, key_bytes=key_bytes)
+    except OnhsError as exc:
+        raise ValueError(f"{where} field 'key': {exc}") from None
 
 
 def signature_to_dict(sig: RecordSignature) -> dict:
@@ -248,73 +263,73 @@ def signature_to_dict(sig: RecordSignature) -> dict:
     }
 
 
-def signature_from_dict(data: dict) -> RecordSignature:
-    params = SignatureParams(
-        algorithm=int(data["algorithm"]),
-        label_count=int(data["label_count"]),
-        original_ttl=int(data["original_ttl"]),
-        expiration=str(data["expiration"]),
-        inception=str(data["inception"]),
-        signer=str(data["signer"]),
-    )
-    return RecordSignature(
-        params=params,
-        signature_bytes=base64.b64decode(str(data["signature"]), validate=True),
-    )
-
-
-def record_to_dict(rec: ResourceRecord) -> dict:
-    rd = rec.rdata
-    if rec.rtype == "KEY":
-        payload = base64.b64encode(rd).decode()  # type: ignore[arg-type]
-    elif rec.rtype == "SOA":
-        payload = {
-            "primary": rd.primary, "contact": rd.contact, "serial": rd.serial,
-            "refresh": rd.refresh, "retry": rd.retry, "expire": rd.expire,
-            "minimum": rd.minimum,
-        }
-    elif rec.rtype == "NXT":
-        payload = {"next_owner": rd.next_owner, "types": list(rd.types)}
-    else:
-        payload = rd
-    return {"owner": rec.owner, "ttl": rec.ttl, "rtype": rec.rtype, "rdata": payload}
-
-
-def record_from_dict(data: dict) -> ResourceRecord:
-    rtype = str(data["rtype"])
-    payload = data["rdata"]
-    if rtype == "KEY":
-        rdata = base64.b64decode(str(payload), validate=True)
-    elif rtype == "SOA":
-        rdata = SoaData(
-            primary=str(payload["primary"]), contact=str(payload["contact"]),
-            serial=int(payload["serial"]), refresh=int(payload["refresh"]),
-            retry=int(payload["retry"]), expire=int(payload["expire"]),
-            minimum=int(payload["minimum"]),
+def signature_from_dict(data: object, where: str) -> RecordSignature:
+    """The signature in data; a ValueError names the field at fault."""
+    try:
+        params = SignatureParams(
+            algorithm=body_field(data, "algorithm", int, where),
+            label_count=body_field(data, "label_count", int, where),
+            original_ttl=body_field(data, "original_ttl", int, where),
+            expiration=body_field(data, "expiration", str, where),
+            inception=body_field(data, "inception", str, where),
+            signer=body_field(data, "signer", str, where),
         )
-    elif rtype == "NXT":
-        rdata = NxtData(
-            next_owner=str(payload["next_owner"]),
-            types=tuple(str(t) for t in payload["types"]),
-        )
-    else:
-        rdata = str(payload)
-    return ResourceRecord(owner=str(data["owner"]), ttl=int(data["ttl"]), rtype=rtype, rdata=rdata)
+    except ParamsMismatchError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return RecordSignature(params=params, signature_bytes=base64_field(data, "signature", where))
 
 
-def rrset_to_dict(rrset: SignedRRset) -> dict:
+# -- record sets in answers --
+#
+# A set travels as {"octets": base64 of its canonical octets, "signature":
+# base64 of its signature octets, or null for an unsigned set}. The octets
+# carry the records and the signature params; see records.parse_rrset.
+
+# Sets decoded from answers in this process, by the two strings they
+# arrived as: answers repeat the sets of earlier ones (zone keys, denial
+# records), and a hit skips base64, parsing and the check that the octets
+# encode back to themselves. Only answers are decoded here, so the server
+# never fills it.
+received_sets = LruCache(CACHE_CAP)
+
+
+def _set_to_json(rrset: SignedRRset) -> dict:
+    sig = rrset.signature
     return {
-        "records": [record_to_dict(r) for r in rrset.records],
-        "signature": None if rrset.signature is None else signature_to_dict(rrset.signature),
+        "octets": base64.b64encode(rrset.canonical_bytes()).decode(),
+        "signature": None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
     }
 
 
-def rrset_from_dict(data: dict) -> SignedRRset:
-    sig = data.get("signature")
-    return SignedRRset(
-        records=tuple(record_from_dict(r) for r in data["records"]),
-        signature=None if sig is None else signature_from_dict(sig),
+def _set_from_json(data: object, where: str) -> SignedRRset:
+    octets = body_field(data, "octets", str, where)
+    signature = _optional_field(data, "signature", str, where)
+    key = (octets, signature)
+    rrset = received_sets.get(key)
+    if rrset is None:
+        try:
+            rrset = parse_rrset(
+                base64_field(data, "octets", where),
+                None if signature is None else base64_field(data, "signature", where),
+            )
+        except RRsetFormatError as exc:
+            raise RRsetFormatError(f"{where}: {exc}") from None
+        received_sets.put(key, rrset)
+    return rrset
+
+
+def _sets_from_json(data: object, name: str, where: str) -> Tuple[SignedRRset, ...]:
+    items = body_field(data, name, list, where)
+    return tuple(
+        _set_from_json(item, f"{where} field {name!r} item {i}") for i, item in enumerate(items)
     )
+
+
+def _optional_field(data: object, name: str, kind: type, where: str):
+    """data[name] as body_field gives it, or None when it is null or absent."""
+    if isinstance(data, dict) and data.get(name) is None:
+        return None
+    return body_field(data, name, kind, where)
 
 
 # ---- resolution results ----------------------------------------------------
@@ -340,20 +355,28 @@ class Resolution:
             "queried": self.queried,
             "outcome": self.outcome,
             "address": self.address,
-            "evidence": [rrset_to_dict(s) for s in self.evidence],
-            "transfer_notices": [rrset_to_dict(s) for s in self.transfer_notices],
+            "evidence": [_set_to_json(s) for s in self.evidence],
+            "transfer_notices": [_set_to_json(s) for s in self.transfer_notices],
             "warnings": list(self.warnings),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "Resolution":
+        """The resolution to_dict gave data for, but with every owner name
+        in lower case. A ValueError or RRsetFormatError names the field at
+        fault."""
+        where = "resolution"
+        warnings = body_field(data, "warnings", list, where)
+        for i, warning in enumerate(warnings):
+            if type(warning) is not str:
+                raise ValueError(f"{where} field 'warnings' item {i} must be a string")
         return Resolution(
-            queried=str(data["queried"]),
-            outcome=str(data["outcome"]),
-            address=None if data.get("address") is None else str(data["address"]),
-            evidence=tuple(rrset_from_dict(s) for s in data["evidence"]),
-            transfer_notices=tuple(rrset_from_dict(s) for s in data["transfer_notices"]),
-            warnings=tuple(str(w) for w in data.get("warnings", [])),
+            queried=body_field(data, "queried", str, where),
+            outcome=body_field(data, "outcome", str, where),
+            address=_optional_field(data, "address", str, where),
+            evidence=_sets_from_json(data, "evidence", where),
+            transfer_notices=_sets_from_json(data, "transfer_notices", where),
+            warnings=tuple(warnings),
         )
 
 
@@ -369,19 +392,21 @@ class RecordAnswer:
     def to_dict(self) -> dict:
         return {
             "found": self.found,
-            "rrset": None if self.rrset is None else rrset_to_dict(self.rrset),
-            "status_records": [rrset_to_dict(s) for s in self.status_records],
-            "proof": [rrset_to_dict(s) for s in self.proof],
+            "rrset": None if self.rrset is None else _set_to_json(self.rrset),
+            "status_records": [_set_to_json(s) for s in self.status_records],
+            "proof": [_set_to_json(s) for s in self.proof],
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RecordAnswer":
-        rrset = data.get("rrset")
+        """As Resolution.from_dict, for a query_record answer."""
+        where = "answer"
+        rrset = _optional_field(data, "rrset", dict, where)
         return RecordAnswer(
-            found=bool(data["found"]),
-            rrset=None if rrset is None else rrset_from_dict(rrset),
-            status_records=tuple(rrset_from_dict(s) for s in data["status_records"]),
-            proof=tuple(rrset_from_dict(s) for s in data["proof"]),
+            found=body_field(data, "found", bool, where),
+            rrset=None if rrset is None else _set_from_json(rrset, f"{where} field 'rrset'"),
+            status_records=_sets_from_json(data, "status_records", where),
+            proof=_sets_from_json(data, "proof", where),
         )
 
 
@@ -816,8 +841,12 @@ class HandleServer:
         self._apex_len = len(self._root_key) + 1  # labels in an apex's sort key
         # zone apex sort key -> sorted sort keys of the zone's owner names
         self._zones: Dict[SortKey, List[SortKey]] = {self._root_key: [self._root_key]}
-        # (zone, owner) -> (NXT record, its signed set, last stamp to serve it at)
-        self._nxt_sigs: Dict[Tuple[SortKey, SortKey], Tuple[ResourceRecord, SignedRRset, str]] = {}
+        # (zone, owner) -> (signed NXT set holding its octets, last stamp to serve it at)
+        self._nxt_sigs: Dict[Tuple[SortKey, SortKey], Tuple[SignedRRset, str]] = {}
+        # unsigned: verifiers take the server's key as served, for denial records only
+        self._root_key_rrset = SignedRRset((ResourceRecord(
+            owner=self.root_zone, ttl=DEFAULT_TTL, rtype="KEY", rdata=self.server_key.key_bytes
+        ),)).encoded()
         self._subscribers: Dict[str, List[AuditSubscription]] = {}
         self._event_seq = 0
         self._event_sinks: List[Callable[[AuditSubscription, AuditEvent], None]] = []
@@ -924,11 +953,8 @@ class HandleServer:
             raise _Malformed("bad ttl")
         try:
             if msg.action == CLAIM:
-                key_b64 = p.get("key")
-                alg = p.get("algorithm")
-                if not isinstance(key_b64, str) or not isinstance(alg, int):
-                    raise _Malformed("claim payload needs key and algorithm")
-                key_bytes = base64.b64decode(key_b64, validate=True)
+                alg = body_field(p, "algorithm", int, "claim payload")
+                key_bytes = base64_field(p, "key", "claim payload")
                 if key_bytes != msg.signer_key.key_bytes or alg != msg.signer_key.algorithm:
                     raise _Malformed("claim payload key differs from signer key")
                 rec = ResourceRecord(owner=owner, ttl=ttl, rtype="KEY", rdata=key_bytes)
@@ -961,10 +987,10 @@ class HandleServer:
                     raise _Malformed("compromise payload needs a note date")
                 iso = normalize_compromise_note(note)
                 txt = ResourceRecord(owner=owner, ttl=ttl, rtype="TXT", rdata=f"Compromised {iso}")
-                sig_data = p.get("cancel_signature")
-                if not isinstance(sig_data, dict):
-                    raise _Malformed("compromise payload needs cancel_signature")
-                cancel_sig = signature_from_dict(sig_data)
+                cancel_sig = signature_from_dict(
+                    body_field(p, "cancel_signature", dict, "compromise payload"),
+                    "compromise payload field 'cancel_signature'",
+                )
                 addr = ResourceRecord(owner=owner, ttl=ttl, rtype="A", rdata=IMPOSSIBLE_ADDRESS)
                 return [
                     (True, SignedRRset((txt,), msg.signature)),
@@ -1034,7 +1060,7 @@ class HandleServer:
                 else:
                     label = node.labels[-1]
                     entry = HandleEntry(
-                        handle=Handle(parent.handle.labels + (label,), node.root_suffix),
+                        handle=parent.handle.child(label),
                         sort_key=parent.sort_key + (label.encode().lower().encode(),),
                     )
                 self._entries[key] = entry
@@ -1060,6 +1086,8 @@ class HandleServer:
                     return
             elif candidate.merge_key() <= existing.merge_key():
                 return
+        if rtype == "KEY":  # an apex key goes out with every answer under its apex
+            candidate.rrset.encoded()
         entry.slots[rtype] = candidate
         self._reindex(entry)
 
@@ -1178,10 +1206,7 @@ class HandleServer:
         return SignedRRset(tuple(records), crypto.sign_rrset(records, self.server_secret, params))
 
     def root_key_rrset(self) -> SignedRRset:
-        rec = ResourceRecord(
-            owner=self.root_zone, ttl=DEFAULT_TTL, rtype="KEY", rdata=self.server_key.key_bytes
-        )
-        return SignedRRset((rec,), None)
+        return self._root_key_rrset
 
     def resolve(
         self,
@@ -1266,11 +1291,11 @@ class HandleServer:
         key = (zone, canonical_sort_key(rec.owner))
         cached = self._nxt_sigs.get(key)
         if cached is not None:
-            record, signed, fresh_until = cached
-            if record == rec and signed.signature.params.inception <= now <= fresh_until:
+            signed, fresh_until = cached
+            if signed.records[0] == rec and signed.signature.params.inception <= now <= fresh_until:
                 return signed
-        signed = self._server_sign([rec], now)
-        self._nxt_sigs[key] = (rec, signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
+        signed = self._server_sign([rec], now).encoded()
+        self._nxt_sigs[key] = (signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
         return signed
 
     def query_record(

@@ -12,12 +12,18 @@ with them, so no client can verify those answers; that is an open defect.
 The drawn sequences therefore claim every apex at the end, and the
 corpus's unclaimed zone is skipped.
 
-Each answer is also verified with the verifier's signature cache emptied
-and again with it warm: at the stamp the answer was made, a month later
+Each answer is also verified with the verifier's caches emptied and
+again with them warm: at the stamp the answer was made, a month later
 (when only the sets signed for ten years still hold) and eleven years
-later (when those have expired too). The cache must change no verdict, failure or
-warning.
+later (when those have expired too). The caches must change no verdict,
+failure or warning. So must the wire: each answer also goes through
+Resolution.to_dict, JSON and Resolution.from_dict, and the copy that
+arrives, whose owner names are in lower case, must verify to the same
+verdicts, failures and warnings as the answer as served.
 """
+
+import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +32,7 @@ from test_denial import corpus, probes  # noqa: F401  (corpus is a fixture)
 
 from onhs import crypto, server as srv
 from onhs.client import verified_signatures, verify_resolution
+from onhs.server import Resolution, received_sets
 from onhs.errors import DelegationLoopError, DepthExceededError
 from onhs.handles import Handle, HandleLabel, parse_handle
 
@@ -64,8 +71,18 @@ def assert_agree(server, handles) -> int:
 
 
 def verify_cold_and_warm(got, handle, now):
-    """verify_resolution with the signature cache emptied, then warm; both
-    runs must return the same VerifiedResolution."""
+    """verify_resolution with the caches emptied, then warm; both runs, and
+    both runs again on the answer as it arrives over the wire, must return
+    the same VerifiedResolution, but for the resolution it carries."""
+    served = verify_cold_and_warm_as(got, handle, now)
+    received_sets.clear()
+    wired = Resolution.from_dict(json.loads(json.dumps(got.to_dict())))
+    assert wired.to_dict() == got.to_dict()
+    assert replace(verify_cold_and_warm_as(wired, handle, now), resolution=got) == served
+    return served
+
+
+def verify_cold_and_warm_as(got, handle, now):
     verified_signatures.clear()
     cold = verify_resolution(got, handle, ROOT, now=now)
     verify_resolution(got, handle, ROOT, now=NOW)  # caches every set that holds

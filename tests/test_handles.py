@@ -210,6 +210,29 @@ class TestHandleAlgebra:
         other = parse_handle(f"h1g5k{'C' * 16}.{ROOT}", ROOT)
         assert self.leaf.replace_prefix(self.leaf, other) == other
 
+    def test_derived_names_keep_the_name_limit(self):
+        long = HandleLabel.ia("9" * 58)  # 61 octets
+        deep = self.apex.child(long).child(long)  # 168 octets
+        other = parse_handle(f"h1g5k{'C' * 16}.{ROOT}", ROOT).child(long).child(long)
+        with pytest.raises(HandleStructureError):  # a DNAME rewrite to 292 octets
+            deep.replace_prefix(self.apex, other)
+        with pytest.raises(HandleStructureError):  # 292 octets again
+            deep.child(long).child(long)
+
+    def test_child_takes_only_an_ia_or_oa_label(self):
+        with pytest.raises(HandleStructureError):
+            self.leaf.child(HandleLabel.pk(5, "C" * 16))
+        assert self.leaf.child(HandleLabel.oa("4")).labels[-1].kind == "OA"
+
+    def test_derived_handles_render_as_parsed_ones(self):
+        other = parse_handle(f"h0k427.h1g5k{'C' * 16}.{ROOT}", ROOT)
+        derived = [self.leaf.apex(), self.leaf.parent(), self.apex.child(HandleLabel.ia("7")),
+                   self.leaf.replace_prefix(self.leaf.parent(), other), *self.leaf.ancestry()]
+        for handle in derived:
+            again = parse_handle(handle.fqdn(), handle.root_suffix)
+            assert (handle.fqdn(), handle.name_key()) == (again.fqdn(), again.name_key())
+            assert handle == again and hash(handle) == hash(again)
+
 
 class TestRandomizedGrammar:
     def test_valid_labels_round_trip(self):

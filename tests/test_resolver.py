@@ -3,6 +3,7 @@
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -411,7 +412,8 @@ class TestHandleReference:
         assert back.handle == ref.handle
         assert back.pinned_key == ref.pinned_key
         assert back.superseded_by == ref.superseded_by
-        assert back.last_resolution == ref.last_resolution
+        # the wire form folds owner names to lower case; all else must match
+        assert back.last_resolution.to_dict() == ref.last_resolution.to_dict()
         assert back.current_handle() == z.new_leaf
 
     def test_denial_resolution_survives_the_file_format(self, example_zones, tmp_path):
@@ -421,13 +423,31 @@ class TestHandleReference:
         ref = HandleReference(handle=ghost, last_resolution=res)
         path = tmp_path / "ghost.ref"
         ref.save(path)
-        assert HandleReference.load(path).last_resolution == res
+        assert HandleReference.load(path).last_resolution.to_dict() == res.to_dict()
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "not-a-ref"
         path.write_text("something else entirely\n")
         with pytest.raises(VerificationError):
             HandleReference.load(path)
+
+    def test_a_dict_form_resolution_is_refused_with_the_reason(self, tmp_path):
+        # data/dict-form.ref was saved when answers carried each record set as
+        # nested dicts; its handle, pin and successor lines are still current
+        fixture = Path(__file__).parent / "data" / "dict-form.ref"
+        with pytest.raises(VerificationError, match="last_resolution does not decode") as err:
+            HandleReference.load(fixture)
+        assert "lacks field 'octets'" in str(err.value)
+        kept = tmp_path / "kept.ref"
+        kept.write_text("".join(
+            line for line in fixture.read_text().splitlines(keepends=True)
+            if not line.startswith("last_resolution ")
+        ))
+        back = HandleReference.load(kept)
+        assert back.handle == parse_handle("h0k1.h1g5kBA6529D72AB49333." + ROOT, ROOT)
+        assert back.superseded_by == parse_handle("h0k1.h1g5kC909CBE59D058406." + ROOT, ROOT)
+        assert back.pinned_key is not None
+        assert crypto.verify_key_matches_label(back.pinned_key, back.handle.apex_label)
 
     def test_transfer_moves_the_reference(self, example_zones):
         z = example_zones

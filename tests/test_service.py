@@ -24,6 +24,7 @@ from onhs.server import (
     UpdateMessage,
     make_assign,
     make_claim,
+    make_compromise,
     make_create_child,
     make_delegate,
 )
@@ -324,6 +325,58 @@ class TestMalformedRequests:
         update["signer_key"] = {}
         detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": update})
         assert detail == "update field 'signer_key' lacks field 'algorithm'"
+
+    def claim(self, keypool, field, inner, value) -> dict:
+        update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
+        update[field][inner] = value
+        return {"update": update}
+
+    def test_update_with_a_null_signature_algorithm(self, logged_service, keypool):
+        body = self.claim(keypool, "signature", "algorithm", None)
+        detail = self.detail(logged_service, wire.KIND_UPDATE, body)
+        assert detail == "update field 'signature' field 'algorithm' must be an integer, not null"
+
+    def test_update_with_a_signer_key_that_is_not_base64(self, logged_service, keypool):
+        body = self.claim(keypool, "signer_key", "key", "!!")
+        detail = self.detail(logged_service, wire.KIND_UPDATE, body)
+        assert detail.startswith("update field 'signer_key' field 'key' is not base64: ")
+
+    def test_update_with_a_string_label_count(self, logged_service, keypool):
+        body = self.claim(keypool, "signature", "label_count", "x")
+        detail = self.detail(logged_service, wire.KIND_UPDATE, body)
+        assert detail == (
+            "update field 'signature' field 'label_count' must be an integer, not a string"
+        )
+
+    def test_update_with_a_bad_signature_stamp(self, logged_service, keypool):
+        body = self.claim(keypool, "signature", "expiration", "soon")
+        detail = self.detail(logged_service, wire.KIND_UPDATE, body)
+        assert detail == "update field 'signature': timestamp 'soon' is not 14 digits"
+
+    def verdict(self, service, update: dict) -> dict:
+        reply = service.handle_request(wire.WireMessage(wire.KIND_UPDATE, "c-1", {"update": update}))
+        assert reply.kind == wire.KIND_RESPONSE
+        return reply.body["verdict"]
+
+    def test_claim_payload_key_that_is_not_base64(self, logged_service, keypool):
+        update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
+        update["payload"]["key"] = "!!"
+        verdict = self.verdict(logged_service, update)
+        assert (verdict["accepted"], verdict["reason"]) == (False, "malformed")
+        assert verdict["detail"].startswith("claim payload field 'key' is not base64: ")
+
+    def test_compromise_payload_with_a_string_label_count(self, logged_service, keypool):
+        secret = keypool.key(0)[1]
+        claim = make_claim(secret, ROOT, 16, 1)
+        assert logged_service.server.apply_update(claim).accepted
+        update = make_compromise(secret, parse_handle(claim.target, ROOT), "2026-01-01", 2).to_dict()
+        update["payload"]["cancel_signature"]["label_count"] = "x"
+        verdict = self.verdict(logged_service, update)
+        assert (verdict["accepted"], verdict["reason"]) == (False, "malformed")
+        assert verdict["detail"] == (
+            "compromise payload field 'cancel_signature' field 'label_count' "
+            "must be an integer, not a string"
+        )
 
     def test_resolve_without_handle(self, logged_service):
         detail = self.detail(logged_service, wire.KIND_QUERY_RESOLVE, {})
