@@ -69,73 +69,26 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def cmd_claim(args) -> int:
+def cmd_update(args) -> int:
+    """Build the update args.build makes, submit it, print its verdict.
+
+    args.context is the verdict line's text, formatted with the update's
+    target as {name} and the subcommand's arguments by their names.
+    """
     secret = _load_secret(args.key)
-    msg = srv.make_claim(
-        secret, args.root, args.suffix_len, args.serial, ttl=args.ttl
-    )
+    handle = _handle_arg(args.handle, args.root) if "handle" in args else None
+    msg = args.build(args, secret, handle)
     with _endpoint(args) as ep:
         verdict = ep.apply_update(msg)
-    code = _print_verdict(verdict, f"claim of {msg.target}")
-    if code == 0:
+    code = _print_verdict(verdict, args.context.format(name=msg.target, **vars(args)))
+    if code == 0 and args.command == "claim":
         print(f"handle {msg.target}")
     return code
 
 
-def cmd_create(args) -> int:
-    secret = _load_secret(args.key)
-    handle = _handle_arg(args.handle, args.root)
-    msg = srv.make_create_child(secret, handle, args.serial, ttl=args.ttl)
-    with _endpoint(args) as ep:
-        verdict = ep.apply_update(msg)
-    return _print_verdict(verdict, f"create of {msg.target}")
-
-
-def cmd_assign(args) -> int:
-    secret = _load_secret(args.key)
-    handle = _handle_arg(args.handle, args.root)
-    msg = srv.make_assign(secret, handle, args.address, args.serial, ttl=args.ttl)
-    with _endpoint(args) as ep:
-        verdict = ep.apply_update(msg)
-    return _print_verdict(verdict, f"assign {msg.target} -> {args.address}")
-
-
-def cmd_delegate(args) -> int:
-    secret = _load_secret(args.key)
-    handle = _handle_arg(args.handle, args.root)
-    target = parse_handle(args.target, handle.root_suffix_no_dot())
-    msg = srv.make_delegate(secret, handle, target, args.serial, ttl=args.ttl)
-    with _endpoint(args) as ep:
-        verdict = ep.apply_update(msg)
-    return _print_verdict(verdict, f"delegate {msg.target} -> {args.target}")
-
-
-def cmd_transfer(args) -> int:
-    secret = _load_secret(args.key)
-    handle = _handle_arg(args.handle, args.root)
-    target = parse_handle(args.target, handle.root_suffix_no_dot())
-    msg = srv.make_transfer(secret, handle, target, args.serial, ttl=args.ttl)
-    with _endpoint(args) as ep:
-        verdict = ep.apply_update(msg)
-    return _print_verdict(verdict, f"transfer {msg.target} -> {args.target}")
-
-
-def cmd_cancel(args) -> int:
-    secret = _load_secret(args.key)
-    handle = _handle_arg(args.handle, args.root)
-    msg = srv.make_cancel(secret, handle, args.serial, ttl=args.ttl)
-    with _endpoint(args) as ep:
-        verdict = ep.apply_update(msg)
-    return _print_verdict(verdict, f"cancel of {msg.target}")
-
-
-def cmd_compromise(args) -> int:
-    secret = _load_secret(args.key)
-    handle = _handle_arg(args.handle, args.root)
-    msg = srv.make_compromise(secret, handle, args.note, args.serial, ttl=args.ttl)
-    with _endpoint(args) as ep:
-        verdict = ep.apply_update(msg)
-    return _print_verdict(verdict, f"compromise notice for {msg.target}")
+def _dest(args, handle: Handle) -> Handle:
+    """The handle a delegate or transfer points at, under handle's root."""
+    return parse_handle(args.target, handle.root_suffix_no_dot())
 
 
 def cmd_resolve(args) -> int:
@@ -146,8 +99,9 @@ def cmd_resolve(args) -> int:
             pinned = None
             if args.pin:
                 pinned = cl.HandleReference.load(args.pin).pinned_key
+            budget = srv.DEFAULT_DEPTH_BUDGET if args.depth_budget is None else args.depth_budget
             result = cl.resolve_and_verify(
-                handle, [ep], root, pinned_key=pinned, depth_budget=args.depth_budget
+                handle, [ep], root, pinned_key=pinned, depth_budget=budget
             )
             resolution = result.resolution
         else:
@@ -201,9 +155,7 @@ def cmd_audit(args) -> int:
             return _print_verdict(verdict, f"audit subscription for {handle.fqdn_no_dot()}")
         for item in backlog:
             update = item["update"]
-            tag = "accepted" if item["verdict"]["accepted"] else (
-                f"rejected:{item['verdict']['reason']}"
-            )
+            tag = srv.Verdict.from_dict(item["verdict"]).tag()
             print(f"past {update['action']} {update['target']} serial={update['serial']} {tag}")
         if not args.follow:
             return 0
@@ -214,10 +166,7 @@ def cmd_audit(args) -> int:
                 if event is None:
                     continue
                 update = event["update"]
-                verdict_info = event["verdict"]
-                tag = "accepted" if verdict_info["accepted"] else (
-                    f"rejected:{verdict_info['reason']}"
-                )
+                tag = srv.Verdict.from_dict(event["verdict"]).tag()
                 print(
                     f"event seq={event['seq']} {update['action']} {update['target']} "
                     f"serial={update['serial']} {tag} at {event['stamp']}"
@@ -308,45 +257,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("claim", help="claim the apex handle for a key")
-    add_common(p)
+    def add_update(name, summary, context, build, *positionals):
+        p = sub.add_parser(name, help=summary)
+        add_common(p)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=cmd_update, build=build, context=context)
+        return p
+
+    p = add_update(
+        "claim", "claim the apex handle for a key", "claim of {name}",
+        lambda a, key, _: srv.make_claim(key, a.root, a.suffix_len, a.serial, ttl=a.ttl),
+    )
     p.add_argument("--suffix-len", type=int, default=16,
                    help="hex digits of the key hash to embed in the label")
-    p.set_defaults(func=cmd_claim)
-
-    p = sub.add_parser("create", help="create a child handle")
-    add_common(p)
-    p.add_argument("handle")
-    p.set_defaults(func=cmd_create)
-
-    p = sub.add_parser("assign", help="bind a network address to a handle")
-    add_common(p)
-    p.add_argument("handle")
-    p.add_argument("address")
-    p.set_defaults(func=cmd_assign)
-
-    p = sub.add_parser("delegate", help="point a handle at another handle")
-    add_common(p)
-    p.add_argument("handle")
-    p.add_argument("target")
-    p.set_defaults(func=cmd_delegate)
-
-    p = sub.add_parser("transfer", help="irrevocably hand a handle to another key")
-    add_common(p)
-    p.add_argument("handle")
-    p.add_argument("target")
-    p.set_defaults(func=cmd_transfer)
-
-    p = sub.add_parser("cancel", help="irrevocably cancel a handle")
-    add_common(p)
-    p.add_argument("handle")
-    p.set_defaults(func=cmd_cancel)
-
-    p = sub.add_parser("compromise", help="mark a key compromised as of a date")
-    add_common(p)
-    p.add_argument("handle")
+    add_update(
+        "create", "create a child handle", "create of {name}",
+        lambda a, key, h: srv.make_create_child(key, h, a.serial, ttl=a.ttl), "handle",
+    )
+    add_update(
+        "assign", "bind a network address to a handle", "assign {name} -> {address}",
+        lambda a, key, h: srv.make_assign(key, h, a.address, a.serial, ttl=a.ttl),
+        "handle", "address",
+    )
+    add_update(
+        "delegate", "point a handle at another handle", "delegate {name} -> {target}",
+        lambda a, key, h: srv.make_delegate(key, h, _dest(a, h), a.serial, ttl=a.ttl),
+        "handle", "target",
+    )
+    add_update(
+        "transfer", "irrevocably hand a handle to another key", "transfer {name} -> {target}",
+        lambda a, key, h: srv.make_transfer(key, h, _dest(a, h), a.serial, ttl=a.ttl),
+        "handle", "target",
+    )
+    add_update(
+        "cancel", "irrevocably cancel a handle", "cancel of {name}",
+        lambda a, key, h: srv.make_cancel(key, h, a.serial, ttl=a.ttl), "handle",
+    )
+    p = add_update(
+        "compromise", "mark a key compromised as of a date", "compromise notice for {name}",
+        lambda a, key, h: srv.make_compromise(key, h, a.note, a.serial, ttl=a.ttl), "handle",
+    )
     p.add_argument("--note", required=True, help="date as YYYY-MM-DD or DD/MM/YYYY")
-    p.set_defaults(func=cmd_compromise)
 
     p = sub.add_parser("resolve", help="resolve a handle to an address")
     add_common(p, key=False)

@@ -368,9 +368,19 @@ class HandleReference:
         handle = parse_handle(fields["handle"], root)
         pinned = None
         if "pinned_key" in fields:
-            key_bytes = base64.b64decode(fields["pinned_key"], validate=True)
-            pinned = PublicKey.from_key_bytes(key_bytes)
-            if "pinned_algorithm" in fields and pinned.algorithm != int(fields["pinned_algorithm"]):
+            try:
+                pinned = PublicKey.from_key_bytes(
+                    base64.b64decode(fields["pinned_key"], validate=True)
+                )
+            except (ValueError, OnhsError) as exc:  # binascii errors are ValueErrors
+                raise VerificationError(f"{path}: pinned_key does not decode: {exc}") from None
+            try:
+                algorithm = int(fields.get("pinned_algorithm", pinned.algorithm))
+            except ValueError:
+                raise VerificationError(
+                    f"{path}: pinned_algorithm {fields['pinned_algorithm']!r} is not a number"
+                ) from None
+            if algorithm != pinned.algorithm:
                 raise VerificationError(f"{path}: pinned key algorithm disagrees")
         superseded = None
         if "superseded_by" in fields:

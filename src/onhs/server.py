@@ -5,16 +5,20 @@ accepted updates, never on their arrival order or multiplicity:
 
   * per-(handle, rtype) slots keep the record set with the highest serial,
     ties broken by canonical payload text, then signature octets;
-  * cancel, transfer, and compromise record sets occupy sticky slots that
-    revocable updates cannot displace; a name's status is read from them;
-  * a sticky operation purges revocable slots in the subtree it kills, the
+  * a transfer's DNAME set and the sets records.is_irrevocable calls a
+    cancel or a compromise occupy sticky slots that revocable updates
+    cannot displace; a name's status is read from them;
+  * a sticky set purges revocable slots in the subtree it kills, the
     mirror image of the rule that rejects revocable updates arriving after
     it (KEY slots survive: verifiers always need the key);
   * every update carries the authority public key, which is checked against
     the apex label hash, so a message is verifiable on arrival even when it
-    outruns the claim it depends on.
+    outruns the claim it depends on; once the apex is claimed it must also
+    be the key in the apex's KEY slot.
 
-walk holds the resolution rules; HandleServer.resolve and
+_action_records holds what each update action writes: the make_* builders
+sign its records, and HandleServer verifies an update against them. walk
+holds the resolution rules; HandleServer.resolve and
 client.verify_resolution both run it.
 """
 
@@ -49,7 +53,7 @@ from .errors import (
     ResolutionError,
     RRsetFormatError,
 )
-from .handles import Handle, HandleLabel, parse_handle
+from .handles import Handle, parse_handle
 # covering_nxt is not called in this module; it stays imported because
 # perfbench/tracer.py wraps it here by name.
 from .records import (
@@ -82,7 +86,6 @@ TRANSFER = "TRANSFER"
 COMPROMISE = "COMPROMISE"
 
 ACTIONS = (CLAIM, CREATE_CHILD, ASSIGN, DELEGATE, CANCEL, TRANSFER, COMPROMISE)
-STICKY_ACTIONS = (CANCEL, TRANSFER, COMPROMISE)
 
 R_BAD_SIGNATURE = "bad-signature"
 R_EXPIRED_SIGNATURE = "expired-signature"
@@ -110,6 +113,13 @@ class Verdict:
 
     def tag(self) -> str:
         return "accepted" if self.accepted else f"rejected:{self.reason}"
+
+    def to_dict(self) -> dict:
+        return {"accepted": self.accepted, "reason": self.reason, "detail": self.detail}
+
+    @staticmethod
+    def from_dict(data: dict) -> "Verdict":
+        return Verdict(bool(data["accepted"]), data.get("reason"), data.get("detail"))
 
     @staticmethod
     def from_tag(tag: str) -> "Verdict":
@@ -571,7 +581,6 @@ class HandleEntry:
     handle: Handle
     sort_key: SortKey
     slots: Dict[str, Slot] = field(default_factory=dict)
-    apex_key: Optional[PublicKey] = None
     log: array = field(default_factory=lambda: array("q"))  # offsets of its log lines
 
     def sticky(self, rtype: str) -> Optional[SignedRRset]:
@@ -608,11 +617,7 @@ class AuditEvent:
             "seq": self.seq,
             "handle": self.handle,
             "update": self.update.to_dict(),
-            "verdict": {
-                "accepted": self.verdict.accepted,
-                "reason": self.verdict.reason,
-                "detail": self.verdict.detail,
-            },
+            "verdict": self.verdict.to_dict(),
             "stamp": self.stamp,
         }
 
@@ -621,149 +626,7 @@ class _Malformed(OnhsError):
     """Internal: update payload failed structural validation."""
 
 
-# ---- update builders -------------------------------------------------------
-
-
-def _params_for(
-    secret: SecretKey, target: Handle, ttl: int, now: str, validity: int
-) -> SignatureParams:
-    return SignatureParams(
-        algorithm=secret.algorithm,
-        label_count=len(name_key(target.fqdn()).split(".")),
-        original_ttl=ttl,
-        expiration=stamp_add(now, validity),
-        inception=now,
-        signer=target.apex().fqdn_no_dot(),
-    )
-
-
-def _signed_message(
-    secret: SecretKey,
-    target: Handle,
-    action: str,
-    payload: dict,
-    serial: int,
-    records: Sequence[ResourceRecord],
-    ttl: int,
-    now: str,
-    validity: int,
-) -> UpdateMessage:
-    params = _params_for(secret, target, ttl, now, validity)
-    signature = crypto.sign_rrset(records, secret, params)
-    return UpdateMessage(
-        target=target.fqdn_no_dot(),
-        action=action,
-        payload=payload,
-        serial=serial,
-        signer_key=secret.public_key(),
-        signature=signature,
-    )
-
-
-def make_claim(
-    secret: SecretKey,
-    root_zone: str,
-    suffix_len: int,
-    serial: int = 1,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
-) -> UpdateMessage:
-    now = now or now_stamp()
-    pub = secret.public_key()
-    label = crypto.derive_pk_label(pub, suffix_len)
-    target = Handle(labels=(label,), root_suffix=strip_dot(root_zone))
-    rec = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="KEY", rdata=pub.key_bytes)
-    payload = {"key": base64.b64encode(pub.key_bytes).decode(), "algorithm": pub.algorithm, "ttl": ttl}
-    return _signed_message(secret, target, CLAIM, payload, serial, [rec], ttl, now, validity)
-
-
-def make_create_child(
-    secret: SecretKey,
-    target: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = DEFAULT_VALIDITY,
-) -> UpdateMessage:
-    now = now or now_stamp()
-    rec = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="TXT", rdata="Created")
-    return _signed_message(secret, target, CREATE_CHILD, {"ttl": ttl}, serial, [rec], ttl, now, validity)
-
-
-def _assignable(address: str) -> str:
-    """address, unless it is the one a cancel binds."""
-    if address == IMPOSSIBLE_ADDRESS:
-        raise _Malformed(f"address {IMPOSSIBLE_ADDRESS} is reserved for cancel")
-    return address
-
-
-def make_assign(
-    secret: SecretKey,
-    target: Handle,
-    address: str,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = DEFAULT_VALIDITY,
-) -> UpdateMessage:
-    now = now or now_stamp()
-    rec = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="A", rdata=_assignable(address))
-    payload = {"address": address, "ttl": ttl}
-    return _signed_message(secret, target, ASSIGN, payload, serial, [rec], ttl, now, validity)
-
-
-def make_delegate(
-    secret: SecretKey,
-    target: Handle,
-    delegate_to: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = DEFAULT_VALIDITY,
-) -> UpdateMessage:
-    now = now or now_stamp()
-    rec = ResourceRecord(
-        owner=target.fqdn_no_dot(), ttl=ttl, rtype="DNAME", rdata=delegate_to.fqdn_no_dot()
-    )
-    payload = {"target": delegate_to.fqdn_no_dot(), "ttl": ttl}
-    return _signed_message(secret, target, DELEGATE, payload, serial, [rec], ttl, now, validity)
-
-
-def make_transfer(
-    secret: SecretKey,
-    target: Handle,
-    transfer_to: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
-) -> UpdateMessage:
-    now = now or now_stamp()
-    rec = ResourceRecord(
-        owner=target.fqdn_no_dot(), ttl=ttl, rtype="DNAME", rdata=transfer_to.fqdn_no_dot()
-    )
-    payload = {"target": transfer_to.fqdn_no_dot(), "ttl": ttl}
-    return _signed_message(secret, target, TRANSFER, payload, serial, [rec], ttl, now, validity)
-
-
-def make_cancel(
-    secret: SecretKey,
-    target: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
-) -> UpdateMessage:
-    now = now or now_stamp()
-    rec = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="A", rdata=IMPOSSIBLE_ADDRESS)
-    return _signed_message(secret, target, CANCEL, {"ttl": ttl}, serial, [rec], ttl, now, validity)
+# ---- update actions --------------------------------------------------------
 
 
 def normalize_compromise_note(text: str) -> str:
@@ -781,6 +644,176 @@ def normalize_compromise_note(text: str) -> str:
     raise _Malformed(f"compromise date {text!r} not understood")
 
 
+def _action_records(
+    action: str, owner: str, payload: object, root_zone: str
+) -> List[Tuple[ResourceRecord, ...]]:
+    """The records of each signed set an update of action to owner carries:
+    one set, or for a compromise its TXT set and then its cancel's A set.
+
+    This is the one copy of what each action writes: the make_* builders
+    sign these records, and HandleServer verifies an update's signatures
+    over them. Raises _Malformed when payload cannot make them.
+    """
+    if not isinstance(payload, dict):
+        raise _Malformed("payload must be a mapping")
+    ttl = payload.get("ttl", DEFAULT_TTL)
+    if not isinstance(ttl, int) or ttl < 0:
+        raise _Malformed("bad ttl")
+
+    def one(rtype: str, rdata) -> Tuple[ResourceRecord, ...]:
+        return (ResourceRecord(owner=owner, ttl=ttl, rtype=rtype, rdata=rdata),)
+
+    try:
+        if action == CLAIM:
+            body_field(payload, "algorithm", int, "claim payload")
+            return [one("KEY", base64_field(payload, "key", "claim payload"))]
+        if action == CREATE_CHILD:
+            return [one("TXT", "Created")]
+        if action == ASSIGN:
+            address = payload.get("address")
+            if not isinstance(address, str):
+                raise _Malformed("assign payload needs an address")
+            if address == IMPOSSIBLE_ADDRESS:
+                raise _Malformed(f"address {IMPOSSIBLE_ADDRESS} is reserved for cancel")
+            return [one("A", address)]
+        if action in (DELEGATE, TRANSFER):
+            dest = payload.get("target")
+            if not isinstance(dest, str):
+                raise _Malformed(f"{action.lower()} payload needs a target")
+            return [one("DNAME", parse_handle(dest, root_zone).fqdn_no_dot())]
+        if action == CANCEL:
+            return [one("A", IMPOSSIBLE_ADDRESS)]
+        if action == COMPROMISE:
+            note = payload.get("note")
+            if not isinstance(note, str):
+                raise _Malformed("compromise payload needs a note date")
+            iso = normalize_compromise_note(note)
+            return [one("TXT", f"Compromised {iso}"), one("A", IMPOSSIBLE_ADDRESS)]
+    except (OnhsError, ValueError) as exc:
+        raise _Malformed(str(exc)) from exc
+    raise _Malformed(f"unknown action {action!r}")
+
+
+def _make_update(
+    secret: SecretKey,
+    target: Handle,
+    action: str,
+    payload: dict,
+    serial: int,
+    now: Optional[str],
+    validity: int,
+) -> UpdateMessage:
+    """The builders' shared body: sign each set _action_records gives. A
+    compromise's payload takes its cancel's signature."""
+    now = now or now_stamp()
+    params = SignatureParams(
+        algorithm=secret.algorithm,
+        label_count=len(name_key(target.fqdn()).split(".")),
+        original_ttl=payload["ttl"],
+        expiration=stamp_add(now, validity),
+        inception=now,
+        signer=target.apex().fqdn_no_dot(),
+    )
+    owner = target.fqdn_no_dot()
+    signatures = [
+        crypto.sign_rrset(records, secret, params)
+        for records in _action_records(action, owner, payload, target.root_suffix_no_dot())
+    ]
+    if action == COMPROMISE:
+        payload["cancel_signature"] = signature_to_dict(signatures[1])
+    return UpdateMessage(
+        target=owner,
+        action=action,
+        payload=payload,
+        serial=serial,
+        signer_key=secret.public_key(),
+        signature=signatures[0],
+    )
+
+
+def make_claim(
+    secret: SecretKey,
+    root_zone: str,
+    suffix_len: int,
+    serial: int = 1,
+    *,
+    ttl: int = DEFAULT_TTL,
+    now: Optional[str] = None,
+    validity: int = IRREVOCABLE_VALIDITY,
+) -> UpdateMessage:
+    pub = secret.public_key()
+    label = crypto.derive_pk_label(pub, suffix_len)
+    target = Handle(labels=(label,), root_suffix=strip_dot(root_zone))
+    payload = {"key": base64.b64encode(pub.key_bytes).decode(), "algorithm": pub.algorithm, "ttl": ttl}
+    return _make_update(secret, target, CLAIM, payload, serial, now, validity)
+
+
+def make_create_child(
+    secret: SecretKey,
+    target: Handle,
+    serial: int,
+    *,
+    ttl: int = DEFAULT_TTL,
+    now: Optional[str] = None,
+    validity: int = DEFAULT_VALIDITY,
+) -> UpdateMessage:
+    return _make_update(secret, target, CREATE_CHILD, {"ttl": ttl}, serial, now, validity)
+
+
+def make_assign(
+    secret: SecretKey,
+    target: Handle,
+    address: str,
+    serial: int,
+    *,
+    ttl: int = DEFAULT_TTL,
+    now: Optional[str] = None,
+    validity: int = DEFAULT_VALIDITY,
+) -> UpdateMessage:
+    payload = {"address": address, "ttl": ttl}
+    return _make_update(secret, target, ASSIGN, payload, serial, now, validity)
+
+
+def make_delegate(
+    secret: SecretKey,
+    target: Handle,
+    delegate_to: Handle,
+    serial: int,
+    *,
+    ttl: int = DEFAULT_TTL,
+    now: Optional[str] = None,
+    validity: int = DEFAULT_VALIDITY,
+) -> UpdateMessage:
+    payload = {"target": delegate_to.fqdn_no_dot(), "ttl": ttl}
+    return _make_update(secret, target, DELEGATE, payload, serial, now, validity)
+
+
+def make_transfer(
+    secret: SecretKey,
+    target: Handle,
+    transfer_to: Handle,
+    serial: int,
+    *,
+    ttl: int = DEFAULT_TTL,
+    now: Optional[str] = None,
+    validity: int = IRREVOCABLE_VALIDITY,
+) -> UpdateMessage:
+    payload = {"target": transfer_to.fqdn_no_dot(), "ttl": ttl}
+    return _make_update(secret, target, TRANSFER, payload, serial, now, validity)
+
+
+def make_cancel(
+    secret: SecretKey,
+    target: Handle,
+    serial: int,
+    *,
+    ttl: int = DEFAULT_TTL,
+    now: Optional[str] = None,
+    validity: int = IRREVOCABLE_VALIDITY,
+) -> UpdateMessage:
+    return _make_update(secret, target, CANCEL, {"ttl": ttl}, serial, now, validity)
+
+
 def make_compromise(
     secret: SecretKey,
     target: Handle,
@@ -791,20 +824,8 @@ def make_compromise(
     now: Optional[str] = None,
     validity: int = IRREVOCABLE_VALIDITY,
 ) -> UpdateMessage:
-    now = now or now_stamp()
-    iso = normalize_compromise_note(note_date)
-    txt = ResourceRecord(
-        owner=target.fqdn_no_dot(), ttl=ttl, rtype="TXT", rdata=f"Compromised {iso}"
-    )
-    addr = ResourceRecord(owner=target.fqdn_no_dot(), ttl=ttl, rtype="A", rdata=IMPOSSIBLE_ADDRESS)
-    params = _params_for(secret, target, ttl, now, validity)
-    cancel_sig = crypto.sign_rrset([addr], secret, params)
-    payload = {
-        "note": iso,
-        "ttl": ttl,
-        "cancel_signature": signature_to_dict(cancel_sig),
-    }
-    return _signed_message(secret, target, COMPROMISE, payload, serial, [txt], ttl, now, validity)
+    payload = {"note": normalize_compromise_note(note_date), "ttl": ttl}
+    return _make_update(secret, target, COMPROMISE, payload, serial, now, validity)
 
 
 # ---- the server ------------------------------------------------------------
@@ -911,18 +932,17 @@ class HandleServer:
         except OnhsError as exc:
             return Verdict.rejected(R_MALFORMED, str(exc))
 
-        apex_entry = self._entries.get(apex.name_key())
-        if apex_entry is not None and apex_entry.apex_key is not None:
-            if apex_entry.apex_key != msg.signer_key:
-                reason = R_ALREADY_CLAIMED if msg.action == CLAIM else R_WRONG_AUTHORITY
-                return Verdict.rejected(reason, "another key holds this apex")
+        held = self._apex_key(apex)
+        if held is not None and held != msg.signer_key:
+            reason = R_ALREADY_CLAIMED if msg.action == CLAIM else R_WRONG_AUTHORITY
+            return Verdict.rejected(reason, "another key holds this apex")
 
         try:
             rrsets = self._materialize(msg, target)
         except _Malformed as exc:
             return Verdict.rejected(R_MALFORMED, str(exc))
 
-        for _, rrset in rrsets:
+        for rrset in rrsets:
             assert rrset.signature is not None
             result = verify_rrset(rrset.records, rrset.signature, msg.signer_key, stamp)
             if not result.ok:
@@ -932,77 +952,40 @@ class HandleServer:
                     return Verdict.rejected(R_MALFORMED, "signature params mismatch")
                 return Verdict.rejected(R_BAD_SIGNATURE, result.reason)
 
-        gate = self._gate(msg, target)
+        gate = self._gate(msg.action, target, rrsets)
         if gate is not None:
             return gate
 
         self._commit(msg, target, rrsets)
         return Verdict.ok()
 
-    # -- materialization --
+    def _apex_key(self, handle: Handle) -> Optional[PublicKey]:
+        """The key in the KEY slot of handle's apex, put there by its claim
+        or by load_zone; None while the apex is unclaimed."""
+        entry = self._entries.get(handle.apex().name_key())
+        slot = entry.slots.get("KEY") if entry is not None else None
+        return None if slot is None else PublicKey.from_key_bytes(slot.rrset.records[0].rdata)
 
-    def _materialize(
-        self, msg: UpdateMessage, target: Handle
-    ) -> List[Tuple[bool, SignedRRset]]:
-        owner = target.fqdn_no_dot()
-        p = msg.payload
-        if not isinstance(p, dict):
-            raise _Malformed("payload must be a mapping")
-        ttl = p.get("ttl", DEFAULT_TTL)
-        if not isinstance(ttl, int) or ttl < 0:
-            raise _Malformed("bad ttl")
+    def _materialize(self, msg: UpdateMessage, target: Handle) -> List[SignedRRset]:
+        """The signed sets msg carries, as _action_records builds them. Only
+        a received update needs the two checks made here: a claim's payload
+        key is its signer's, and a compromise carries its cancel's signature."""
+        sets = _action_records(msg.action, target.fqdn_no_dot(), msg.payload, self.root_zone)
+        key = msg.signer_key
+        if msg.action == CLAIM and (
+            sets[0][0].rdata != key.key_bytes or msg.payload["algorithm"] != key.algorithm
+        ):
+            raise _Malformed("claim payload key differs from signer key")
+        signatures = [msg.signature]
         try:
-            if msg.action == CLAIM:
-                alg = body_field(p, "algorithm", int, "claim payload")
-                key_bytes = base64_field(p, "key", "claim payload")
-                if key_bytes != msg.signer_key.key_bytes or alg != msg.signer_key.algorithm:
-                    raise _Malformed("claim payload key differs from signer key")
-                rec = ResourceRecord(owner=owner, ttl=ttl, rtype="KEY", rdata=key_bytes)
-                return [(False, SignedRRset((rec,), msg.signature))]
-            if msg.action == CREATE_CHILD:
-                rec = ResourceRecord(owner=owner, ttl=ttl, rtype="TXT", rdata="Created")
-                return [(False, SignedRRset((rec,), msg.signature))]
-            if msg.action == ASSIGN:
-                address = p.get("address")
-                if not isinstance(address, str):
-                    raise _Malformed("assign payload needs an address")
-                rec = ResourceRecord(owner=owner, ttl=ttl, rtype="A", rdata=_assignable(address))
-                return [(False, SignedRRset((rec,), msg.signature))]
-            if msg.action in (DELEGATE, TRANSFER):
-                dest_text = p.get("target")
-                if not isinstance(dest_text, str):
-                    raise _Malformed(f"{msg.action.lower()} payload needs a target")
-                dest = parse_handle(dest_text, self.root_zone)
-                rec = ResourceRecord(
-                    owner=owner, ttl=ttl, rtype="DNAME", rdata=dest.fqdn_no_dot()
-                )
-                sticky = msg.action == TRANSFER
-                return [(sticky, SignedRRset((rec,), msg.signature))]
-            if msg.action == CANCEL:
-                rec = ResourceRecord(owner=owner, ttl=ttl, rtype="A", rdata=IMPOSSIBLE_ADDRESS)
-                return [(True, SignedRRset((rec,), msg.signature))]
             if msg.action == COMPROMISE:
-                note = p.get("note")
-                if not isinstance(note, str):
-                    raise _Malformed("compromise payload needs a note date")
-                iso = normalize_compromise_note(note)
-                txt = ResourceRecord(owner=owner, ttl=ttl, rtype="TXT", rdata=f"Compromised {iso}")
-                cancel_sig = signature_from_dict(
-                    body_field(p, "cancel_signature", dict, "compromise payload"),
+                signatures.append(signature_from_dict(
+                    body_field(msg.payload, "cancel_signature", dict, "compromise payload"),
                     "compromise payload field 'cancel_signature'",
-                )
-                addr = ResourceRecord(owner=owner, ttl=ttl, rtype="A", rdata=IMPOSSIBLE_ADDRESS)
-                return [
-                    (True, SignedRRset((txt,), msg.signature)),
-                    (True, SignedRRset((addr,), cancel_sig)),
-                ]
-        except _Malformed:
-            raise
-        except OnhsError as exc:
+                ))
+            return [SignedRRset(records, sig) for records, sig in zip(sets, signatures)]
+        except (OnhsError, ValueError) as exc:  # a signature that does not decode or fit
             raise _Malformed(str(exc)) from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _Malformed(str(exc)) from exc
-        raise _Malformed(f"unknown action {msg.action!r}")
 
     # -- gates --
 
@@ -1019,23 +1002,25 @@ class HandleServer:
                 )
         return None
 
-    def _gate(self, msg: UpdateMessage, target: Handle) -> Optional[Verdict]:
+    def _gate(
+        self, action: str, target: Handle, rrsets: List[SignedRRset]
+    ) -> Optional[Verdict]:
         entry = self._entries.get(target.name_key())
-        if msg.action == CLAIM:
+        if action == CLAIM:
             if not target.is_apex():
                 return Verdict.rejected(R_MALFORMED, "claim target must be an apex handle")
             return None
-        if msg.action == CREATE_CHILD:
+        if action == CREATE_CHILD:
             if target.is_apex():
                 return Verdict.rejected(R_UNKNOWN_PARENT, "an apex handle has no parent")
             return self._sticky_block(target)
-        if msg.action in (ASSIGN, DELEGATE):
+        if action in (ASSIGN, DELEGATE):
             return self._sticky_block(target)
-        if msg.action == TRANSFER:
+        if action == TRANSFER:
             if entry is not None:
                 if entry.cancelled:
                     return Verdict.rejected(R_HANDLE_CANCELLED)
-                dest = name_key(str(msg.payload.get("target", "")))
+                dest = name_key(rrsets[0].records[0].rdata)
                 moved = entry.sticky("DNAME")
                 if moved is not None and name_key(moved.records[0].rdata) != dest:
                     return Verdict.rejected(
@@ -1126,16 +1111,19 @@ class HandleServer:
             out.append(self._entries[_sort_key_name(index[i])])
         return out
 
-    def _commit(
-        self, msg: UpdateMessage, target: Handle, rrsets: List[Tuple[bool, SignedRRset]]
-    ) -> None:
+    def _commit(self, msg: UpdateMessage, target: Handle, rrsets: List[SignedRRset]) -> None:
+        """Merge msg's sets into target's slots. A transfer's DNAME and the
+        sets records.is_irrevocable calls a cancel or a compromise are
+        sticky, and committing one first purges the revocable subtree."""
         entry = self._ensure_entry(target)
-        if msg.action == CLAIM and entry.apex_key is None:
-            entry.apex_key = msg.signer_key
-        if msg.action in STICKY_ACTIONS:
+        slots = [
+            Slot(msg.serial, msg.action == TRANSFER or is_irrevocable(rrset), rrset)
+            for rrset in rrsets
+        ]
+        if any(slot.sticky for slot in slots):
             self._purge_revocable(target)
-        for sticky, rrset in rrsets:
-            self._merge_slot(entry, rrset.rtype, Slot(msg.serial, sticky, rrset))
+        for slot in slots:
+            self._merge_slot(entry, slot.rrset.rtype, slot)
 
     # -- audit --
 
@@ -1309,28 +1297,13 @@ class HandleServer:
             )
             entry = self._entries.get(handle.name_key())
             slot = entry.slots.get(rtype) if entry is not None else None
-            if rtype == "NXT" and slot is None:
-                proof = self._nxt_proof(handle, stamp)
-                cover = proof[0] if proof else None
-                return RecordAnswer(
-                    found=cover is not None,
-                    rrset=cover,
-                    status_records=status_records,
-                    proof=tuple(proof),
-                )
             if slot is not None:
-                return RecordAnswer(
-                    found=True,
-                    rrset=slot.rrset,
-                    status_records=status_records,
-                    proof=(),
-                )
-            return RecordAnswer(
-                found=False,
-                rrset=None,
-                status_records=status_records,
-                proof=tuple(self._nxt_proof(handle, stamp)),
-            )
+                return RecordAnswer(True, slot.rrset, status_records, ())
+            # an absent NXT set is answered by the covering record, which
+            # _nxt_proof always gives first
+            proof = tuple(self._nxt_proof(handle, stamp))
+            cover = proof[0] if rtype == "NXT" else None
+            return RecordAnswer(cover is not None, cover, status_records, proof)
 
     # -- zone materialization --
 
@@ -1462,10 +1435,7 @@ class HandleServer:
                 if rrset.rtype == "KEY":
                     if handle.name_key() not in keys:
                         continue
-                    entry = self._ensure_entry(handle)
-                    if entry.apex_key is None:
-                        entry.apex_key = keys[handle.name_key()]
-                    self._merge_slot(entry, "KEY", Slot(0, False, rrset))
+                    self._merge_slot(self._ensure_entry(handle), "KEY", Slot(0, False, rrset))
                     loaded += 1
                     continue
                 sig = rrset.signature
@@ -1501,7 +1471,7 @@ class HandleServer:
             lines = ["onhs-state-v1", f"root {name_key(self.root_zone)}"]
             for key in sorted(self._entries):
                 entry = self._entries[key]
-                if not entry.slots and entry.apex_key is None:
+                if not entry.slots:
                     # an ancestor shell left by vivification or purging;
                     # no query can distinguish it from absence
                     continue
@@ -1511,11 +1481,6 @@ class HandleServer:
                     f"compromised={int(entry.sticky('TXT') is not None)} "
                     f"transferred_to={name_key(moved.records[0].rdata) if moved else '-'}"
                 )
-                if entry.apex_key is not None:
-                    lines.append(
-                        f"  apexkey {entry.apex_key.algorithm} "
-                        f"{base64.b64encode(entry.apex_key.key_bytes).decode()}"
-                    )
                 for rtype in sorted(entry.slots):
                     slot = entry.slots[rtype]
                     lines.append(
@@ -1547,18 +1512,16 @@ class HandleServer:
             problems = []
             for key in sorted(self._entries):
                 entry = self._entries[key]
-                apex_entry = self._entries.get(entry.handle.apex().name_key())
-                apex_key = apex_entry.apex_key if apex_entry else None
+                apex_key = self._apex_key(entry.handle)
                 for rtype, slot in sorted(entry.slots.items()):
                     sig = slot.rrset.signature
                     if sig is None:
                         if rtype != "KEY":
                             problems.append(f"{key} {rtype}: unsigned")
                         continue
-                    verify_key = apex_key
-                    if verify_key is None:
+                    if apex_key is None:
                         continue  # never claimed: self-certified messages only
-                    result = verify_rrset(slot.rrset.records, sig, verify_key, stamp)
+                    result = verify_rrset(slot.rrset.records, sig, apex_key, stamp)
                     if not result.ok and result.reason == crypto.REJECT_EXPIRED:
                         if not slot.sticky:
                             problems.append(f"{key} {rtype}: expired signature")

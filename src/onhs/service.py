@@ -272,7 +272,7 @@ class HandleService:
         if msg.kind == wire.KIND_UPDATE:
             update = UpdateMessage.from_dict(body_field(body, "update", dict, "update request"))
             verdict = self.server.apply_update(update)
-            return _response(msg.correlation_id, {"verdict": _verdict_dict(verdict)})
+            return _response(msg.correlation_id, {"verdict": verdict.to_dict()})
         if msg.kind == wire.KIND_AUDIT_SUBSCRIBE:
             handle = parse_handle(body_field(body, "handle", str, "audit subscription"), root)
             sub_id = endpoint_id or str(body.get("endpoint_id", "")) or str(uuid.uuid4())
@@ -281,34 +281,18 @@ class HandleService:
             backlog = []
             if verdict.accepted and body.get("backlog", True):
                 backlog = [
-                    {"update": u.to_dict(), "verdict": _verdict_dict(v)}
+                    {"update": u.to_dict(), "verdict": v.to_dict()}
                     for u, v in self.entry_log(handle)
                 ]
             return _response(
                 msg.correlation_id,
                 {
-                    "verdict": _verdict_dict(verdict),
+                    "verdict": verdict.to_dict(),
                     "endpoint_id": sub_id,
                     "backlog": backlog,
                 },
             )
         return _error(msg.correlation_id, "bad-request", f"cannot serve kind {msg.kind}")
-
-
-def _verdict_dict(verdict: Verdict) -> dict:
-    return {
-        "accepted": verdict.accepted,
-        "reason": verdict.reason,
-        "detail": verdict.detail,
-    }
-
-
-def _verdict_from_dict(data: dict) -> Verdict:
-    return Verdict(
-        accepted=bool(data["accepted"]),
-        reason=data.get("reason"),
-        detail=data.get("detail"),
-    )
 
 
 def _response(correlation_id: str, body: dict) -> wire.WireMessage:
@@ -561,7 +545,7 @@ class RemoteEndpoint:
 
     def apply_update(self, msg: UpdateMessage, now: Optional[str] = None) -> Verdict:
         data = self._call(wire.KIND_UPDATE, {"update": msg.to_dict()})
-        return _verdict_from_dict(data["verdict"])
+        return Verdict.from_dict(data["verdict"])
 
     def subscribe_audit(
         self, handle: Handle, *, owner: bool = False, backlog: bool = True
@@ -570,4 +554,4 @@ class RemoteEndpoint:
             wire.KIND_AUDIT_SUBSCRIBE,
             {"handle": handle.fqdn_no_dot(), "owner": owner, "backlog": backlog},
         )
-        return _verdict_from_dict(data["verdict"]), list(data.get("backlog", []))
+        return Verdict.from_dict(data["verdict"]), list(data.get("backlog", []))

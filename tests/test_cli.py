@@ -154,6 +154,18 @@ def test_workflow_over_a_live_server(live, tmp_path):
     proc = run_cli("resolve", "--server", at, "--verify", leaf1, expect=0)
     assert "verified yes" in proc.stdout
 
+    # a delegated handle resolves through its DNAME to leaf1's address
+    pointer = f"h0k4.{apex1}"
+    run_cli("create", "--server", at, "--key", key1, "--serial", 2, pointer, expect=0)
+    proc = run_cli(
+        "delegate", "--server", at, "--key", key1, "--serial", 3, pointer, leaf1,
+        expect=0,
+    )
+    assert proc.stdout == f"accepted delegate {pointer} -> {leaf1}\n"
+    proc = run_cli("resolve", "--server", at, "--verify", pointer, expect=0)
+    assert "outcome ADDRESS" in proc.stdout and "address 10.0.0.1" in proc.stdout
+    assert "verified yes" in proc.stdout
+
     # record queries, present and missing
     proc = run_cli("query", "--server", at, leaf1, "A", expect=0)
     assert re.search(r"A 10\.0\.0\.1$", proc.stdout, re.M)

@@ -449,6 +449,24 @@ class TestHandleReference:
         assert back.pinned_key is not None
         assert crypto.verify_key_matches_label(back.pinned_key, back.handle.apex_label)
 
+    @pytest.mark.parametrize("line, damaged, named", [
+        ("pinned_key ", "pinned_key !!not-base64!!", "pinned_key does not decode"),
+        ("pinned_key ", "pinned_key AAAA", "pinned_key does not decode"),
+        ("pinned_algorithm ", "pinned_algorithm five", "pinned_algorithm 'five' is not a number"),
+    ])
+    def test_a_damaged_pin_line_is_a_verification_error(self, tmp_path, line, damaged, named):
+        fixture = Path(__file__).parent / "data" / "dict-form.ref"
+        original = fixture.read_text()
+        copy = tmp_path / "damaged.ref"
+        copy.write_text("".join(
+            damaged + "\n" if text.startswith(line) else text
+            for text in original.splitlines(keepends=True)
+            if not text.startswith("last_resolution ")
+        ))
+        with pytest.raises(VerificationError, match=named):
+            HandleReference.load(copy)
+        assert fixture.read_text() == original
+
     def test_transfer_moves_the_reference(self, example_zones):
         z = example_zones
         ref = HandleReference(handle=z.transferred)

@@ -1,0 +1,47 @@
+"""The update and updates.log line forms, pinned by a log from an earlier
+version of the program.
+
+data/parent-updates.log was written, update by update, by the server and
+make_* builders as they stood before the seven update actions shared one
+copy of their record rules (server._action_records). It uses RSA-1024
+keys, and every line arrived at 20260816120000 except one logged later to
+earn expired-signature. Its 30 lines hold all seven actions, and rejections
+for wrong-authority, handle-cancelled, handle-transferred,
+key-label-mismatch, bad-signature, expired-signature and six malformed
+payloads.
+"""
+
+from pathlib import Path
+
+from conftest import new_server
+
+from onhs.server import ACTIONS, Verdict, decode_log_line, encode_log_line
+
+FIXTURE = Path(__file__).parent / "data" / "parent-updates.log"
+
+
+def test_a_log_from_an_earlier_version_replays_line_for_line():
+    server = new_server()
+    actions, tags = set(), set()
+    for number, line in enumerate(FIXTURE.read_bytes().splitlines(keepends=True), 1):
+        msg, logged, stamp = decode_log_line(line)
+        verdict = server.apply_update(msg, now=stamp)
+        assert verdict.tag() == logged.tag(), (number, verdict)
+        assert (encode_log_line(msg, verdict, stamp) + "\n").encode() == line, number
+        actions.add(msg.action)
+        tags.add(verdict.tag())
+    assert set(ACTIONS) <= actions
+    assert {
+        "accepted",
+        "rejected:wrong-authority",
+        "rejected:handle-cancelled",
+        "rejected:malformed",
+    } <= tags
+
+
+def test_verdicts_travel_as_three_fields():
+    verdict = Verdict.rejected("malformed", "bad ttl")
+    assert verdict.to_dict() == {"accepted": False, "reason": "malformed", "detail": "bad ttl"}
+    assert Verdict.from_dict(verdict.to_dict()) == verdict
+    assert Verdict.ok().to_dict() == {"accepted": True, "reason": None, "detail": None}
+    assert Verdict.from_dict({"accepted": True}) == Verdict.ok()
