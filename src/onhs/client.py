@@ -1,14 +1,16 @@
 """Verifying resolver client.
 
 The client never trusts a resolution outcome as served. verify_resolution
-checks apex keys against the hash embedded in their label and every
-signature against the key of the zone its signer field names, then runs
-server.walk, which holds the resolution rules, over the sets that
-verified. A served answer whose evidence does not reproduce the same
-outcome and address is reported unverified. Denial proofs are checked
-against the served root server key, which only authenticates the root
-server itself; that weaker trust level is surfaced as a warning, not
-hidden.
+checks each evidence set by the server's own rule: an apex key counts
+only from a KEY set at an apex whose label its hash matches
+(server.apex_key), and any other set only under the key of its owner's
+apex with that apex named as signer (server.signed_set_verdict). It then
+runs server.walk, which holds the resolution rules, over the sets that
+counted. A served answer whose evidence does not reproduce the same
+outcome and address is reported unverified. NXT sets count only under
+the served root key with the root as signer; that key only authenticates
+the root server itself, and the weaker trust is surfaced as a warning,
+not hidden.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from . import crypto, server as srv
-from .crypto import PublicKey, SecretKey, now_stamp, verify_key_matches_label, verify_rrset
+from .crypto import PublicKey, SecretKey, now_stamp
 from .errors import (
     DelegationLoopError,
     DepthExceededError,
@@ -37,6 +39,8 @@ from .server import (
     RecordAnswer,
     Resolution,
     UpdateMessage,
+    V_OK,
+    V_STALE,
     Verdict,
 )
 
@@ -54,9 +58,6 @@ class ResolverEndpoint(Protocol):
 
 
 # ---- verification ----------------------------------------------------------
-
-V_OK = "ok"
-V_STALE = "stale-irrevocable"
 
 
 class VerifiedSignatures(LruCache):
@@ -114,105 +115,45 @@ def verify_resolution(
 ) -> VerifiedResolution:
     """Check a served resolution bottom-up from its evidence."""
     stamp = now or now_stamp()
-    root_key_name = name_key(root_zone)
+    root = name_key(root_zone)
     failures: List[str] = []
     warnings: List[str] = list(resolution.warnings)
     verdicts: List[Tuple[str, str, str]] = []
 
-    # Pass 1: establish zone keys from KEY evidence. A handle apex key must
-    # hash-match its own label; the root server key is taken as served and
-    # only ever vouches for denial records.
-    zone_keys: Dict[str, PublicKey] = {}
-    server_key: Optional[PublicKey] = None
+    # One pass over the evidence. A KEY set counts when apex_key binds its
+    # owner's first one; keys are bound on first use, since the root's
+    # follows the denial records it signs. Any other set counts when
+    # signed_set_verdict accepts it, a stale one only if irrevocable or a
+    # transfer notice.
+    key_sets: Dict[str, SignedRRset] = {}
     for rrset in resolution.evidence:
-        if rrset.rtype != "KEY":
-            continue
+        if rrset.rtype == "KEY":
+            key_sets.setdefault(name_key(rrset.owner), rrset)
+    keys = srv.ApexKeys(key_sets, root)
+    notice_ids = set(resolution.transfer_notices)
+    good: Dict[Tuple[str, str], List[SignedRRset]] = {}
+    for rrset in resolution.evidence:
         owner = name_key(rrset.owner)
-        rec = rrset.records[0]
-        assert isinstance(rec.rdata, bytes)
-        try:
-            key = PublicKey.from_key_bytes(rec.rdata)
-        except OnhsError as exc:
-            failures.append(f"{owner} KEY: {exc}")
-            verdicts.append((owner, "KEY", "bad-key-bytes"))
-            continue
-        if owner == root_key_name:
-            server_key = key
-            verdicts.append((owner, "KEY", V_OK))
-            continue
-        try:
-            apex = parse_handle(rrset.owner, root_zone)
-        except OnhsError as exc:
-            failures.append(f"{owner} KEY: not a handle under {root_zone}: {exc}")
-            verdicts.append((owner, "KEY", "bad-owner"))
-            continue
-        if not apex.is_apex():
-            failures.append(f"{owner} KEY: key evidence below an apex")
-            verdicts.append((owner, "KEY", "bad-owner"))
-            continue
-        try:
-            bound = verify_key_matches_label(key, apex.apex_label)
-        except OnhsError:
-            bound = False
-        if not bound:
-            failures.append(f"{owner} KEY: key hash does not match the label")
-            verdicts.append((owner, "KEY", "label-mismatch"))
-            continue
-        zone_keys[owner] = key
-        verdicts.append((owner, "KEY", V_OK))
+        if rrset.rtype == "KEY":
+            why = keys[owner][1] if rrset == key_sets[owner] else "conflicting-key"
+        else:
+            sticky = is_irrevocable(rrset) or (rrset.rtype == "DNAME" and rrset in notice_ids)
+            why = srv.signed_set_verdict(rrset, keys.key, root, stamp, sticky, verified_signatures)
+        verdicts.append((owner, rrset.rtype, why))
+        if why == V_STALE:
+            warnings.append(f"{V_STALE} {owner} {rrset.rtype}")
+        if why in (V_OK, V_STALE):
+            good.setdefault((owner, rrset.rtype), []).append(rrset)
+        else:
+            failures.append(f"{owner} {rrset.rtype}: {why}")
 
     if pinned_key is not None:
         apex_owner = queried.apex().name_key()
-        served = zone_keys.get(apex_owner)
+        served = keys.key(apex_owner)
         if served is None:
             failures.append(f"pinned key check: no verified key served for {apex_owner}")
         elif served != pinned_key:
             failures.append(f"pinned key check: served key for {apex_owner} differs from pin")
-
-    # Pass 2: verify every signed evidence set against its signer's zone key.
-    notice_ids = set(resolution.transfer_notices)
-    good: Dict[Tuple[str, str], List[SignedRRset]] = {}
-
-    def note_good(rrset: SignedRRset) -> None:
-        good.setdefault((name_key(rrset.owner), rrset.rtype), []).append(rrset)
-
-    for rrset in resolution.evidence:
-        owner = name_key(rrset.owner)
-        if rrset.rtype == "KEY":
-            if (owner, "KEY") not in good and (
-                owner in zone_keys or owner == root_key_name
-            ):
-                note_good(rrset)
-            continue
-        sig = rrset.signature
-        if sig is None:
-            failures.append(f"{owner} {rrset.rtype}: unsigned evidence")
-            verdicts.append((owner, rrset.rtype, "unsigned"))
-            continue
-        signer = name_key(sig.params.signer)
-        if signer == root_key_name:
-            key = server_key
-        else:
-            key = zone_keys.get(signer)
-        if key is None:
-            failures.append(f"{owner} {rrset.rtype}: no verified key for signer {signer}")
-            verdicts.append((owner, rrset.rtype, "no-signer-key"))
-            continue
-        result = verify_rrset(
-            rrset.records, sig, key, stamp, verified_signatures, rrset.canonical
-        )
-        if result.ok:
-            verdicts.append((owner, rrset.rtype, V_OK))
-            note_good(rrset)
-        elif result.reason == crypto.REJECT_EXPIRED and (
-            is_irrevocable(rrset) or rrset in notice_ids
-        ):
-            warnings.append(f"{V_STALE} {owner} {rrset.rtype}")
-            verdicts.append((owner, rrset.rtype, V_STALE))
-            note_good(rrset)
-        else:
-            failures.append(f"{owner} {rrset.rtype}: {result.reason}")
-            verdicts.append((owner, rrset.rtype, result.reason or "bad-signature"))
 
     # Every transfer notice must itself be one of the verified evidence
     # sets; update_reference follows notices, so an unchecked one would
@@ -225,7 +166,7 @@ def verify_resolution(
             )
             verdicts.append((owner, notice.rtype, "unverified-notice"))
 
-    # Pass 3: re-walk from the verified evidence only and compare outcomes.
+    # Re-walk from the verified evidence only and compare outcomes.
     first: Dict[str, Dict[str, SignedRRset]] = {}
     for (owner, rtype), sets in good.items():
         first.setdefault(owner, {})[rtype] = sets[0]
@@ -243,7 +184,7 @@ def verify_resolution(
     else:
         outcome, address = found.outcome, found.address
         if outcome == OUTCOME_NOT_FOUND:
-            if _nxt_covers(good, found.final, server_key) is None:
+            if _nxt_covers(good, found.final) is None:
                 failures.append(f"no denial proof covers {found.final.fqdn_no_dot()}")
             else:
                 warnings.append("nxt-server-trust")
@@ -266,13 +207,9 @@ def verify_resolution(
 
 
 def _nxt_covers(
-    good: Dict[Tuple[str, str], List[SignedRRset]],
-    target: Handle,
-    server_key: Optional[PublicKey],
+    good: Dict[Tuple[str, str], List[SignedRRset]], target: Handle
 ) -> Optional[SignedRRset]:
     """A verified NXT record whose span contains the target name, if any."""
-    if server_key is None:
-        return None
     tgt = canonical_sort_key(target.fqdn_no_dot())
     for (owner_key, rtype), sets in good.items():
         if rtype != "NXT":
@@ -448,28 +385,24 @@ class UpgradeReport:
 
 def _enumerate_owner_zone(
     endpoint: ResolverEndpoint, apex: Handle, root_zone: str, limit: int = 10000
-) -> List[Handle]:
-    """Walk the owner zone's denial chain to list every name with records."""
+) -> Tuple[List[Handle], Optional[str]]:
+    """Walk the owner zone's denial chain to list every name with records.
+
+    Returns the names and None, or the names met and why the list is not
+    whole: a hop's NXT query came back not found, or the chain did not
+    close within limit names.
+    """
     out: List[Handle] = []
     answer = endpoint.query_record(apex, "NXT")
-    if not answer.found or answer.rrset is None:
-        return out
-    start = name_key(answer.rrset.records[0].owner)
-    node = answer.rrset
     for _ in range(limit):
-        owner_text = node.records[0].owner
-        handle = parse_handle(owner_text, root_zone)
-        out.append(handle)
-        next_owner = node.records[0].rdata.next_owner
-        if name_key(next_owner) == start:
-            break
-        nxt_answer = endpoint.query_record(
-            parse_handle(next_owner, root_zone), "NXT"
-        )
-        if not nxt_answer.found or nxt_answer.rrset is None:
-            break
-        node = nxt_answer.rrset
-    return out
+        if not answer.found or answer.rrset is None:
+            return out, f"no NXT record found after {len(out)} names"
+        rec = answer.rrset.records[0]
+        out.append(parse_handle(rec.owner, root_zone))
+        if name_key(rec.rdata.next_owner) == out[0].name_key():
+            return out, None
+        answer = endpoint.query_record(parse_handle(rec.rdata.next_owner, root_zone), "NXT")
+    return out, f"the NXT chain did not close within {limit} names"
 
 
 def key_upgrade(
@@ -507,7 +440,10 @@ def key_upgrade(
     report.new_apex = new_apex
     serial += 1
 
-    owners = _enumerate_owner_zone(endpoint, old_apex, root_zone)
+    owners, gap = _enumerate_owner_zone(endpoint, old_apex, root_zone)
+    if gap is not None:
+        report.warnings.append(f"cannot list {old_apex.fqdn_no_dot()}: {gap}")
+        return report
     replicated: List[Tuple[Handle, str, str]] = []  # (new handle, rtype, rdata)
     for owner in owners:
         if owner.name_key() == old_apex.name_key():

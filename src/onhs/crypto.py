@@ -19,7 +19,7 @@ import hashlib
 import re
 import struct
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa

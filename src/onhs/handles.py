@@ -147,12 +147,13 @@ def parse_label(text: str) -> HandleLabel:
     raise LabelSyntaxError(f"label {text!r} does not match any handle form")
 
 
-def _strip_dot(name: str) -> str:
+def strip_dot(name: str) -> str:
     return name[:-1] if name.endswith(".") else name
 
 
-def _norm(name: str) -> str:
-    return _strip_dot(name).lower()
+def name_key(name: str) -> str:
+    """Case-folded, dot-stripped map key for a domain name."""
+    return strip_dot(name).lower()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -177,7 +178,7 @@ class Handle:
         for lab in self.labels[1:]:
             if lab.kind not in (IA, OA):
                 raise HandleStructureError("labels below the apex must be IA or OA")
-        root = _strip_dot(self.root_suffix)
+        root = strip_dot(self.root_suffix)
         if not root:
             raise HandleStructureError("empty root suffix")
         for part in root.split("."):
@@ -197,14 +198,14 @@ class Handle:
         return self._fqdn
 
     def fqdn_no_dot(self) -> str:
-        return _strip_dot(self._fqdn)
+        return strip_dot(self._fqdn)
 
     def root_suffix_no_dot(self) -> str:
-        return _strip_dot(self.root_suffix)
+        return strip_dot(self.root_suffix)
 
     def name_key(self) -> str:
         """Case-folded, dot-stripped form for use as a map key."""
-        return _norm(self._fqdn)
+        return name_key(self._fqdn)
 
     def __str__(self) -> str:
         return self._fqdn
@@ -217,10 +218,12 @@ class Handle:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Handle):
             return NotImplemented
-        return self.labels == other.labels and _norm(self.root_suffix) == _norm(other.root_suffix)
+        return self.labels == other.labels and (
+            name_key(self.root_suffix) == name_key(other.root_suffix)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.labels, _norm(self.root_suffix)))
+        return hash((self.labels, name_key(self.root_suffix)))
 
     # -- structure --
 
@@ -250,7 +253,7 @@ class Handle:
 
     def is_under(self, other: "Handle") -> bool:
         """True when this handle sits strictly below other."""
-        if _norm(self.root_suffix) != _norm(other.root_suffix):
+        if name_key(self.root_suffix) != name_key(other.root_suffix):
             return False
         return (
             len(self.labels) > len(other.labels)
@@ -276,9 +279,9 @@ def parse_handle(text: str, root_suffix: str) -> Handle:
     re-rendering reproduces the input byte for byte (hex case aside, which
     canonicalizes to uppercase).
     """
-    stripped = _strip_dot(text)
-    root = _strip_dot(root_suffix)
-    if _norm(text) == root.lower():
+    stripped = strip_dot(text)
+    root = strip_dot(root_suffix)
+    if name_key(text) == root.lower():
         raise HandleStructureError(f"{text!r} is the root itself, not a handle")
     tail = f".{root}".lower()
     if not stripped.lower().endswith(tail):
@@ -296,7 +299,7 @@ def parse_handle_guess_root(text: str) -> Handle:
     """Parse a full name, taking the root to start at the first label that
     is not a handle label. Convenient for command lines; ambiguous only if
     the root zone itself begins with a handle-shaped label."""
-    stripped = _strip_dot(text)
+    stripped = strip_dot(text)
     parts = stripped.split(".")
     head_len = 0
     for part in parts:

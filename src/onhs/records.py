@@ -34,6 +34,7 @@ from .errors import (
     UnknownRecordTypeError,
     ZoneSyntaxError,
 )
+from .handles import name_key, strip_dot
 
 RRTYPES = ("SOA", "NS", "A", "KEY", "DNAME", "TXT", "NXT")
 _RTYPE_ORDER = {rt: i for i, rt in enumerate(RRTYPES)}
@@ -44,15 +45,6 @@ DEFAULT_TTL = 3600
 
 
 # ---- names ---------------------------------------------------------------
-
-
-def strip_dot(name: str) -> str:
-    return name[:-1] if name.endswith(".") else name
-
-
-def name_key(name: str) -> str:
-    """Case-folded, dot-stripped map key for a domain name."""
-    return strip_dot(name).lower()
 
 
 def canonical_sort_key(name: str) -> Tuple[bytes, ...]:

@@ -19,14 +19,18 @@ accepted updates, never on their arrival order or multiplicity:
 _action_records holds what each update action writes: the make_* builders
 sign its records, and HandleServer verifies an update against them. walk
 holds the resolution rules; HandleServer.resolve and
-client.verify_resolution both run it.
+client.verify_resolution both run it. apex_key and signed_set_verdict hold
+the rule for which key vouches for a signed set, which updates, zone
+loads, audit_store and client.verify_resolution all apply.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import datetime
 import json
+import re
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
@@ -53,7 +57,7 @@ from .errors import (
     ResolutionError,
     RRsetFormatError,
 )
-from .handles import Handle, parse_handle
+from .handles import Handle, parse_handle, parse_label
 # covering_nxt is not called in this module; it stays imported because
 # perfbench/tracer.py wraps it here by name.
 from .records import (
@@ -551,6 +555,102 @@ def walk(queried: Handle, lookup: Callable[[str], NodeSets], budget: int) -> Wal
             return done(OUTCOME_NOT_FOUND)
 
 
+# ---- which key vouches for a signed set ------------------------------------
+#
+# The one copy of the authority rule. HandleServer._process, load_zone,
+# audit_store and client.verify_resolution each give it their keys and map
+# its verdicts to their own vocabulary. Names here are name keys, and root
+# is the root zone's.
+
+V_OK = "ok"
+V_STALE = "stale-irrevocable"
+V_WRONG_SIGNER = "wrong-signer"
+V_NO_KEY = "no-signer-key"
+
+
+def zone_apex(owner: str, root: str) -> Optional[str]:
+    """The apex at or above owner, or None when owner is not below root."""
+    if not owner.endswith("." + root):
+        return None
+    return owner[:-len(root) - 1].rpartition(".")[2] + "." + root
+
+
+def apex_key(key_bytes: bytes, owner: str, root: str) -> Tuple[Optional[PublicKey], str]:
+    """Which key an owner's KEY set vouches with: (the key key_bytes
+    encode, V_OK) when owner is an apex under root whose PK label's
+    algorithm and hash suffix belong to that key, or is the root, whose key
+    is taken as served and vouches only for NXT sets; else (None, why):
+    bad-key-bytes, bad-owner or label-mismatch."""
+    try:
+        key = PublicKey.from_key_bytes(key_bytes)
+    except OnhsError:
+        return None, "bad-key-bytes"
+    if owner == root:
+        return key, V_OK
+    if zone_apex(owner, root) != owner:
+        return None, "bad-owner"
+    try:
+        bound = verify_key_matches_label(key, parse_label(owner[:-len(root) - 1]))
+    except OnhsError:  # not a PK label
+        return None, "bad-owner"
+    return (key, V_OK) if bound else (None, "label-mismatch")
+
+
+class ApexKeys(dict):
+    """owner -> apex_key of the KEY set key_sets holds for owner, worked
+    out on first use; (None, V_NO_KEY) where key_sets holds none."""
+
+    def __init__(self, key_sets: Mapping[str, SignedRRset], root: str) -> None:
+        super().__init__()
+        self.key_sets = key_sets
+        self.root = root
+
+    def __missing__(self, owner: str) -> Tuple[Optional[PublicKey], str]:
+        key_set = self.key_sets.get(owner)
+        self[owner] = bound = (
+            (None, V_NO_KEY) if key_set is None
+            else apex_key(key_set.records[0].rdata, owner, self.root)
+        )
+        return bound
+
+    def key(self, owner: str) -> Optional[PublicKey]:
+        return self[owner][0]
+
+
+def signed_set_verdict(
+    rrset: SignedRRset,
+    key_of: Callable[[str], Optional[PublicKey]],
+    root: str,
+    now: str,
+    sticky: bool,
+    check: crypto.SignatureCheck = crypto.rsa_check,
+) -> str:
+    """Whether rrset counts at now. Its authority is its owner's apex, or
+    the root for an NXT set; its signer field must name that authority,
+    and its signature must hold under key_of(authority), the key the
+    caller holds for it. A sticky set whose signature has expired still
+    counts, as V_STALE, when the signature holds at its inception.
+
+    Returns V_OK, V_STALE, or why not: unsigned, V_WRONG_SIGNER, V_NO_KEY
+    or a crypto.verify_rrset reason.
+    """
+    sig = rrset.signature
+    if sig is None:
+        return "unsigned"
+    authority = root if rrset.rtype == "NXT" else zone_apex(name_key(rrset.owner), root)
+    if authority is None or name_key(sig.params.signer) != authority:
+        return V_WRONG_SIGNER
+    key = key_of(authority)
+    if key is None:
+        return V_NO_KEY
+    stale = sticky and crypto.check_stamp(now) >= sig.params.expiration
+    at = sig.params.inception if stale else now
+    result = verify_rrset(rrset.records, sig, key, at, check, rrset.canonical)
+    if not result.ok:
+        return result.reason
+    return V_STALE if stale else V_OK
+
+
 # ---- internal state --------------------------------------------------------
 
 SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
@@ -630,18 +730,22 @@ class _Malformed(OnhsError):
 
 
 def normalize_compromise_note(text: str) -> str:
-    """Accept ISO YYYY-MM-DD or legacy DD/MM/YYYY; return ISO."""
+    """Accept ISO YYYY-MM-DD or legacy DD/MM/YYYY naming a day that
+    exists; return ISO."""
     text = text.strip()
-    import re as _re
-
-    m = _re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", text)
-    if m:
-        return text
-    m = _re.fullmatch(r"(\d{2})/(\d{2})/(\d{4})", text)
-    if m:
-        day, month, year = m.group(1), m.group(2), m.group(3)
-        return f"{year}-{month}-{day}"
-    raise _Malformed(f"compromise date {text!r} not understood")
+    iso = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", text)
+    legacy = re.fullmatch(r"(\d{2})/(\d{2})/(\d{4})", text)
+    if iso:
+        year, month, day = iso.groups()
+    elif legacy:
+        day, month, year = legacy.groups()
+    else:
+        raise _Malformed(f"compromise date {text!r} not understood")
+    try:
+        datetime.date(int(year), int(month), int(day))
+    except ValueError as exc:
+        raise _Malformed(f"compromise date {text!r}: {exc}") from None
+    return f"{year}-{month}-{day}"
 
 
 def _action_records(
@@ -925,12 +1029,11 @@ class HandleServer:
             return Verdict.rejected(R_MALFORMED, str(exc))
 
         apex = target.apex()
-        try:
-            if not verify_key_matches_label(msg.signer_key, apex.apex_label):
-                reason = R_KEY_LABEL_MISMATCH if msg.action == CLAIM else R_WRONG_AUTHORITY
-                return Verdict.rejected(reason, "key hash does not end in the label suffix")
-        except OnhsError as exc:
-            return Verdict.rejected(R_MALFORMED, str(exc))
+        apex_name, root = apex.name_key(), name_key(self.root_zone)
+        _, why = apex_key(msg.signer_key.key_bytes, apex_name, root)
+        if why != V_OK:
+            reason = R_KEY_LABEL_MISMATCH if msg.action == CLAIM else R_WRONG_AUTHORITY
+            return Verdict.rejected(reason, "key hash does not end in the label suffix")
 
         held = self._apex_key(apex)
         if held is not None and held != msg.signer_key:
@@ -942,15 +1045,19 @@ class HandleServer:
         except _Malformed as exc:
             return Verdict.rejected(R_MALFORMED, str(exc))
 
+        key_of = {apex_name: msg.signer_key}.get
         for rrset in rrsets:
-            assert rrset.signature is not None
-            result = verify_rrset(rrset.records, rrset.signature, msg.signer_key, stamp)
-            if not result.ok:
-                if result.reason == crypto.REJECT_EXPIRED:
-                    return Verdict.rejected(R_EXPIRED_SIGNATURE)
-                if result.reason == crypto.REJECT_PARAMS_MISMATCH:
-                    return Verdict.rejected(R_MALFORMED, "signature params mismatch")
-                return Verdict.rejected(R_BAD_SIGNATURE, result.reason)
+            why = signed_set_verdict(rrset, key_of, root, stamp, sticky=False)
+            if why == V_WRONG_SIGNER:
+                return Verdict.rejected(
+                    R_WRONG_AUTHORITY, f"signer {rrset.signature.params.signer} is not the apex"
+                )
+            if why == crypto.REJECT_EXPIRED:
+                return Verdict.rejected(R_EXPIRED_SIGNATURE)
+            if why == crypto.REJECT_PARAMS_MISMATCH:
+                return Verdict.rejected(R_MALFORMED, "signature params mismatch")
+            if why != V_OK:
+                return Verdict.rejected(R_BAD_SIGNATURE, why)
 
         gate = self._gate(msg.action, target, rrsets)
         if gate is not None:
@@ -1383,83 +1490,37 @@ class HandleServer:
     ) -> Tuple[int, List[str]]:
         """Ingest record sets from parsed zone text.
 
-        Apex KEY sets establish zone keys (hash-checked against the label).
-        Every other set must verify against the key of the zone its signer
-        names, expired signatures allowed only for irrevocable content.
-        Returns (sets loaded, problems for sets skipped). A bare DNAME is
-        taken as a delegation; a set records.is_irrevocable calls a cancel
-        or a compromise takes a sticky slot.
+        An apex KEY set counts when apex_key binds it, and every other set
+        when signed_set_verdict accepts it under the key of its owner's
+        apex, an expired signature only on content records.is_irrevocable
+        calls a cancel or a compromise, which takes a sticky slot. A bare
+        DNAME is taken as a delegation. Returns (sets loaded, problems for
+        sets skipped).
         """
         with self._lock:
             stamp = now or now_stamp()
+            root = name_key(self.root_zone)
+            keys = ApexKeys({o: s for (o, rtype), s in zone.rrsets.items() if rtype == "KEY"}, root)
             loaded = 0
             problems: List[str] = []
-            keys: Dict[str, PublicKey] = {}
-            handles: Dict[str, Handle] = {}
-
-            def handle_for(owner: str) -> Optional[Handle]:
-                nk = name_key(owner)
-                if nk not in handles:
-                    try:
-                        handles[nk] = parse_handle(owner, self.root_zone)
-                    except OnhsError:
-                        return None
-                return handles[nk]
-
             for rrset in zone.ordered_rrsets():
-                if rrset.rtype != "KEY":
-                    continue
-                handle = handle_for(rrset.owner)
-                if handle is None or not handle.is_apex():
-                    continue
-                rdata = rrset.records[0].rdata
-                assert isinstance(rdata, bytes)
                 try:
-                    key = PublicKey.from_key_bytes(rdata)
-                except OnhsError as exc:
-                    problems.append(f"{rrset.owner} KEY: {exc}")
-                    continue
-                if not verify_key_matches_label(key, handle.apex_label):
-                    problems.append(f"{rrset.owner} KEY: hash does not match label")
-                    continue
-                keys[handle.name_key()] = key
-
-            for rrset in zone.ordered_rrsets():
-                handle = handle_for(rrset.owner)
-                if handle is None:
-                    if name_key(rrset.owner) != name_key(self.root_zone):
+                    handle = parse_handle(rrset.owner, self.root_zone)
+                except OnhsError:
+                    if name_key(rrset.owner) != root:
                         problems.append(f"{rrset.owner}: not a handle under the root")
                     continue
                 if rrset.rtype in ("NXT", "SOA", "NS"):
                     continue  # derived or operator-owned; never ingested
-                if rrset.rtype == "KEY":
-                    if handle.name_key() not in keys:
-                        continue
-                    self._merge_slot(self._ensure_entry(handle), "KEY", Slot(0, False, rrset))
-                    loaded += 1
-                    continue
-                sig = rrset.signature
-                if sig is None:
-                    problems.append(f"{rrset.owner} {rrset.rtype}: unsigned")
-                    continue
-                signer_key = keys.get(name_key(sig.params.signer))
-                if signer_key is None:
-                    problems.append(
-                        f"{rrset.owner} {rrset.rtype}: no key for signer {sig.params.signer}"
-                    )
-                    continue
                 sticky = is_irrevocable(rrset)
-                result = verify_rrset(rrset.records, sig, signer_key, stamp)
-                if not result.ok:
-                    if result.reason == crypto.REJECT_EXPIRED and sticky:
-                        pass  # irrevocable content outlives its signature
-                    else:
-                        problems.append(
-                            f"{rrset.owner} {rrset.rtype}: {result.reason}"
-                        )
-                        continue
-                entry = self._ensure_entry(handle)
-                self._merge_slot(entry, rrset.rtype, Slot(0, sticky, rrset))
+                if rrset.rtype == "KEY":
+                    why = keys[handle.name_key()][1]
+                else:
+                    why = signed_set_verdict(rrset, keys.key, root, stamp, sticky)
+                if why not in (V_OK, V_STALE):
+                    problems.append(f"{rrset.owner} {rrset.rtype}: {why}")
+                    continue
+                self._merge_slot(self._ensure_entry(handle), rrset.rtype, Slot(0, sticky, rrset))
                 loaded += 1
             return loaded, problems
 
@@ -1504,28 +1565,23 @@ class HandleServer:
         """Cross-check every stored record set against its authority key.
 
         Returns human-readable violations; an empty list means the store is
-        internally consistent. Expired signatures on sticky slots are fine
-        (irrevocable records outlive their signatures by design).
+        internally consistent. Sets under an apex nobody claimed are
+        skipped (their updates were self-certified), and so are unsigned
+        KEY sets; expired signatures on sticky slots are fine.
         """
         with self._lock:
             stamp = now or now_stamp()
+            root = name_key(self.root_zone)
+            keys = ApexKeys({
+                key: entry.slots["KEY"].rrset
+                for key, entry in self._entries.items() if "KEY" in entry.slots
+            }, root)
             problems = []
             for key in sorted(self._entries):
-                entry = self._entries[key]
-                apex_key = self._apex_key(entry.handle)
-                for rtype, slot in sorted(entry.slots.items()):
-                    sig = slot.rrset.signature
-                    if sig is None:
-                        if rtype != "KEY":
-                            problems.append(f"{key} {rtype}: unsigned")
-                        continue
-                    if apex_key is None:
-                        continue  # never claimed: self-certified messages only
-                    result = verify_rrset(slot.rrset.records, sig, apex_key, stamp)
-                    if not result.ok and result.reason == crypto.REJECT_EXPIRED:
-                        if not slot.sticky:
-                            problems.append(f"{key} {rtype}: expired signature")
-                        continue
-                    if not result.ok:
-                        problems.append(f"{key} {rtype}: {result.reason}")
+                for rtype, slot in sorted(self._entries[key].slots.items()):
+                    why = keys[key][1] if rtype == "KEY" else V_OK
+                    if why == V_OK and (rtype != "KEY" or slot.rrset.signature is not None):
+                        why = signed_set_verdict(slot.rrset, keys.key, root, stamp, slot.sticky)
+                    if why not in (V_OK, V_STALE, V_NO_KEY):
+                        problems.append(f"{key} {rtype}: {why}")
             return problems

@@ -14,7 +14,7 @@ import os
 import socket
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +26,6 @@ from .errors import (
     LogFormatError,
     MalformedFrameError,
     OnhsError,
-    WireError,
 )
 from .handles import Handle, parse_handle
 from .server import (

@@ -20,6 +20,10 @@ failure or warning. So must the wire: each answer also goes through
 Resolution.to_dict, JSON and Resolution.from_dict, and the copy that
 arrives, whose owner names are in lower case, must verify to the same
 verdicts, failures and warnings as the answer as served.
+
+Every verified answer must also stop verifying once one of its signed
+sets, other than a denial record or a KEY set, is re-signed by another
+owner's key, even with that owner's KEY set added to the evidence.
 """
 
 import json
@@ -35,6 +39,7 @@ from onhs.client import verified_signatures, verify_resolution
 from onhs.server import Resolution, received_sets
 from onhs.errors import DelegationLoopError, DepthExceededError
 from onhs.handles import Handle, HandleLabel, parse_handle
+from onhs.records import ResourceRecord, SignedRRset
 
 IA = HandleLabel.ia
 NOW = FIXED_NOW
@@ -54,7 +59,7 @@ def stored_and_absent(server, unclaimed: Handle) -> list:
     return stored + [h.child(HandleLabel.oa(9)) for h in stored] + [unclaimed]
 
 
-def assert_agree(server, handles) -> int:
+def assert_agree(server, handles, keypool) -> int:
     """Check every handle; return how many answers were verified."""
     verified = 0
     for handle in handles:
@@ -64,10 +69,30 @@ def assert_agree(server, handles) -> int:
             continue
         checked = verify_cold_and_warm(got, handle, NOW)
         assert checked.verified, (str(handle), got.outcome, got.address, checked.failures)
+        forged = resigned_by_another_owner(got, keypool)
+        if forged is not None:
+            assert not verify_resolution(forged, handle, ROOT, now=NOW).verified, str(handle)
         for later in LATER:
             verify_cold_and_warm(got, handle, later)
         verified += 1
     return verified
+
+
+def resigned_by_another_owner(got, keypool):
+    """got with its first set that is neither a denial record nor a KEY set
+    (which its label, not its signature, vouches for) re-signed by pool
+    key 4, which owns no name here, and that key's KEY set added to the
+    evidence; None when got has no such set."""
+    public, secret = keypool.key(4)
+    apex = apex_of(keypool, 4).fqdn_no_dot()
+    key_set = SignedRRset((ResourceRecord(apex, 3600, "KEY", public.key_bytes),))
+    for i, rrset in enumerate(got.evidence):
+        if rrset.rtype not in ("NXT", "KEY"):
+            params = replace(rrset.signature.params, signer=apex)
+            forged = SignedRRset(rrset.records, crypto.sign_rrset(rrset.records, secret, params))
+            evidence = (key_set,) + got.evidence[:i] + (forged,) + got.evidence[i + 1:]
+            return replace(got, evidence=evidence)
+    return None
 
 
 def verify_cold_and_warm(got, handle, now):
@@ -94,13 +119,13 @@ def verify_cold_and_warm_as(got, handle, now):
 def test_example_zones(keypool):
     zones = build_example_zones(keypool)
     handles = stored_and_absent(zones.server, apex_of(keypool, 3))
-    assert assert_agree(zones.server, handles) == len(handles)
+    assert assert_agree(zones.server, handles, keypool) == len(handles)
 
 
-def test_denial_corpus(corpus):  # noqa: F811
+def test_denial_corpus(corpus, keypool):  # noqa: F811
     server = corpus.server()
     handles = [h for h in probes(server, corpus) if h.apex() != corpus.unclaimed]
-    assert assert_agree(server, handles) == len(handles)
+    assert assert_agree(server, handles, keypool) == len(handles)
 
 
 step = st.tuples(
@@ -132,4 +157,4 @@ def test_drawn_update_sequences(keypool, steps):
         server.apply_update(msg, now=NOW)
     for i in range(3):  # last, so updates often outrun their claim
         server.apply_update(srv.make_claim(keypool.key(i)[1], ROOT, 16, 1, now=NOW), now=NOW)
-    assert_agree(server, stored_and_absent(server, apex_of(keypool, 3)))
+    assert_agree(server, stored_and_absent(server, apex_of(keypool, 3)), keypool)

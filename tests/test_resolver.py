@@ -14,6 +14,7 @@ from onhs.client import (
     HandleReference,
     V_STALE,
     VerifiedSignatures,
+    _enumerate_owner_zone,
     cancel_old_key,
     key_upgrade,
     resolve_and_verify,
@@ -23,13 +24,14 @@ from onhs.client import (
 )
 from onhs.errors import ResolutionError, VerificationError
 from onhs.handles import HandleLabel, parse_handle
-from onhs.records import ResourceRecord, SignedRRset
+from onhs.records import IMPOSSIBLE_ADDRESS, ResourceRecord, SignedRRset
 from onhs.server import (
     OUTCOME_ADDRESS,
     OUTCOME_CANCELLED,
     OUTCOME_COMPROMISED,
     OUTCOME_NOT_FOUND,
     OUTCOME_TRANSFERRED_AND_ADDRESS,
+    RecordAnswer,
     make_assign,
     make_cancel,
     make_claim,
@@ -86,6 +88,56 @@ class TestVerifyResolution:
             res, evidence=tuple(evidence), address="192.253.254.99"
         )
         got = verify_resolution(forged_res, z.leaf_2_3, ROOT, now=NOW)
+        assert not got.verified
+        assert (z.leaf_2_3.name_key(), "A", "bad-signature") in got.record_verdicts
+
+    @staticmethod
+    def resigned_leaf(z, secret, signer: str, key_set):
+        """leaf_2_3's answer moved to 10.6.6.6: its A set signed by secret
+        with signer named in the signature, and key_set added to the
+        evidence."""
+        res = z.server.resolve(z.leaf_2_3, now=NOW)
+        evidence = []
+        for rrset in res.evidence:
+            if rrset.rtype == "A":
+                records = (replace(rrset.records[0], rdata="10.6.6.6"),)
+                params = replace(rrset.signature.params, signer=signer)
+                rrset = SignedRRset(records, crypto.sign_rrset(records, secret, params))
+            evidence.append(rrset)
+        return replace(res, address="10.6.6.6", evidence=(key_set,) + tuple(evidence))
+
+    def test_a_set_signed_by_a_third_owner_fails(self, example_zones):
+        z = example_zones
+        key_set = z.server.query_record(z.apex3, "KEY", now=NOW).rrset
+        forged = self.resigned_leaf(z, z.secrets["k3"], z.apex3.fqdn_no_dot(), key_set)
+        for pin in (None, z.secrets["k1"].public_key()):
+            got = verify_resolution(forged, z.leaf_2_3, ROOT, pinned_key=pin, now=NOW)
+            assert not got.verified
+            assert (z.leaf_2_3.name_key(), "A", "wrong-signer") in got.record_verdicts
+
+    def test_a_set_signed_under_a_served_root_key_fails(self, example_zones, keypool):
+        z = example_zones
+        public, secret = keypool.key(4)
+        key_set = SignedRRset((ResourceRecord(ROOT, 3600, "KEY", public.key_bytes),))
+        forged = self.resigned_leaf(z, secret, ROOT, key_set)
+        for pin in (None, z.secrets["k1"].public_key()):
+            got = verify_resolution(forged, z.leaf_2_3, ROOT, pinned_key=pin, now=NOW)
+            assert not got.verified
+            assert (z.leaf_2_3.name_key(), "A", "wrong-signer") in got.record_verdicts
+
+    def test_an_expired_cancel_still_needs_a_signature_that_holds(self, example_zones):
+        # a cancel past its expiration counts as stale only if it was signed
+        z = example_zones
+        res = z.server.resolve(z.leaf_2_3, now=NOW)
+        address = next(s for s in res.evidence if s.rtype == "A")
+        cancel = (replace(address.records[0], rdata=IMPOSSIBLE_ADDRESS),)
+        params = replace(
+            address.signature.params, inception="20200101000000", expiration="20210101000000"
+        )
+        forged = SignedRRset(cancel, replace(address.signature, params=params))
+        evidence = tuple(forged if s is address else s for s in res.evidence)
+        lied = replace(res, outcome=OUTCOME_CANCELLED, address=None, evidence=evidence)
+        got = verify_resolution(lied, z.leaf_2_3, ROOT, now=NOW)
         assert not got.verified
         assert (z.leaf_2_3.name_key(), "A", "bad-signature") in got.record_verdicts
 
@@ -617,6 +669,57 @@ class TestKeyUpgrade:
         assert res.transfer_notices == ()
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert actions[0] == "CLAIM"
+        assert "TRANSFER" not in actions
+
+    @staticmethod
+    def flat_zone(keypool, server, names: int):
+        """(old secret, new secret, apex) for a fresh apex holding an
+        address at h0k1 to h0k<names - 1> below it."""
+        _, old_sec = keypool.fresh()
+        _, new_sec = keypool.fresh()
+        claim = make_claim(old_sec, ROOT, 16, 1, now=NOW)
+        assert server.apply_update(claim, now=NOW).accepted
+        apex = parse_handle(claim.target, ROOT)
+        for i in range(1, names):
+            msg = make_assign(old_sec, apex.child(IA(i)), f"10.0.0.{i}", 1 + i, now=NOW)
+            assert server.apply_update(msg, now=NOW).accepted
+        return old_sec, new_sec, apex
+
+    def test_a_chain_longer_than_the_limit_aborts_before_transfer(
+        self, keypool, logged_service, monkeypatch
+    ):
+        server = logged_service.server
+        old_sec, new_sec, apex = self.flat_zone(keypool, server, 8)
+        monkeypatch.setattr(_enumerate_owner_zone, "__defaults__", (5,))
+        report = key_upgrade(old_sec, apex, new_sec, server, ROOT, now=NOW)
+        assert not report.ok
+        assert any("did not close within 5" in w for w in report.warnings)
+        actions = [m.action for m, _ in logged_service.entry_log(apex)]
+        assert "TRANSFER" not in actions
+
+    def test_a_broken_chain_aborts_before_transfer(self, keypool, logged_service):
+        server = logged_service.server
+        old_sec, new_sec, apex = self.flat_zone(keypool, server, 4)
+        gap = apex.child(IA(2))
+
+        class BrokenChain:
+            """Forwards everything but finds no NXT record at one name."""
+
+            def resolve(self, handle, depth_budget=None, now=None):
+                return server.resolve(handle, depth_budget, now)
+
+            def query_record(self, handle, rtype, now=None):
+                if rtype == "NXT" and handle == gap:
+                    return RecordAnswer(False, None, (), ())
+                return server.query_record(handle, rtype, now)
+
+            def apply_update(self, msg, now=None):
+                return server.apply_update(msg, now)
+
+        report = key_upgrade(old_sec, apex, new_sec, BrokenChain(), ROOT, now=NOW)
+        assert not report.ok
+        assert any("no NXT record" in w for w in report.warnings)
+        actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
 
     def test_cancel_old_key_after_upgrade(self, example_zones, keypool):

@@ -18,6 +18,7 @@ from onhs.records import (
     DEFAULT_TTL,
     IMPOSSIBLE_ADDRESS,
     ResourceRecord,
+    SignedRRset,
     parse_zone,
     serialize_zone,
 )
@@ -180,6 +181,31 @@ class TestVerdicts:
         bad[0] ^= 0x40
         forged = replace(msg, signature=replace(msg.signature, signature_bytes=bytes(bad)))
         assert server.apply_update(forged, now=NOW).reason == R_BAD_SIGNATURE
+
+    def test_signer_naming_another_apex_rejected(self, keypool):
+        # signed by the apex's own key, but the signature names another apex
+        server, (apex1, apex2) = claimed_server(keypool, 0, 1)
+        _, sec1 = keypool.key(0)
+        leaf = apex1.child(IA("1"))
+        msg = make_assign(sec1, leaf, "10.0.0.1", 2, now=NOW)
+        records = (ResourceRecord(leaf.fqdn_no_dot(), DEFAULT_TTL, "A", "10.0.0.1"),)
+        params = replace(msg.signature.params, signer=apex2.fqdn_no_dot())
+        forged = replace(msg, signature=crypto.sign_rrset(records, sec1, params))
+        before = server.dump_state()
+        verdict = server.apply_update(forged, now=NOW)
+        assert verdict.reason == R_WRONG_AUTHORITY
+        assert apex2.fqdn_no_dot() in verdict.detail
+        assert server.dump_state() == before
+
+    def test_compromise_date_that_does_not_exist_rejected(self, keypool):
+        server, (apex1,) = claimed_server(keypool, 0)
+        _, sec1 = keypool.key(0)
+        with pytest.raises(OnhsError):
+            make_compromise(sec1, apex1, "99/99/2003", 2, now=NOW)
+        msg = make_compromise(sec1, apex1, "01/04/2003", 2, now=NOW)
+        bad = replace(msg, payload={**msg.payload, "note": "2003-02-30"})
+        assert server.apply_update(bad, now=NOW).reason == R_MALFORMED
+        assert server.resolve(apex1, now=NOW).outcome == OUTCOME_NOT_FOUND
 
     def test_assign_of_the_cancel_address_rejected(self, keypool):
         server, (apex1,) = claimed_server(keypool, 0)
@@ -638,6 +664,21 @@ class TestZones:
         _, problems = fresh.load_zone(zone, now=NOW)
         assert any(z.leaf_2_3.fqdn_no_dot() in p and "A" in p for p in problems)
         assert not fresh.query_record(z.leaf_2_3, "A", now=NOW).found
+
+    def test_zone_set_signed_by_another_owner_is_skipped(self, example_zones):
+        # owner 3's key, which the zone also carries, signs owner 1's address
+        z = example_zones
+        zone = parse_zone(serialize_zone(z.server.owner_zone_snapshot(z.apex1, now=NOW)))
+        zone = zone.with_rrset(z.server.query_record(z.apex3, "KEY", now=NOW).rrset)
+        victim = zone.get(z.leaf_2_3.fqdn_no_dot(), "A")
+        params = replace(victim.signature.params, signer=z.apex3.fqdn_no_dot())
+        signature = crypto.sign_rrset(victim.records, z.secrets["k3"], params)
+        zone = zone.with_rrset(SignedRRset(victim.records, signature))
+        fresh = new_server()
+        _, problems = fresh.load_zone(zone, now=NOW)
+        assert any(z.leaf_2_3.fqdn_no_dot() in p and " A: " in p for p in problems)
+        assert not fresh.query_record(z.leaf_2_3, "A", now=NOW).found
+        assert fresh.audit_store(now=NOW) == []
 
     def test_dump_state_lists_flags_and_slots(self, example_zones):
         z = example_zones
