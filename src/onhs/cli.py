@@ -221,7 +221,7 @@ def cmd_zone_load(args) -> int:
         loaded, problems = service.server.load_zone(zone)
         for problem in problems:
             print(f"skipped {problem}", file=sys.stderr)
-        print(f"loaded {loaded} record sets from {args.file}")
+        print(f"checked {args.file}: {loaded} record sets verify; nothing was stored")
         return 0 if not problems else 1
     finally:
         service.close()
@@ -334,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--owner", help="dump this apex's zone instead of the root")
     pz.add_argument("--out")
     pz.set_defaults(func=cmd_zone_dump)
-    pz = zone_sub.add_parser("load")
+    pz = zone_sub.add_parser(
+        "load", help="verify zone text against a server's data dir; stores nothing"
+    )
     pz.add_argument("file")
     pz.add_argument("--config", required=True)
     pz.set_defaults(func=cmd_zone_load)

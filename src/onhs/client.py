@@ -418,17 +418,26 @@ def key_upgrade(
 ) -> UpgradeReport:
     """Move a whole handle hierarchy onto a fresh key.
 
-    Claims the new apex, recreates every name under it with the same
-    ordinal path, copies addresses and delegations (delegations that
-    pointed back into the old hierarchy are rewritten to the new one),
-    verifies the copies resolve, and only then transfers the old apex.
-    Any failure before the transfer aborts with the old hierarchy intact.
+    Checks that the old apex's served KEY is old_secret's, claims the new
+    apex, recreates every name under it with the same ordinal path, copies
+    addresses and delegations (delegations that pointed back into the old
+    hierarchy are rewritten to the new one), verifies that the copies
+    resolve under the new key, and only then transfers the old apex. Each
+    A, TXT and DNAME set it reads must be the set asked for, signed by
+    old_secret's key (signed_set_verdict). Any failure before the transfer
+    aborts with the old hierarchy intact.
     """
     report = UpgradeReport(ok=False, new_apex=None)
     stamp = now or now_stamp()
     if suffix_len is None:
         suffix_len = len(old_apex.apex_label.key_suffix)
     serial = serial_start
+    old_key = old_secret.public_key()
+    served = endpoint.query_record(old_apex, "KEY").rrset
+    if served is None or served.records[0].rdata != old_key.key_bytes:
+        why = "not found" if served is None else "not the old key"
+        report.warnings.append(f"{old_apex.fqdn_no_dot()} KEY: {why}; nothing was changed")
+        return report
 
     claim = srv.make_claim(new_secret, root_zone, suffix_len, serial, now=stamp)
     verdict = endpoint.apply_update(claim, stamp)
@@ -444,13 +453,26 @@ def key_upgrade(
     if gap is not None:
         report.warnings.append(f"cannot list {old_apex.fqdn_no_dot()}: {gap}")
         return report
-    replicated: List[Tuple[Handle, str, str]] = []  # (new handle, rtype, rdata)
+    root = name_key(root_zone)
+    key_of = {old_apex.name_key(): old_key}.get
+    replicated: List[Tuple[Handle, str]] = []  # (new handle, address)
     for owner in owners:
         if owner.name_key() == old_apex.name_key():
             continue
-        a_answer = endpoint.query_record(owner, "A")
-        txt_answer = endpoint.query_record(owner, "TXT")
-        dname_answer = endpoint.query_record(owner, "DNAME")
+        answers = {rtype: endpoint.query_record(owner, rtype) for rtype in ("A", "TXT", "DNAME")}
+        for rtype, ans in answers.items():
+            if not ans.found:
+                continue
+            got = ans.rrset
+            why = (
+                "not-the-set-asked-for"
+                if got is None or got.rtype != rtype or name_key(got.owner) != owner.name_key()
+                else srv.signed_set_verdict(got, key_of, root, stamp, is_irrevocable(got))
+            )
+            if why not in (V_OK, V_STALE):
+                report.warnings.append(f"{owner.fqdn_no_dot()} {rtype}: {why}")
+                return report
+        a_answer, txt_answer, dname_answer = answers["A"], answers["TXT"], answers["DNAME"]
         if any(ans.found and is_irrevocable(ans.rrset) for ans in (a_answer, txt_answer)):
             report.warnings.append(
                 f"skipping {owner.fqdn_no_dot()}: cancelled in the old hierarchy"
@@ -476,7 +498,7 @@ def key_upgrade(
             serial += 1
             if not verdict.accepted:
                 return report
-            replicated.append((new_name, "A", address))
+            replicated.append((new_name, address))
         if dname_answer.found:
             dest_text = dname_answer.rrset.records[0].rdata
             dest = parse_handle(dest_text, root_zone)
@@ -493,16 +515,16 @@ def key_upgrade(
             if not verdict.accepted:
                 return report
 
-    for new_name, rtype, expected in replicated:
-        if rtype != "A":
-            continue
-        resolution = endpoint.resolve(new_name, None, stamp)
-        ok = resolution.outcome == OUTCOME_ADDRESS and resolution.address == expected
+    new_key = new_secret.public_key()
+    for new_name, expected in replicated:
+        checked = resolve_and_verify(new_name, [endpoint], root_zone, pinned_key=new_key, now=stamp)
+        ok = checked.verified and (checked.outcome, checked.address) == (OUTCOME_ADDRESS, expected)
         report.step(f"verify {new_name.fqdn_no_dot()} -> {expected}", ok)
         if not ok:
             report.warnings.append(
                 f"replica {new_name.fqdn_no_dot()} resolves to "
-                f"{resolution.outcome}/{resolution.address}, wanted {expected}"
+                f"{checked.outcome}/{checked.address}, wanted {expected}"
+                + "".join(f"; {failure}" for failure in checked.failures)
             )
             return report
 

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedAlgorithmError,
     WrongLabelKindError,
 )
-from .handles import MAX_SUFFIX_HEX, MIN_SUFFIX_HEX, PK, HandleLabel
+from .handles import MAX_SUFFIX_HEX, MIN_SUFFIX_HEX, PK, HandleLabel, strip_dot
 
 KEY_FLAGS = 256
 KEY_PROTOCOL = 3
@@ -344,8 +344,9 @@ def _lp(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def _name_labels(name: str) -> int:
-    return len(name.rstrip(".").split("."))
+def name_labels(name: str) -> int:
+    """The label count a signature over a set owned by name must carry."""
+    return len(strip_dot(name).split("."))
 
 
 _SIGNED_SET_MAGIC = b"onhs-sig-v1"
@@ -471,11 +472,9 @@ def _check_set_shape(records: Sequence[RecordLike], params: SignatureParams) -> 
     rtypes = {r.rtype for r in records}
     if len(owners) != 1 or len(rtypes) != 1:
         return "records span more than one owner or type"
-    if params.label_count != _name_labels(records[0].owner):
-        return (
-            f"label count {params.label_count} != owner label count "
-            f"{_name_labels(records[0].owner)}"
-        )
+    expected = name_labels(records[0].owner)
+    if params.label_count != expected:
+        return f"label count {params.label_count} != owner label count {expected}"
     return None
 
 

@@ -249,7 +249,7 @@ class SignedRRset:
         )
         object.__setattr__(self, "records", ordered)
         if self.signature is not None:
-            expected = len(name_key(self.owner).split("."))
+            expected = crypto.name_labels(self.owner)
             if self.signature.params.label_count != expected:
                 raise ParamsMismatchError(
                     f"signature label count {self.signature.params.label_count} "

@@ -104,6 +104,7 @@ R_SUBSCRIPTION_LIMIT = "subscription-limit"
 
 DEFAULT_DEPTH_BUDGET = 16
 DEFAULT_AUDIT_CAP = 8
+AUDIT_QUEUE_LEN = 1024
 DEFAULT_VALIDITY = 7 * 86400
 IRREVOCABLE_VALIDITY = 10 * 366 * 86400
 SERVER_SIG_VALIDITY = 86400
@@ -695,13 +696,39 @@ class HandleEntry:
         return self.sticky("A") is not None or self.sticky("TXT") is not None
 
 
-@dataclass
-class AuditSubscription:
-    handle_key: str
-    endpoint_id: str
-    owner: bool
-    queue: deque = field(default_factory=lambda: deque(maxlen=1024))
-    dropped: int = 0
+class AuditSubscriber:
+    """One subscribing endpoint: the handles it watches, each with whether
+    it holds the owner slot there, and up to AUDIT_QUEUE_LEN events waiting
+    for it, oldest first; on overflow the oldest is dropped and counted.
+    Its own lock guards them, never the server's, so a writer stuck on its
+    connection holds up no update.
+    """
+
+    def __init__(self) -> None:
+        self.owner_of: Dict[str, bool] = {}  # handle key -> holds the owner slot
+        self.events: deque = deque(maxlen=AUDIT_QUEUE_LEN)
+        self.dropped = 0
+        self._closed = False
+        self._ready = threading.Condition(threading.Lock())
+
+    def put(self, event: AuditEvent) -> None:
+        with self._ready:
+            if len(self.events) == self.events.maxlen:
+                self.dropped += 1
+            self.events.append(event)
+            self._ready.notify()
+
+    def take(self) -> Optional[AuditEvent]:
+        """The oldest waiting event, waiting for one; None once closed."""
+        with self._ready:
+            while not self.events and not self._closed:
+                self._ready.wait()
+            return None if self._closed else self.events.popleft()
+
+    def close(self) -> None:
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()
 
 
 @dataclass(frozen=True)
@@ -798,6 +825,21 @@ def _action_records(
     raise _Malformed(f"unknown action {action!r}")
 
 
+def _sign(
+    records: Sequence[ResourceRecord], secret: SecretKey, signer: str, now: str, validity: int
+) -> RecordSignature:
+    """secret's signature over records as signer, valid from now for validity seconds."""
+    params = SignatureParams(
+        algorithm=secret.algorithm,
+        label_count=crypto.name_labels(records[0].owner),
+        original_ttl=records[0].ttl,
+        expiration=stamp_add(now, validity),
+        inception=now,
+        signer=signer,
+    )
+    return crypto.sign_rrset(records, secret, params)
+
+
 def _make_update(
     secret: SecretKey,
     target: Handle,
@@ -810,17 +852,9 @@ def _make_update(
     """The builders' shared body: sign each set _action_records gives. A
     compromise's payload takes its cancel's signature."""
     now = now or now_stamp()
-    params = SignatureParams(
-        algorithm=secret.algorithm,
-        label_count=len(name_key(target.fqdn()).split(".")),
-        original_ttl=payload["ttl"],
-        expiration=stamp_add(now, validity),
-        inception=now,
-        signer=target.apex().fqdn_no_dot(),
-    )
-    owner = target.fqdn_no_dot()
+    owner, signer = target.fqdn_no_dot(), target.apex().fqdn_no_dot()
     signatures = [
-        crypto.sign_rrset(records, secret, params)
+        _sign(records, secret, signer, now, validity)
         for records in _action_records(action, owner, payload, target.root_suffix_no_dot())
     ]
     if action == COMPROMISE:
@@ -972,9 +1006,9 @@ class HandleServer:
         self._root_key_rrset = SignedRRset((ResourceRecord(
             owner=self.root_zone, ttl=DEFAULT_TTL, rtype="KEY", rdata=self.server_key.key_bytes
         ),)).encoded()
-        self._subscribers: Dict[str, List[AuditSubscription]] = {}
+        self._subscribers: Dict[str, List[AuditSubscriber]] = {}  # by handle key
+        self._endpoints: Dict[str, AuditSubscriber] = {}  # by endpoint id
         self._event_seq = 0
-        self._event_sinks: List[Callable[[AuditSubscription, AuditEvent], None]] = []
         self._log_writer: Optional[Callable[[str], Optional[int]]] = None
         self._lock = threading.RLock()
 
@@ -988,9 +1022,6 @@ class HandleServer:
         Without a writer the server keeps no update history.
         """
         self._log_writer = writer
-
-    def add_event_sink(self, sink: Callable[[AuditSubscription, AuditEvent], None]) -> None:
-        self._event_sinks.append(sink)
 
     @property
     def update_count(self) -> int:
@@ -1237,23 +1268,37 @@ class HandleServer:
     def subscribe_audit(self, handle: Handle, endpoint_id: str, owner: bool = False) -> Verdict:
         with self._lock:
             key = handle.name_key()
-            subs = self._subscribers.setdefault(key, [])
-            for sub in subs:
-                if sub.endpoint_id == endpoint_id:
-                    sub.owner = sub.owner or owner
-                    return Verdict.ok()
-            if not owner and sum(1 for s in subs if not s.owner) >= self.audit_cap:
+            sub = self._endpoints.get(endpoint_id)
+            if sub is not None and key in sub.owner_of:
+                sub.owner_of[key] = sub.owner_of[key] or owner
+                return Verdict.ok()
+            watchers = sum(1 for s in self._subscribers.get(key, ()) if not s.owner_of[key])
+            if not owner and watchers >= self.audit_cap:
                 return Verdict.rejected(R_SUBSCRIPTION_LIMIT)
-            subs.append(AuditSubscription(handle_key=key, endpoint_id=endpoint_id, owner=owner))
+            if sub is None:
+                sub = self._endpoints[endpoint_id] = AuditSubscriber()
+            sub.owner_of[key] = owner
+            self._subscribers.setdefault(key, []).append(sub)
             return Verdict.ok()
 
-    def unsubscribe_audit(self, handle: Handle, endpoint_id: str) -> None:
+    def audit_subscriber(self, endpoint_id: str) -> Optional[AuditSubscriber]:
+        """The subscriber holding endpoint_id's subscriptions, if it has any."""
         with self._lock:
-            key = handle.name_key()
-            subs = self._subscribers.get(key, [])
-            self._subscribers[key] = [s for s in subs if s.endpoint_id != endpoint_id]
+            return self._endpoints.get(endpoint_id)
 
-    def subscriptions(self, handle: Handle) -> List[AuditSubscription]:
+    def end_audit(self, endpoint_id: str) -> None:
+        """End every subscription of endpoint_id and close its queue."""
+        with self._lock:
+            sub = self._endpoints.pop(endpoint_id, None)
+            if sub is None:
+                return
+            for key in sub.owner_of:
+                self._subscribers[key].remove(sub)
+                if not self._subscribers[key]:
+                    del self._subscribers[key]
+            sub.close()
+
+    def subscriptions(self, handle: Handle) -> List[AuditSubscriber]:
         with self._lock:
             return list(self._subscribers.get(handle.name_key(), []))
 
@@ -1266,11 +1311,7 @@ class HandleServer:
             seq=self._event_seq, handle=msg.target, update=msg, verdict=verdict, stamp=stamp
         )
         for sub in subs:
-            if len(sub.queue) == sub.queue.maxlen:
-                sub.dropped += 1
-            sub.queue.append(event)
-            for sink in self._event_sinks:
-                sink(sub, event)
+            sub.put(event)
 
     def entry_log_offsets(self, handle: Handle) -> List[int]:
         """Byte offsets of the log lines of updates to handle, oldest first."""
@@ -1290,15 +1331,8 @@ class HandleServer:
         )
 
     def _server_sign(self, records: Sequence[ResourceRecord], now: str) -> SignedRRset:
-        params = SignatureParams(
-            algorithm=self.server_secret.algorithm,
-            label_count=len(name_key(records[0].owner).split(".")),
-            original_ttl=records[0].ttl,
-            expiration=stamp_add(now, SERVER_SIG_VALIDITY),
-            inception=now,
-            signer=self.root_zone,
-        )
-        return SignedRRset(tuple(records), crypto.sign_rrset(records, self.server_secret, params))
+        signature = _sign(records, self.server_secret, self.root_zone, now, SERVER_SIG_VALIDITY)
+        return SignedRRset(tuple(records), signature)
 
     def root_key_rrset(self) -> SignedRRset:
         return self._root_key_rrset

@@ -10,6 +10,7 @@ across restarts.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import threading
@@ -31,8 +32,7 @@ from .handles import Handle, parse_handle
 from .server import (
     DEFAULT_AUDIT_CAP,
     DEFAULT_DEPTH_BUDGET,
-    AuditEvent,
-    AuditSubscription,
+    AuditSubscriber,
     HandleServer,
     RecordAnswer,
     Resolution,
@@ -201,9 +201,6 @@ class HandleService:
         self.replayed = self.log.replay_into(self.server)
         self.log.open_for_append()
         self.server.set_log_writer(self.log.append)
-        self._push_lock = threading.Lock()
-        self._pushers: Dict[str, "_EventPusher"] = {}
-        self.server.add_event_sink(self._on_event)
 
     def close(self) -> None:
         self.server.set_log_writer(None)
@@ -214,22 +211,6 @@ class HandleService:
         from the log; a verdict keeps its reason but not its detail."""
         lines = self.log.read_at(self.server.entry_log_offsets(handle))
         return [decode_log_line(raw)[:2] for raw in lines]
-
-    # -- audit push --
-
-    def register_pusher(self, endpoint_id: str, pusher: "_EventPusher") -> None:
-        with self._push_lock:
-            self._pushers[endpoint_id] = pusher
-
-    def drop_pusher(self, endpoint_id: str) -> None:
-        with self._push_lock:
-            self._pushers.pop(endpoint_id, None)
-
-    def _on_event(self, sub: AuditSubscription, event: AuditEvent) -> None:
-        with self._push_lock:
-            pusher = self._pushers.get(sub.endpoint_id)
-        if pusher is not None:
-            pusher.push(event)
 
     # -- dispatch --
 
@@ -304,32 +285,11 @@ def _error(correlation_id: str, code: str, detail: str) -> wire.WireMessage:
     )
 
 
-class _EventPusher:
-    """Writes audit events onto one client connection, best effort."""
-
-    def __init__(self, sock: socket.socket, lock: threading.Lock):
-        self.sock = sock
-        self.lock = lock
-        self.failed = False
-
-    def push(self, event: AuditEvent) -> None:
-        if self.failed:
-            return
-        frame = wire.encode_message(
-            wire.WireMessage(wire.KIND_AUDIT_EVENT, f"event-{event.seq}", event.to_dict())
-        )
-        try:
-            with self.lock:
-                self.sock.sendall(frame)
-        except OSError:
-            self.failed = True
-
-
 # ---- TCP front end -----------------------------------------------------------
 
 
 class TcpHandleServer:
-    """Threaded socket server; one reader thread per connection."""
+    """Threaded socket server: per connection a reader thread, and a writer if it subscribes."""
 
     def __init__(self, service: HandleService):
         self.service = service
@@ -386,48 +346,53 @@ class TcpHandleServer:
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer conn's requests in order. Its first accepted subscription
+        starts a writer that sends its audit events; when conn ends, so do
+        its subscriptions and the writer."""
         endpoint_id = str(uuid.uuid4())
         write_lock = threading.Lock()
-        stream = conn.makefile("rb")
+        writer: Optional[threading.Thread] = None
+
+        def send(msg: wire.WireMessage) -> None:
+            frame = wire.encode_message(msg)
+            with write_lock:
+                conn.sendall(frame)
+
+        def send_events(sub: AuditSubscriber) -> None:
+            with contextlib.suppress(OSError):
+                while (event := sub.take()) is not None:
+                    body = event.to_dict()
+                    send(wire.WireMessage(wire.KIND_AUDIT_EVENT, f"event-{event.seq}", body))
+
         try:
-            while not self._stop.is_set():
-                try:
-                    msg = wire.read_message(stream)
-                except FrameTooLargeError as exc:
-                    self._send(conn, write_lock, _error("", "frame-too-large", str(exc)))
-                    return
-                except MalformedFrameError as exc:
-                    self._send(conn, write_lock, _error("", "malformed-frame", str(exc)))
-                    return
-                if msg is None:
-                    return
-                if msg.kind == wire.KIND_AUDIT_SUBSCRIBE:
-                    self.service.register_pusher(
-                        endpoint_id, _EventPusher(conn, write_lock)
-                    )
-                reply = self.service.handle_request(msg, endpoint_id=endpoint_id)
-                self._send(conn, write_lock, reply)
+            with conn.makefile("rb") as stream:
+                while not self._stop.is_set():
+                    try:
+                        msg = wire.read_message(stream)
+                    except FrameTooLargeError as exc:
+                        send(_error("", "frame-too-large", str(exc)))
+                        return
+                    except MalformedFrameError as exc:
+                        send(_error("", "malformed-frame", str(exc)))
+                        return
+                    if msg is None:
+                        return
+                    send(self.service.handle_request(msg, endpoint_id=endpoint_id))
+                    if writer is None and msg.kind == wire.KIND_AUDIT_SUBSCRIBE:
+                        sub = self.service.server.audit_subscriber(endpoint_id)
+                        if sub is not None:
+                            writer = threading.Thread(target=send_events, args=(sub,), daemon=True)
+                            writer.start()
         except OSError:
             pass
         finally:
-            self.service.drop_pusher(endpoint_id)
-            try:
-                stream.close()
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    @staticmethod
-    def _send(conn: socket.socket, lock: threading.Lock, msg: wire.WireMessage) -> None:
-        frame = wire.encode_message(msg)
-        try:
-            with lock:
-                conn.sendall(frame)
-        except OSError:
-            pass
+            self.service.server.end_audit(endpoint_id)
+            if writer is not None:
+                # wakes a writer blocked in sendall; end_audit woke one waiting for events
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+                writer.join()
+            conn.close()
 
 
 # ---- client-side endpoint ----------------------------------------------------

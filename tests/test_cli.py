@@ -308,11 +308,16 @@ def test_zone_dump_and_load(tmp_path, keypool):
     owner_zone_file = tmp_path / "owner.zone"
     owner_zone_file.write_text(proc.stdout)
 
-    # a second instance accepts the dumped zone
+    # a second instance verifies the dumped zone, and keeps none of it
     dst_conf = write_config(tmp_path / "dst", name="dst.conf")
     proc = run_cli("zone", "load", str(owner_zone_file), "--config", dst_conf, expect=0)
-    assert re.search(r"loaded \d+ record sets", proc.stdout)
+    assert re.search(r"\d+ record sets verify; nothing was stored", proc.stdout)
     assert proc.stderr == ""
+    kept = HandleService(ServerConfig.load(dst_conf))
+    try:
+        assert kept.replayed == 0
+    finally:
+        kept.close()
 
     # a tampered zone is reported and fails the load
     broken = owner_zone_file.read_text().replace("10.0.0.1", "10.0.0.2")

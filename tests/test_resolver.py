@@ -722,6 +722,56 @@ class TestKeyUpgrade:
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
 
+    @pytest.mark.parametrize("rtype", ["A", "DNAME"])
+    def test_a_forged_answer_aborts_before_transfer(self, keypool, logged_service, rtype):
+        server = logged_service.server
+        old_sec, new_sec, apex = self.flat_zone(keypool, server, 4)
+        pointer = apex.child(IA(5))
+        delegate = make_delegate(old_sec, pointer, apex.child(IA(1)), 5, now=NOW)
+        assert server.apply_update(delegate, now=NOW).accepted
+        elsewhere = parse_handle(make_claim(keypool.key(4)[1], ROOT, 16, 1).target, ROOT)
+        victim, forged_rdata = {
+            "A": (apex.child(IA(2)), "6.6.6.6"),
+            "DNAME": (pointer, elsewhere.child(IA(6)).fqdn_no_dot()),
+        }[rtype]
+
+        class ForgedAnswer:
+            """Forwards everything but rewrites the victim's answer of one
+            type, keeping its signature."""
+
+            def resolve(self, handle, depth_budget=None, now=None):
+                return server.resolve(handle, depth_budget, now)
+
+            def query_record(self, handle, rtype_asked, now=None):
+                answer = server.query_record(handle, rtype_asked, now)
+                if rtype_asked == rtype and handle == victim:
+                    forged = SignedRRset(
+                        tuple(replace(r, rdata=forged_rdata) for r in answer.rrset.records),
+                        answer.rrset.signature,
+                    )
+                    return replace(answer, rrset=forged)
+                return answer
+
+            def apply_update(self, msg, now=None):
+                return server.apply_update(msg, now)
+
+        report = key_upgrade(old_sec, apex, new_sec, ForgedAnswer(), ROOT, now=NOW)
+        assert not report.ok
+        assert f"{victim.fqdn_no_dot()} {rtype}: bad-signature" in report.warnings
+        actions = [m.action for m, _ in logged_service.entry_log(apex)]
+        assert "TRANSFER" not in actions
+
+    def test_an_apex_nobody_claimed_is_refused_before_any_claim(self, keypool, logged_service):
+        server = logged_service.server
+        _, old_sec = keypool.fresh()
+        _, new_sec = keypool.fresh()
+        apex = parse_handle(make_claim(old_sec, ROOT, 16, 1, now=NOW).target, ROOT)
+        report = key_upgrade(old_sec, apex, new_sec, server, ROOT, now=NOW)
+        assert not report.ok
+        assert report.new_apex is None
+        assert report.warnings == [f"{apex.fqdn_no_dot()} KEY: not found; nothing was changed"]
+        assert server.update_count == 0
+
     def test_cancel_old_key_after_upgrade(self, example_zones, keypool):
         z = example_zones
         _, new_secret = keypool.fresh()

@@ -559,7 +559,7 @@ class TestAudit:
         assert server.subscribe_audit(leaf, "w").accepted
         assert server.subscribe_audit(leaf, "w").accepted
         assert len(server.subscriptions(leaf)) == 1
-        server.unsubscribe_audit(leaf, "w")
+        server.end_audit("w")
         assert server.subscriptions(leaf) == []
 
     def test_events_carry_updates_and_verdicts(self, keypool):
@@ -572,25 +572,32 @@ class TestAudit:
         bad = make_assign(sec2, leaf, "10.0.0.2", 3, now=NOW)
         server.apply_update(good, now=NOW)
         server.apply_update(bad, now=NOW)
-        sub = server.subscriptions(leaf)[0]
-        tags = [event.verdict.tag() for event in sub.queue]
-        assert tags == ["accepted", f"rejected:{R_WRONG_AUTHORITY}"]
-        assert sub.queue[0].update.target == leaf.fqdn_no_dot()
-        assert sub.queue[0].seq < sub.queue[1].seq
+        sub = server.audit_subscriber("w")
+        assert server.subscriptions(leaf) == [sub]
+        events = [sub.take(), sub.take()]
+        assert [event.verdict.tag() for event in events] == [
+            "accepted", f"rejected:{R_WRONG_AUTHORITY}"
+        ]
+        assert events[0].update.target == leaf.fqdn_no_dot()
+        assert events[0].seq < events[1].seq
+        assert not sub.events
 
     def test_full_queue_counts_drops(self, keypool):
         server, (apex1,) = claimed_server(keypool, 0)
         _, sec1 = keypool.key(0)
         leaf = apex1.child(IA("1"))
         assert server.subscribe_audit(leaf, "w").accepted
-        sub = server.subscriptions(leaf)[0]
-        sub.queue = deque(maxlen=2)
+        sub = server.audit_subscriber("w")
+        sub.events = deque(maxlen=2)
         for serial in (2, 3, 4):
             server.apply_update(
                 make_assign(sec1, leaf, f"10.0.0.{serial}", serial, now=NOW), now=NOW
             )
-        assert len(sub.queue) == 2
         assert sub.dropped == 1
+        assert [sub.take().update.serial for _ in range(2)] == [3, 4]
+        server.end_audit("w")
+        assert sub.take() is None
+        assert server.subscriptions(leaf) == []
 
     def test_entry_log_records_history(self, keypool, logged_service):
         z = build_example_zones(keypool, server=logged_service.server)

@@ -607,3 +607,72 @@ class TestTcp:
                 assert checked.verified, checked.failures
         finally:
             front2.stop()
+
+
+class TestAuditDelivery:
+    """Each subscribing connection sends its own events, outside the server
+    lock, and its subscriptions end when it closes. Connections are served
+    over socket pairs, one at a time."""
+
+    @staticmethod
+    def connect(front, sndbuf=None):
+        """(the client's socket, the thread serving the other end)."""
+        served, client = socket.socketpair()
+        if sndbuf is not None:
+            served.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
+        client.settimeout(10)
+        thread = threading.Thread(target=front._serve_connection, args=(served,), daemon=True)
+        thread.start()
+        return client, thread
+
+    @staticmethod
+    def subscribe(client, handle) -> dict:
+        body = {"handle": handle.fqdn_no_dot(), "backlog": False}
+        client.sendall(
+            wire.encode_message(wire.WireMessage(wire.KIND_AUDIT_SUBSCRIBE, "s-1", body))
+        )
+        reply = wire.read_message(client.makefile("rb"))
+        return reply.body["verdict"]
+
+    def test_a_watcher_that_stops_reading_stalls_no_update(self, logged_service, keypool):
+        server = logged_service.server
+        _, sec = keypool.key(0)
+        claim = make_claim(sec, ROOT, 16, 1)
+        assert server.apply_update(claim).accepted
+        leaf = parse_handle(claim.target, ROOT).child(IA("1"))
+        update = make_assign(sec, leaf, "10.0.0.1", 2)
+        watcher, served = self.connect(TcpHandleServer(logged_service), sndbuf=4096)
+        try:
+            assert self.subscribe(watcher, leaf)["accepted"]
+            # the watcher reads nothing more; each update queues an event for it
+            flood = threading.Thread(
+                target=lambda: [server.apply_update(update) for _ in range(300)], daemon=True
+            )
+            flood.start()
+            flood.join(timeout=30)
+            assert not flood.is_alive()
+            assert server.resolve(leaf).address == "10.0.0.1"
+        finally:
+            # a half-close: the connection ends while its writer is blocked
+            watcher.shutdown(socket.SHUT_WR)
+            served.join(timeout=10)
+            watcher.close()
+        assert not served.is_alive()
+        assert server.subscriptions(leaf) == []
+
+    def test_subscriptions_end_with_their_connection(self, logged_service, keypool):
+        server = logged_service.server
+        server.audit_cap = 2
+        _, sec = keypool.key(0)
+        leaf = parse_handle(make_claim(sec, ROOT, 16, 1).target, ROOT).child(IA("1"))
+        front = TcpHandleServer(logged_service)
+        for _ in range(server.audit_cap + 1):
+            watcher, served = self.connect(front)
+            try:
+                verdict = self.subscribe(watcher, leaf)
+            finally:
+                watcher.close()
+                served.join(timeout=10)
+            assert verdict["accepted"], verdict
+            assert not served.is_alive()
+        assert server.subscriptions(leaf) == []
