@@ -36,7 +36,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import crypto
 from .crypto import (
@@ -597,9 +597,32 @@ def apex_key(key_bytes: bytes, owner: str, root: str) -> Tuple[Optional[PublicKe
     return (key, V_OK) if bound else (None, "label-mismatch")
 
 
+class BoundApexKeys(LruCache):
+    """apex_key's answers in this process, for reuse.
+
+    apex_key is pure, so an entry keyed on all of its inputs (the key
+    bytes, the owner and the root) is its answer for good, a refusal as
+    well as a bound key. Past cap entries, the least recently used one goes.
+    """
+
+    def __call__(self, key_bytes: bytes, owner: str, root: str) -> Tuple[Optional[PublicKey], str]:
+        entry = (key_bytes, owner, root)
+        bound = self.get(entry)
+        if bound is None:
+            bound = apex_key(key_bytes, owner, root)
+            self.put(entry, bound)
+        return bound
+
+
+# Filled through ApexKeys: answers under one apex all carry its KEY set.
+# Update intake calls apex_key directly.
+bound_apex_keys = BoundApexKeys(CACHE_CAP)
+
+
 class ApexKeys(dict):
     """owner -> apex_key of the KEY set key_sets holds for owner, worked
-    out on first use; (None, V_NO_KEY) where key_sets holds none."""
+    out on first use through bound_apex_keys; (None, V_NO_KEY) where
+    key_sets holds none."""
 
     def __init__(self, key_sets: Mapping[str, SignedRRset], root: str) -> None:
         super().__init__()
@@ -610,7 +633,7 @@ class ApexKeys(dict):
         key_set = self.key_sets.get(owner)
         self[owner] = bound = (
             (None, V_NO_KEY) if key_set is None
-            else apex_key(key_set.records[0].rdata, owner, self.root)
+            else bound_apex_keys(key_set.records[0].rdata, owner, self.root)
         )
         return bound
 
@@ -660,6 +683,13 @@ SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
 def _sort_key_name(key: SortKey) -> str:
     """The name key a canonical sort key was made from."""
     return ".".join(label.decode() for label in reversed(key))
+
+
+def _fresh(cached: Tuple[SignedRRset, str], now: str) -> bool:
+    """Whether a cached NXT set may be served at now: not before its
+    inception, and with at least half its validity left."""
+    signed, fresh_until = cached
+    return signed.signature.params.inception <= now <= fresh_until
 
 
 @dataclass(frozen=True, slots=True)
@@ -977,6 +1007,13 @@ class HandleServer:
     zone lists the root, every apex holding a KEY slot and every name
     holding a sticky slot, as root_zone_snapshot mirrors them. Bisection
     finds the same NXT records build_nxt_chain gives for the whole zone.
+
+    Each NXT set is signed once and cached by zone and owner, then served
+    as it is while fresh. A write marks the cached sets whose record it can
+    change, the written name's own and its predecessor's in each zone it is
+    in; a marked set is rebuilt before it is next served, and re-signed
+    only when its record did change. A name that leaves a zone drops its
+    cached set there, so the cache holds no more than the zone indexes.
     """
 
     def __init__(
@@ -1002,6 +1039,8 @@ class HandleServer:
         self._zones: Dict[SortKey, List[SortKey]] = {self._root_key: [self._root_key]}
         # (zone, owner) -> (signed NXT set holding its octets, last stamp to serve it at)
         self._nxt_sigs: Dict[Tuple[SortKey, SortKey], Tuple[SignedRRset, str]] = {}
+        # keys of cached NXT sets whose record a write may have changed since
+        self._nxt_marked: Set[Tuple[SortKey, SortKey]] = set()
         # unsigned: verifiers take the server's key as served, for denial records only
         self._root_key_rrset = SignedRRset((ResourceRecord(
             owner=self.root_zone, ttl=DEFAULT_TTL, rtype="KEY", rdata=self.server_key.key_bytes
@@ -1229,14 +1268,24 @@ class HandleServer:
         self._place(self._root_key, key, in_root)
 
     def _place(self, zone: SortKey, key: SortKey, present: bool) -> None:
+        """Put key in, keep it in or take it out of zone's index, and mark
+        the cached NXT sets whose records this can change: key's own (its
+        bitmap and owner text) and its predecessor's (its next owner). A
+        name that leaves drops its cached set."""
         index = self._zones.setdefault(zone, [])
         i = bisect_left(index, key)
         held = i < len(index) and index[i] == key
-        if present and not held:
+        if not (present or held):
+            return
+        if not held:
             index.insert(i, key)
-        elif held and not present:
+        elif not present:
             del index[i]
             self._nxt_sigs.pop((zone, key), None)
+            self._nxt_marked.discard((zone, key))
+        for owner in (key, index[i - 1]) if index else (key,):
+            if (zone, owner) in self._nxt_sigs:
+                self._nxt_marked.add((zone, owner))
 
     def _subtree(self, top: Handle) -> List[HandleEntry]:
         """Entries holding a slot at or below top, in canonical order."""
@@ -1368,16 +1417,11 @@ class HandleServer:
             )
 
     def _nxt_proof(self, target: Handle, now: str) -> List[SignedRRset]:
-        zone, records = self._denial(target)
-        return [self._signed_nxt(zone, rec, now) for rec in records]
-
-    def _denial(self, target: Handle) -> Tuple[SortKey, List[ResourceRecord]]:
-        """The zone that denies target, and its NXT records that do so.
+        """The signed NXT sets that deny target: the one covering it, then
+        its zone apex's own when that is a different one.
 
         The zone is target's owner zone once anything under its apex was
-        stored (every commit leaves a slot there), else the root zone. The
-        records are the one covering target, then the zone apex's own when
-        that is a different one.
+        stored (every commit leaves a slot there), else the root zone.
         """
         key = canonical_sort_key(target.fqdn_no_dot())
         zone = key[:self._apex_len]
@@ -1385,10 +1429,20 @@ class HandleServer:
             zone = self._root_key
         index = self._zones[zone]
         i = (bisect_right(index, key) - 1) % len(index)  # -1: the wrap-around record
-        records = [self._indexed_nxt(zone, index, i)]
+        proof = [self._nxt_at(zone, index, i, now)]
         if i != 0 and index[0] == zone:
-            records.append(self._indexed_nxt(zone, index, 0))
-        return zone, records
+            proof.append(self._nxt_at(zone, index, 0, now))
+        return proof
+
+    def _nxt_at(self, zone: SortKey, index: List[SortKey], i: int, now: str) -> SignedRRset:
+        """The signed NXT set of index[i] in zone: the cached one as it is
+        while fresh and unmarked, else the record rebuilt for _signed_nxt."""
+        key = (zone, index[i])
+        cached = self._nxt_sigs.get(key)
+        if cached is not None and key not in self._nxt_marked and _fresh(cached, now):
+            return cached[0]
+        self._nxt_marked.discard(key)
+        return self._signed_nxt(zone, self._indexed_nxt(zone, index, i), now)
 
     def _indexed_nxt(self, zone: SortKey, index: List[SortKey], i: int) -> ResourceRecord:
         owner, types = self._nxt_owner(zone, index[i])
@@ -1414,15 +1468,12 @@ class HandleServer:
         return slots[0][1].rrset.owner, tuple(types)
 
     def _signed_nxt(self, zone: SortKey, rec: ResourceRecord, now: str) -> SignedRRset:
-        """rec signed by the server, reusing the last signature of zone's
-        record at rec's owner while the record is unchanged, now is not
-        before its inception and at least half its validity remains."""
+        """rec signed by the server, reusing the cached signature of zone's
+        record at rec's owner while it signs rec and is fresh."""
         key = (zone, canonical_sort_key(rec.owner))
         cached = self._nxt_sigs.get(key)
-        if cached is not None:
-            signed, fresh_until = cached
-            if signed.records[0] == rec and signed.signature.params.inception <= now <= fresh_until:
-                return signed
+        if cached is not None and cached[0].records[0] == rec and _fresh(cached, now):
+            return cached[0]
         signed = self._server_sign([rec], now).encoded()
         self._nxt_sigs[key] = (signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
         return signed

@@ -1,9 +1,10 @@
 """Denial proofs served from the per-zone owner index.
 
-The index must give the NXT records that covering_nxt picks from
-build_nxt_chain over a zone rebuilt by scanning the whole store; a warm
-NOT_FOUND must neither sign nor rebuild a zone; and a cached NXT
-signature is served only while its record is unchanged and fresh.
+The served NXT sets must hold the records that covering_nxt picks from
+build_nxt_chain over a zone rebuilt by scanning the whole store, also
+after updates land on a warm cache; a warm NOT_FOUND must neither sign
+nor rebuild a zone or a record; and a cached NXT signature is served
+only while fresh, and re-signed exactly when its record changed.
 """
 
 import random
@@ -21,6 +22,7 @@ from onhs.handles import Handle, HandleLabel, parse_handle
 from onhs.records import (
     ZoneSnapshot,
     build_nxt_chain,
+    canonical_sort_key,
     covering_nxt,
     name_key,
     parse_zone,
@@ -30,6 +32,7 @@ from onhs.server import OUTCOME_NOT_FOUND, SERVER_SIG_VALIDITY
 
 IA = HandleLabel.ia
 OA = HandleLabel.oa
+PK = HandleLabel.pk
 NOW = FIXED_NOW
 
 
@@ -165,7 +168,8 @@ class Oracle:
 
 
 def probes(server, corpus: Corpus) -> List[Handle]:
-    """Stored names, then absent names around and below them and the apexes."""
+    """Stored names, then absent names around and below them and the apexes,
+    and absent apexes after each of those, which the root zone denies."""
     stored = [parse_handle(key, ROOT) for key in server._entries]
     bases = stored + [corpus.claimed, corpus.unclaimed, corpus.empty]
     out = {h.name_key(): h for h in bases}
@@ -174,32 +178,51 @@ def probes(server, corpus: Corpus) -> List[Handle]:
         for label in (IA(0), IA(1), IA(2), IA(5), IA(10), IA(99), OA(1), OA(9)):
             child = base.child(label)
             out.setdefault(child.name_key(), child)
+        pk = base.apex().labels[0]  # its suffix and one more digit sorts right after it
+        after = Handle(labels=(PK(pk.algorithm_code, pk.key_suffix + "0"),), root_suffix=ROOT)
+        out.setdefault(after.name_key(), after)
     return list(out.values())
 
 
 # ---- tests -------------------------------------------------------------------
 
 
+def served_agree(server, names: List[Handle], trial: int) -> int:
+    """Serve each name's denial through query_record and compare the proof
+    with the oracle's."""
+    oracle = Oracle(server)
+    for handle in names:
+        proof = server.query_record(handle, "NXT", now=NOW).proof
+        assert [rr.records[0] for rr in proof] == oracle.denial(handle), (trial, handle)
+    return len(names)
+
+
 def test_index_agrees_with_the_whole_zone_oracle(corpus):
+    # every change lands on a warm cache: the names are served before it,
+    # so a cached set the change should have marked is served stale after it
+    names = probes(corpus.server(), corpus)
     checked = 0
     for trial in range(24):
         rng = random.Random(trial)
         batch = [m for m in corpus.messages if rng.random() < 0.8]
         rng.shuffle(batch)  # so updates often arrive before their claim
-        loads = {}
+        changes = [("apply_update", msg) for msg in batch]
         if trial % 3 == 0:
-            loads = {rng.randrange(len(batch) + 1): zone for zone in corpus.zones}
+            for zone in corpus.zones:
+                changes.insert(rng.randrange(len(changes) + 1), ("load_zone", zone))
         server = corpus.server([])
-        for i in range(len(batch) + 1):
-            if i in loads:
-                server.load_zone(loads[i], now=NOW)
-            if i < len(batch):
-                server.apply_update(batch[i], now=NOW)
+        for method, arg in changes:
+            checked += served_agree(server, names, trial)
+            getattr(server, method)(arg, now=NOW)
+        checked += served_agree(server, names, trial)
         oracle = Oracle(server)
-        for handle in probes(server, corpus):
-            assert server._denial(handle)[1] == oracle.denial(handle), (trial, handle)
-            checked += 1
-    assert checked > 2000
+        for handle in names:  # a NOT_FOUND answer denies the name its walk ended at
+            got = server.resolve(handle, now=NOW)
+            if got.outcome == OUTCOME_NOT_FOUND:
+                final = srv.walk(handle, server._node_sets, server.depth_budget).final
+                nxt = [rr.records[0] for rr in got.evidence if rr.rtype == "NXT"]
+                assert nxt == oracle.denial(final), (trial, handle)
+    assert checked > 50000
 
 
 def test_name_before_every_owner_of_a_zone_gets_the_wrap_around_record(corpus):
@@ -243,6 +266,10 @@ def test_warm_not_found_neither_signs_nor_rebuilds_a_zone(corpus, monkeypatch):
         monkeypatch.setattr(
             module, "build_nxt_chain", counting(calls, "build_nxt_chain", build_nxt_chain)
         )
+    for builder in ("_indexed_nxt", "_nxt_owner"):  # build one NXT record
+        monkeypatch.setattr(
+            srv.HandleServer, builder, counting(calls, builder, getattr(srv.HandleServer, builder))
+        )
     later = stamp_add(NOW, 3600)
     for ghost in ghosts:
         got = server.resolve(ghost, now=later)
@@ -252,7 +279,7 @@ def test_warm_not_found_neither_signs_nor_rebuilds_a_zone(corpus, monkeypatch):
     assert calls == {}
 
 
-def test_nxt_signatures_are_reused_only_while_fresh(corpus, monkeypatch):
+def test_nxt_signatures_are_reused_only_while_fresh(corpus, keypool, monkeypatch):
     server = corpus.server()
     ghost = corpus.claimed.child(IA(55))
     calls: dict = {}
@@ -290,6 +317,51 @@ def test_nxt_signatures_are_reused_only_while_fresh(corpus, monkeypatch):
     assert signs() == 1  # only the covering record changed
     assert after[0].records[0].rdata.next_owner == corpus.claimed.child(IA(56)).fqdn_no_dot()
     assert after[0] != cover and after[1] == apex
+
+    # Each update below lands on a cache warmed by serving every denial;
+    # the next pass must re-sign exactly the records the update changed.
+    k0 = keypool.key(0)[1]
+    a, root = corpus.claimed, canonical_sort_key(ROOT)
+    a_zone = canonical_sort_key(a.fqdn_no_dot())
+    a1, a57 = a.child(IA(1)), a.child(IA(57))
+    a1_upper = Handle(labels=a1.labels, root_suffix=ROOT.upper())
+
+    def served():
+        for handle in probes(server, corpus):
+            server.query_record(handle, "NXT", now=early)
+        return {key: signed for key, (signed, _) in server._nxt_sigs.items()}
+
+    def resigned_by(msg):
+        """(zone, owner) -> whether its record changed, for each set re-signed."""
+        before = served()
+        signs()
+        assert server.apply_update(msg, now=NOW).accepted
+        after = served()
+        fresh = [key for key, signed in after.items() if before.get(key) is not signed]
+        assert signs() == len(fresh)
+        return {
+            (zone, srv._sort_key_name(owner)):
+                (zone, owner) not in before or before[zone, owner].records[0] != after[zone, owner].records[0]
+            for zone, owner in fresh
+        }
+
+    assert served() and signs() > 0  # every denial signed once
+    assert server.apply_update(srv.make_assign(k0, a57, "10.0.0.57", 13, now=NOW), now=NOW).accepted
+    served()
+    # a rebind keeps a1's types and its A set's owner text (upper case)
+    assert resigned_by(srv.make_assign(k0, a1_upper, "10.0.0.9", 14, now=NOW)) == {}
+    # owner text in lower case: a1's own record, and the apex's, whose next owner a1 is
+    assert resigned_by(srv.make_assign(k0, a1, "10.0.0.8", 15, now=NOW)) == {
+        (a_zone, a1.name_key()): True, (a_zone, a.name_key()): True,
+    }
+    # a57 enters the root zone after a2; a2's root record now points at
+    # a57, but only a's zone denies the names between them, so only a57's
+    # own is served there. The purge takes a57 out of its owner zone and the
+    # cancel puts it back with the same record: a name that leaves a zone
+    # drops its cached set, so that one is signed again.
+    assert resigned_by(srv.make_cancel(k0, a57, 16, now=NOW)) == {
+        (root, a57.name_key()): True, (a_zone, a57.name_key()): False,
+    }
 
 
 def test_zone_export_signs_through_the_same_cache(corpus, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIXED_NOW, ROOT, build_example_zones, new_server, new_service
 
-from onhs import crypto
+from onhs import crypto, server as srv
 from onhs.client import (
     HandleReference,
     V_STALE,
@@ -24,14 +24,17 @@ from onhs.client import (
 )
 from onhs.errors import ResolutionError, VerificationError
 from onhs.handles import HandleLabel, parse_handle
-from onhs.records import IMPOSSIBLE_ADDRESS, ResourceRecord, SignedRRset
+from onhs.records import CACHE_CAP, IMPOSSIBLE_ADDRESS, ResourceRecord, SignedRRset, name_key
 from onhs.server import (
+    BoundApexKeys,
     OUTCOME_ADDRESS,
     OUTCOME_CANCELLED,
     OUTCOME_COMPROMISED,
     OUTCOME_NOT_FOUND,
     OUTCOME_TRANSFERRED_AND_ADDRESS,
     RecordAnswer,
+    apex_key,
+    bound_apex_keys,
     make_assign,
     make_cancel,
     make_claim,
@@ -415,6 +418,59 @@ class TestVerifiedSignatureCache:
         again.close()
         assert again.replayed == 17
         assert len(verified_signatures) == 0
+
+
+class TestBoundApexKeys:
+    """ApexKeys keeps apex_key's answers in bound_apex_keys, keyed on all
+    of its inputs, so a bound key vouches for nothing apex_key would refuse."""
+
+    @staticmethod
+    def with_key_set(res, apex, owner, key_bytes):
+        """res with apex's KEY set moved to owner and holding key_bytes,
+        unsigned: an apex KEY set counts by its binding alone."""
+        evidence = []
+        for rrset in res.evidence:
+            if rrset.rtype == "KEY" and name_key(rrset.owner) == apex.name_key():
+                record = replace(rrset.records[0], owner=owner.fqdn_no_dot(), rdata=key_bytes)
+                rrset = SignedRRset((record,))
+            evidence.append(rrset)
+        return replace(res, evidence=tuple(evidence))
+
+    def test_a_bound_key_vouches_for_no_other_key_or_owner(self, example_zones):
+        z = example_zones
+        leaf, apex = z.leaf_2_3, z.apex1
+        res = z.server.resolve(leaf, now=NOW)
+        assert verify_resolution(res, leaf, ROOT, now=NOW).verified  # binds apex1's key
+        mine, other = (z.secrets[k].public_key().key_bytes for k in ("k1", "k2"))
+        for owner, key_bytes, why in (
+            (apex, other, "label-mismatch"),     # another key under apex1
+            (z.apex2, mine, "label-mismatch"),   # apex1's key under another apex
+            (leaf, mine, "bad-owner"),           # apex1's key below an apex
+        ):
+            got = verify_resolution(self.with_key_set(res, apex, owner, key_bytes), leaf, ROOT, now=NOW)
+            assert not got.verified
+            assert (owner.name_key(), "KEY", why) in got.record_verdicts
+            assert bound_apex_keys(key_bytes, owner.name_key(), name_key(ROOT)) == apex_key(
+                key_bytes, owner.name_key(), name_key(ROOT)
+            )
+        wrong_pin = z.secrets["k2"].public_key()
+        got = verify_resolution(res, leaf, ROOT, pinned_key=wrong_pin, now=NOW)
+        assert not got.verified
+        assert f"pinned key check: served key for {apex.name_key()} differs from pin" in got.failures
+
+    def test_it_holds_at_most_cache_cap_answers(self, keypool):
+        key_bytes, root = keypool.key(0)[0].key_bytes, name_key(ROOT)
+        for i in range(CACHE_CAP + 10):
+            assert bound_apex_keys(key_bytes, f"h0k{i}.{root}", root) == (None, "bad-owner")
+        assert len(bound_apex_keys) == CACHE_CAP
+
+    def test_least_recently_used_answer_goes_past_the_cap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(srv, "apex_key", lambda *args: calls.append(args) or (None, "bad-owner"))
+        memo = BoundApexKeys(2)
+        for owner in ("a", "b", "a", "c", "a", "b"):
+            memo(b"key", owner, "root")
+        assert [owner for _, owner, _ in calls] == ["a", "b", "c", "b"]
 
 
 class _DownEndpoint:
