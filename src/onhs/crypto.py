@@ -66,14 +66,15 @@ def _digest_for(algorithm: int):
 # ---- timestamps ----------------------------------------------------------
 
 _STAMP_RE = re.compile(r"[0-9]{14}$")
+_STAMP_FORMAT = "%Y%m%d%H%M%S"
 
 
 def now_stamp() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%d%H%M%S")
+    return _dt.datetime.now(_dt.timezone.utc).strftime(_STAMP_FORMAT)
 
 
 def make_stamp(dt: _dt.datetime) -> str:
-    return dt.astimezone(_dt.timezone.utc).strftime("%Y%m%d%H%M%S")
+    return dt.astimezone(_dt.timezone.utc).strftime(_STAMP_FORMAT)
 
 
 def check_stamp(text: str) -> str:
@@ -83,9 +84,13 @@ def check_stamp(text: str) -> str:
 
 
 def stamp_add(stamp: str, seconds: int) -> str:
-    dt = _dt.datetime.strptime(check_stamp(stamp), "%Y%m%d%H%M%S")
-    dt = dt.replace(tzinfo=_dt.timezone.utc) + _dt.timedelta(seconds=seconds)
-    return make_stamp(dt)
+    """stamp moved by seconds. Its fields are read by position; one out
+    of range raises ValueError."""
+    s = check_stamp(stamp)
+    dt = _dt.datetime(
+        int(s[:4]), int(s[4:6]), int(s[6:8]), int(s[8:10]), int(s[10:12]), int(s[12:])
+    )
+    return (dt + _dt.timedelta(seconds=seconds)).strftime(_STAMP_FORMAT)
 
 
 # ---- key material --------------------------------------------------------
@@ -131,11 +136,15 @@ class PublicKey:
     """A public key in canonical octet form.
 
     key_bytes holds the complete KEY record payload; two equal keys always
-    have identical key_bytes, and the label hash is taken over them.
+    have identical key_bytes, and the label hash is taken over them. The
+    RSA key they encode is built on the first verify and kept for the
+    next (threads that verify first at once may each build it; all are
+    the same key); equality, hashing and repr do not see it.
     """
 
     algorithm: int
     key_bytes: bytes
+    _rsa: Optional[rsa.RSAPublicKey] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -164,7 +173,10 @@ class PublicKey:
         return hashlib.sha1(self.key_bytes).hexdigest().upper()
 
     def verify(self, signature: bytes, message: bytes) -> bool:
-        pub = _material_to_rsa(self.material)
+        pub = self._rsa
+        if pub is None:
+            pub = _material_to_rsa(self.material)
+            object.__setattr__(self, "_rsa", pub)
         try:
             pub.verify(signature, message, padding.PKCS1v15(), _digest_for(self.algorithm))
             return True

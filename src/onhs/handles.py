@@ -44,13 +44,8 @@ MAX_NAME_LEN = 253
 _PK_RE = re.compile(r"h1g([0-9]+)k([0-9a-f]+)$", re.IGNORECASE)
 _IA_RE = re.compile(r"h0k([0-9]+)$", re.IGNORECASE)
 _OA_RE = re.compile(r"h2k([0-9]+)$", re.IGNORECASE)
-
-
-def _check_ordinal(text: str) -> None:
-    if len(text) > MAX_ORDINAL_DIGITS:
-        raise LabelLengthError(f"ordinal longer than {MAX_ORDINAL_DIGITS} digits")
-    if len(text) > 1 and text[0] == "0":
-        raise LeadingZeroError(f"ordinal {text!r} has a leading zero")
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+_DECIMAL_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +70,7 @@ class HandleLabel:
                 raise InvalidLabelError("PK label needs algorithm_code and key_suffix")
             if not isinstance(code, int) or not 1 <= code <= 255:
                 raise LabelSyntaxError(f"algorithm code {code!r} outside 1..255")
-            if not re.fullmatch(r"[0-9A-Fa-f]+", suffix):
+            if not _HEX_RE.fullmatch(suffix):
                 raise LabelSyntaxError(f"key suffix {suffix!r} is not hex")
             if not MIN_SUFFIX_HEX <= len(suffix) <= MAX_SUFFIX_HEX:
                 raise LabelLengthError(
@@ -86,9 +81,13 @@ class HandleLabel:
         elif self.kind in (IA, OA):
             if self.ordinal is None or self.algorithm_code is not None or self.key_suffix is not None:
                 raise InvalidLabelError(f"{self.kind} label needs only an ordinal")
-            if not re.fullmatch(r"[0-9]+", self.ordinal):
-                raise LabelSyntaxError(f"ordinal {self.ordinal!r} is not decimal")
-            _check_ordinal(self.ordinal)
+            text = self.ordinal
+            if not _DECIMAL_RE.fullmatch(text):
+                raise LabelSyntaxError(f"ordinal {text!r} is not decimal")
+            if len(text) > MAX_ORDINAL_DIGITS:
+                raise LabelLengthError(f"ordinal longer than {MAX_ORDINAL_DIGITS} digits")
+            if len(text) > 1 and text[0] == "0":
+                raise LeadingZeroError(f"ordinal {text!r} has a leading zero")
         else:
             raise InvalidLabelError(f"unknown label kind {self.kind!r}")
 
@@ -117,32 +116,24 @@ class HandleLabel:
 
 
 def parse_label(text: str) -> HandleLabel:
-    """Parse one label. Raises a subclass of InvalidLabelError on bad input."""
+    """Parse one label. Raises a subclass of InvalidLabelError on bad input;
+    HandleLabel checks the code range, the suffix length and the ordinal."""
     if not text:
         raise LabelSyntaxError("empty label")
     if len(text) > MAX_LABEL_LEN:
         raise LabelLengthError(f"label longer than {MAX_LABEL_LEN} octets")
     m = _PK_RE.fullmatch(text)
     if m:
-        code_text, hex_text = m.group(1), m.group(2)
+        code_text = m.group(1)
+        # the one rule HandleLabel cannot see: it gets the code as a number
         if len(code_text) > 1 and code_text[0] == "0":
             raise LeadingZeroError(f"algorithm code {code_text!r} has a leading zero")
-        code = int(code_text)
-        if not 1 <= code <= 255:
-            raise LabelSyntaxError(f"algorithm code {code} outside 1..255")
-        if not MIN_SUFFIX_HEX <= len(hex_text) <= MAX_SUFFIX_HEX:
-            raise LabelLengthError(
-                f"key suffix length {len(hex_text)} outside "
-                f"{MIN_SUFFIX_HEX}..{MAX_SUFFIX_HEX}"
-            )
-        return HandleLabel.pk(code, hex_text)
+        return HandleLabel.pk(int(code_text), m.group(2))
     m = _IA_RE.fullmatch(text)
     if m:
-        _check_ordinal(m.group(1))
         return HandleLabel.ia(m.group(1))
     m = _OA_RE.fullmatch(text)
     if m:
-        _check_ordinal(m.group(1))
         return HandleLabel.oa(m.group(1))
     raise LabelSyntaxError(f"label {text!r} does not match any handle form")
 
@@ -162,13 +153,16 @@ class Handle:
 
     The apex label must be PK; labels below it must be IA or OA. The root
     suffix is kept verbatim (case and trailing dot) so rendering reproduces
-    the parsed text; comparisons ignore both. The rendered name is built
-    once, here, and kept outside equality, hashing and repr.
+    the parsed text; comparisons ignore both. The rendered name and its map
+    key are built once, here, and kept outside equality, hashing and repr.
+    A prefix of a valid handle is valid, so apex, parent and ancestry cut
+    theirs from this handle's parts without checking them again.
     """
 
     labels: Tuple[HandleLabel, ...]
     root_suffix: str
     _fqdn: str = field(init=False, repr=False, compare=False)
+    _name_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -190,6 +184,18 @@ class Handle:
             raise HandleStructureError(
                 f"rendered name longer than {MAX_NAME_LEN} octets"
             )
+        object.__setattr__(self, "_name_key", name_key(self._fqdn))
+
+    def _prefix(self, count: int) -> "Handle":
+        """The handle of this one's first count labels, its names cut from
+        this one's past the leaf labels it drops."""
+        drop = len(self.labels) - count
+        prefix = object.__new__(Handle)
+        object.__setattr__(prefix, "labels", self.labels[:count])
+        object.__setattr__(prefix, "root_suffix", self.root_suffix)
+        object.__setattr__(prefix, "_fqdn", self._fqdn.split(".", drop)[drop])
+        object.__setattr__(prefix, "_name_key", self._name_key.split(".", drop)[drop])
+        return prefix
 
     # -- rendering --
 
@@ -205,7 +211,7 @@ class Handle:
 
     def name_key(self) -> str:
         """Case-folded, dot-stripped form for use as a map key."""
-        return name_key(self._fqdn)
+        return self._name_key
 
     def __str__(self) -> str:
         return self._fqdn
@@ -232,7 +238,7 @@ class Handle:
         return self.labels[0]
 
     def apex(self) -> "Handle":
-        return Handle(labels=(self.labels[0],), root_suffix=self.root_suffix)
+        return self._prefix(1)
 
     def is_apex(self) -> bool:
         return len(self.labels) == 1
@@ -240,7 +246,7 @@ class Handle:
     def parent(self) -> Optional["Handle"]:
         if self.is_apex():
             return None
-        return Handle(labels=self.labels[:-1], root_suffix=self.root_suffix)
+        return self._prefix(len(self.labels) - 1)
 
     def child(self, label: HandleLabel) -> "Handle":
         return Handle(labels=self.labels + (label,), root_suffix=self.root_suffix)
@@ -248,7 +254,7 @@ class Handle:
     def ancestry(self) -> Iterator["Handle"]:
         """Yield apex, then each deeper prefix, ending with this handle."""
         for i in range(1, len(self.labels)):
-            yield Handle(labels=self.labels[:i], root_suffix=self.root_suffix)
+            yield self._prefix(i)
         yield self
 
     def is_under(self, other: "Handle") -> bool:

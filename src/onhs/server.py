@@ -614,8 +614,9 @@ class BoundApexKeys(LruCache):
         return bound
 
 
-# Filled through ApexKeys: answers under one apex all carry its KEY set.
-# Update intake calls apex_key directly.
+# Filled by update intake and through ApexKeys: the updates to an apex are
+# signed by its key, and the answers under it carry its KEY set, so each
+# apex key is bound, and its RSA key built, once for all of them.
 bound_apex_keys = BoundApexKeys(CACHE_CAP)
 
 
@@ -1100,13 +1101,13 @@ class HandleServer:
 
         apex = target.apex()
         apex_name, root = apex.name_key(), name_key(self.root_zone)
-        _, why = apex_key(msg.signer_key.key_bytes, apex_name, root)
+        signer, why = bound_apex_keys(msg.signer_key.key_bytes, apex_name, root)
         if why != V_OK:
             reason = R_KEY_LABEL_MISMATCH if msg.action == CLAIM else R_WRONG_AUTHORITY
             return Verdict.rejected(reason, "key hash does not end in the label suffix")
 
         held = self._apex_key(apex)
-        if held is not None and held != msg.signer_key:
+        if held is not None and held != signer:
             reason = R_ALREADY_CLAIMED if msg.action == CLAIM else R_WRONG_AUTHORITY
             return Verdict.rejected(reason, "another key holds this apex")
 
@@ -1115,7 +1116,7 @@ class HandleServer:
         except _Malformed as exc:
             return Verdict.rejected(R_MALFORMED, str(exc))
 
-        key_of = {apex_name: msg.signer_key}.get
+        key_of = {apex_name: signer}.get
         for rrset in rrsets:
             why = signed_set_verdict(rrset, key_of, root, stamp, sticky=False)
             if why == V_WRONG_SIGNER:

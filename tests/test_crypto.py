@@ -6,6 +6,7 @@ a disagreement rather than a shared blind spot.
 """
 
 import base64
+import datetime
 import hashlib
 import random
 
@@ -13,7 +14,7 @@ import pytest
 
 from oracles import sha1_hex, SHA1_VECTORS
 
-from onhs import crypto
+from onhs import crypto, server
 from onhs.crypto import (
     PublicKey,
     RecordSignature,
@@ -225,6 +226,30 @@ class TestSecretKeyCache:
         assert repr(secret.private_bytes) not in text
 
 
+class TestPublicKeyCache:
+    """A PublicKey builds its RSA key on the first verify and keeps it."""
+
+    def test_one_rsa_key_however_often_it_verifies(self, keypool, monkeypatch):
+        calls = []
+        real = crypto._material_to_rsa
+        monkeypatch.setattr(crypto, "_material_to_rsa", lambda m: calls.append(m) or real(m))
+        public, secret = keypool.key(0)
+        key = PublicKey.from_key_bytes(public.key_bytes)
+        assert calls == []
+        for i in range(5):
+            assert key.verify(secret.sign(b"m%d" % i), b"m%d" % i)
+            assert not key.verify(secret.sign(b"m%d" % i), b"other")
+        assert calls == [public.material]
+
+    def test_equality_hash_and_repr_do_not_see_the_rsa_key(self, keypool):
+        public, secret = keypool.key(0)
+        used = PublicKey.from_key_bytes(public.key_bytes)
+        fresh = PublicKey.from_key_bytes(public.key_bytes)
+        assert used.verify(secret.sign(b"m"), b"m")
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+
 class TestTimestamps:
     def test_stamp_shape_enforced(self):
         crypto.check_stamp("20050415223412")
@@ -239,6 +264,62 @@ class TestTimestamps:
 
     def test_stamps_compare_as_strings(self):
         assert "20050401223412" < "20050415223412" < "20260816000000"
+
+    @staticmethod
+    def strptime_stamp_add(stamp: str, seconds: int) -> str:
+        """stamp_add as it was written with strptime."""
+        dt = datetime.datetime.strptime(crypto.check_stamp(stamp), "%Y%m%d%H%M%S")
+        dt = dt.replace(tzinfo=datetime.timezone.utc) + datetime.timedelta(seconds=seconds)
+        return crypto.make_stamp(dt)
+
+    @pytest.mark.parametrize(
+        "stamp,seconds,expected",
+        [
+            ("20261231235959", 1, "20270101000000"),  # year end
+            ("20280228120000", 86400, "20280229120000"),  # Feb 29 of a leap year
+            ("20280229120000", 86400, "20280301120000"),
+            ("20270228120000", 86400, "20270301120000"),  # no Feb 29 in 2027
+            ("20000228000000", 86400, "20000229000000"),  # 2000 is a leap year
+            ("21000228000000", 86400, "21000301000000"),  # 2100 is not
+            ("20260816120000", server.SERVER_SIG_VALIDITY, "20260817120000"),
+            ("20260816120000", server.SERVER_SIG_VALIDITY // 2, "20260817000000"),
+            ("20260816120000", server.DEFAULT_VALIDITY, "20260823120000"),
+            ("20260101000000", server.IRREVOCABLE_VALIDITY, "20360109000000"),
+            ("20260301000000", -1, "20260228235959"),
+        ],
+    )
+    def test_stamp_add_matches_the_strptime_form(self, stamp, seconds, expected):
+        assert crypto.stamp_add(stamp, seconds) == expected
+        assert self.strptime_stamp_add(stamp, seconds) == expected
+
+    def test_stamp_add_matches_the_strptime_form_on_random_stamps(self):
+        rng = random.Random(1415)
+        for _ in range(500):
+            stamp = crypto.make_stamp(datetime.datetime(
+                rng.randint(1970, 2200), rng.randint(1, 12), rng.randint(1, 28),
+                rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59),
+                tzinfo=datetime.timezone.utc,
+            ))
+            seconds = rng.randint(-10 ** 9, 10 ** 9)
+            assert crypto.stamp_add(stamp, seconds) == self.strptime_stamp_add(stamp, seconds)
+
+    @pytest.mark.parametrize(
+        "stamp,error",
+        [
+            ("2026123123595", ParamsMismatchError),  # 13 digits
+            ("202612312359590", ParamsMismatchError),  # 15 digits
+            ("2026-12-31T23:5", ParamsMismatchError),
+            ("20261301000000", ValueError),  # month 13
+            ("20260001000000", ValueError),  # month 0
+            ("20270229000000", ValueError),  # Feb 29 of a year without one
+            ("20260101240000", ValueError),  # hour 24
+            ("20260101000060", ValueError),  # second 60
+        ],
+    )
+    def test_bad_stamps_raise_as_before(self, stamp, error):
+        for add in (crypto.stamp_add, self.strptime_stamp_add):
+            with pytest.raises(error):
+                add(stamp, 1)
 
 
 class TestSignatures:

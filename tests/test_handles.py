@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onhs.errors import (
     HandleStructureError,
@@ -13,6 +14,7 @@ from onhs.errors import (
     NotUnderRootError,
 )
 from onhs.handles import (
+    MAX_NAME_LEN,
     Handle,
     HandleLabel,
     parse_handle,
@@ -288,3 +290,128 @@ class TestRandomizedGrammar:
             text = ".".join(parts) + f".{ROOT}{dot}"
             handle = parse_handle(text, ROOT)
             assert handle.fqdn() == text
+
+
+# Each bad label form with the error class and message parse_label gives
+# for it; parse_handle gives the same when the label sits in a name.
+BAD_LABELS = [
+    ("h1g05k0061A38F9A3540B9", LeadingZeroError, "algorithm code '05' has a leading zero"),
+    ("h1g0k0061A38F9A3540B9", LabelSyntaxError, "algorithm code 0 outside 1..255"),
+    ("h1g256k0061A38F9A3540B9", LabelSyntaxError, "algorithm code 256 outside 1..255"),
+    ("h1g5k" + "A" * 13, LabelLengthError, "key suffix length 13 outside 14..40"),
+    ("h1g5k" + "A" * 41, LabelLengthError, "key suffix length 41 outside 14..40"),
+    (
+        "h1g5k0061A38F9A3540BZ",
+        LabelSyntaxError,
+        "label 'h1g5k0061A38F9A3540BZ' does not match any handle form",
+    ),
+    ("h0k01", LeadingZeroError, "ordinal '01' has a leading zero"),
+    ("h2k007", LeadingZeroError, "ordinal '007' has a leading zero"),
+    ("h0k" + "1" * 61, LabelLengthError, "label longer than 63 octets"),
+    ("", LabelSyntaxError, "empty label"),
+    ("h1g5k" + "A" * 59, LabelLengthError, "label longer than 63 octets"),
+]
+
+
+class TestLabelErrors:
+    @pytest.mark.parametrize("text,error,message", BAD_LABELS)
+    def test_parse_label_error_class_and_message(self, text, error, message):
+        with pytest.raises(error) as caught:
+            parse_label(text)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text,error,message", BAD_LABELS)
+    def test_parse_handle_error_class_and_message(self, text, error, message):
+        name = f"{text}.{ROOT}" if text.startswith("h1g") else f"{text}.{GOLDEN_APEX}"
+        with pytest.raises(error) as caught:
+            parse_handle(name, ROOT)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "fields,error,message",
+        [
+            (("PK", 256, "A" * 16, None), LabelSyntaxError, "algorithm code 256 outside 1..255"),
+            (("PK", 5, "A" * 13, None), LabelLengthError, "key suffix length 13 outside 14..40"),
+            (("PK", 5, "Z" * 16, None), LabelSyntaxError, f"key suffix {'Z' * 16!r} is not hex"),
+            (("IA", None, None, "1" * 61), LabelLengthError, "ordinal longer than 60 digits"),
+            (("OA", None, None, "01"), LeadingZeroError, "ordinal '01' has a leading zero"),
+            (("IA", None, None, "x1"), LabelSyntaxError, "ordinal 'x1' is not decimal"),
+        ],
+    )
+    def test_label_constructor_keeps_every_check(self, fields, error, message):
+        with pytest.raises(error) as caught:
+            HandleLabel(*fields)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+_ordinals = st.one_of(
+    st.just("0"),
+    st.builds(lambda head, rest: head + rest, st.sampled_from("123456789"),
+              st.text("0123456789", max_size=59)),
+)
+_below_apex = st.builds(
+    lambda kind, ordinal: HandleLabel(kind=kind, ordinal=ordinal),
+    st.sampled_from(["IA", "OA"]), _ordinals,
+)
+_apex_labels = st.builds(
+    HandleLabel.pk, st.integers(1, 255), st.text("0123456789abcdefABCDEF", min_size=14, max_size=40)
+)
+# mixed-case roots, with and without a trailing dot
+_roots = st.builds(
+    lambda parts, dot: ".".join(parts) + dot,
+    st.lists(st.text("abcXYZ09-", min_size=1, max_size=12), min_size=1, max_size=3),
+    st.sampled_from(["", "."]),
+)
+
+
+@st.composite
+def valid_handles(draw) -> Handle:
+    labels = (draw(_apex_labels),) + tuple(draw(st.lists(_below_apex, max_size=4)))
+    root = draw(_roots)
+    while len(".".join(map(str, labels))) + len(root.rstrip(".")) + 1 > MAX_NAME_LEN:
+        labels = labels[:-1]
+    return Handle(labels=labels, root_suffix=root)
+
+
+class TestDerivedHandles:
+    """apex, parent and ancestry cut their handles from a valid one; each
+    must be the handle the validating constructor builds from its labels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(handle=valid_handles())
+    def test_derived_handles_match_constructed_ones(self, handle):
+        derived = [handle.apex(), *handle.ancestry()]
+        if handle.parent() is not None:
+            derived.append(handle.parent())
+        for prefix in derived:
+            built = Handle(labels=prefix.labels, root_suffix=handle.root_suffix)
+            assert prefix.labels == built.labels
+            assert prefix.root_suffix == built.root_suffix
+            assert prefix.fqdn() == built.fqdn()
+            assert prefix.name_key() == built.name_key()
+            assert prefix == built and hash(prefix) == hash(built)
+            assert repr(prefix) == repr(built)
+        assert [len(h.labels) for h in handle.ancestry()] == list(range(1, len(handle.labels) + 1))
+        assert handle.apex().labels == handle.labels[:1]
+        if handle.parent() is not None:
+            assert handle.parent().labels == handle.labels[:-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(handle=valid_handles(), label=_below_apex)
+    def test_child_and_replace_prefix_still_check_the_name_length(self, handle, label):
+        grown = len(handle.fqdn_no_dot()) + 1 + len(str(label))
+        if grown > MAX_NAME_LEN:
+            with pytest.raises(HandleStructureError):
+                handle.child(label)
+        else:
+            assert handle.child(label).fqdn_no_dot() == f"{label}.{handle.fqdn_no_dot()}"
+        long = HandleLabel.ia("9" * 58)  # 61 octets
+        deep = handle.apex().child(long)
+        target = handle
+        while len(target.fqdn_no_dot()) + 62 <= MAX_NAME_LEN:
+            target = target.child(long)
+        with pytest.raises(HandleStructureError):  # target's name plus one 61-octet label
+            deep.replace_prefix(handle.apex(), target)

@@ -8,17 +8,19 @@ import struct
 import threading
 import types
 import uuid
+from dataclasses import replace
 
 import pytest
 
-from conftest import ROOT, new_service
+from conftest import FIXED_NOW, ROOT, new_service
 
-from onhs import wire
+from onhs import crypto, server as srv, wire
 from onhs.client import verify_resolution
 from onhs.errors import DelegationLoopError, LogFormatError, OnhsError
 from onhs.handles import HandleLabel, parse_handle
 from onhs.server import (
     OUTCOME_ADDRESS,
+    R_KEY_LABEL_MISMATCH,
     R_WRONG_AUTHORITY,
     HandleEntry,
     UpdateMessage,
@@ -224,6 +226,51 @@ class TestDurability:
         log.write_bytes(b"\n".join(lines))
         with pytest.raises(LogFormatError, match="line 4"):
             HandleService(cfg, key_bits=1024)
+
+
+class TestOneRsaKeyPerApex:
+    """Update intake binds the signer key through server.bound_apex_keys,
+    so the updates to one apex, live or replayed, build its RSA key once."""
+
+    def test_twenty_updates_build_one_rsa_key_live_and_in_replay(
+        self, tmp_path, keypool, monkeypatch
+    ):
+        built = []
+        real = crypto._material_to_rsa
+        monkeypatch.setattr(crypto, "_material_to_rsa", lambda m: built.append(m) or real(m))
+        public, secret = keypool.fresh()  # a key no earlier test has bound
+        _, other = keypool.key(1)
+        claim = make_claim(secret, ROOT, 16, 1, now=FIXED_NOW)
+        apex = parse_handle(claim.target, ROOT)
+        updates = [claim]
+        for i in range(1, 10):
+            updates.append(make_create_child(secret, apex.child(IA(i)), 2 * i, now=FIXED_NOW))
+        for i in range(1, 11):
+            updates.append(make_assign(secret, apex.child(IA(i)), f"10.0.0.{i}", 30 + i,
+                                       now=FIXED_NOW))
+        wrong_key = make_assign(other, apex.child(IA(1)), "10.9.9.9", 99, now=FIXED_NOW)
+        mismatched_claim = replace(make_claim(other, ROOT, 16, 1, now=FIXED_NOW),
+                                   target=claim.target)
+
+        service = new_service(tmp_path / "data")
+        for update in updates:
+            assert service.server.apply_update(update, now=FIXED_NOW).accepted
+        assert service.server.apply_update(wrong_key, now=FIXED_NOW).reason == R_WRONG_AUTHORITY
+        assert service.server.apply_update(
+            mismatched_claim, now=FIXED_NOW
+        ).reason == R_KEY_LABEL_MISMATCH
+        assert built == [public.material]
+        state = service.server.dump_state()
+        service.close()
+
+        srv.bound_apex_keys.clear()  # as a restarted process finds it
+        reborn = new_service(tmp_path / "data")
+        try:
+            assert reborn.replayed == 22
+            assert reborn.server.dump_state() == state
+            assert built == [public.material] * 2
+        finally:
+            reborn.close()
 
 
 def _reachable(root):

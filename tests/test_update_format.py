@@ -11,6 +11,7 @@ key-label-mismatch, bad-signature, expired-signature and six malformed
 payloads.
 """
 
+import hashlib
 from pathlib import Path
 
 from conftest import new_server
@@ -37,6 +38,19 @@ def test_a_log_from_an_earlier_version_replays_line_for_line():
         "rejected:handle-cancelled",
         "rejected:malformed",
     } <= tags
+
+
+# sha256 of the dump_state the fixture replays to, recorded before derived
+# handles, apex keys and stamps were each built once on the update path
+FIXTURE_STATE_SHA256 = "4a2669f1df755c7dbdcaea929a11f3c7641c6ce3b83dfa338a0bf99f63102c3d"
+
+
+def test_the_log_replays_to_the_state_it_recorded():
+    server = new_server()
+    for line in FIXTURE.read_bytes().splitlines(keepends=True):
+        msg, _, stamp = decode_log_line(line)
+        server.apply_update(msg, now=stamp)
+    assert hashlib.sha256(server.dump_state().encode()).hexdigest() == FIXTURE_STATE_SHA256
 
 
 def test_verdicts_travel_as_three_fields():
