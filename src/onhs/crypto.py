@@ -47,6 +47,13 @@ KEY_PROTOCOL = 3
 RSA_SHA1 = 5
 RSA_SHA256 = 8
 
+# The largest RSA modulus OpenSSL works with (OPENSSL_RSA_MAX_MODULUS_BITS).
+# A key payload holding one is at most its 4 octets of flags, protocol and
+# algorithm, a 3-octet exponent length, and an exponent and a modulus of
+# that size; a longer payload is refused before it is kept anywhere.
+MAX_RSA_BITS = 16384
+MAX_KEY_PAYLOAD = 4 + 3 + 2 * (MAX_RSA_BITS // 8)
+
 # Registry of supported signature algorithm codes. Code 5 is the mandatory
 # baseline; code 8 is the modern alternative, using the same public key
 # layout with a SHA-256 digest.
@@ -151,6 +158,8 @@ class PublicKey:
             raise UnsupportedAlgorithmError(f"algorithm code {self.algorithm} not registered")
         if len(self.key_bytes) < 5:
             raise KeyFormatError("key payload too short")
+        if len(self.key_bytes) > MAX_KEY_PAYLOAD:
+            raise KeyFormatError(f"key payload longer than {MAX_KEY_PAYLOAD} octets")
         flags, proto, alg = struct.unpack(">HBB", self.key_bytes[:4])
         if alg != self.algorithm:
             raise KeyFormatError(f"payload algorithm {alg} != declared {self.algorithm}")

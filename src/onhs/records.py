@@ -131,6 +131,8 @@ def key_payload_fields(payload: bytes) -> Tuple[int, int, int, bytes]:
     """Split a KEY payload into flags, protocol, algorithm, material."""
     if len(payload) < 5:
         raise RdataFormatError("KEY payload too short")
+    if len(payload) > crypto.MAX_KEY_PAYLOAD:
+        raise RdataFormatError(f"KEY payload longer than {crypto.MAX_KEY_PAYLOAD} octets")
     flags, proto, alg = struct.unpack(">HBB", payload[:4])
     return flags, proto, alg, payload[4:]
 

@@ -603,6 +603,8 @@ class BoundApexKeys(LruCache):
     apex_key is pure, so an entry keyed on all of its inputs (the key
     bytes, the owner and the root) is its answer for good, a refusal as
     well as a bound key. Past cap entries, the least recently used one goes.
+    The key bytes come from a PublicKey or a KEY record, which both refuse
+    more than crypto.MAX_KEY_PAYLOAD octets, so an entry stays small.
     """
 
     def __call__(self, key_bytes: bytes, owner: str, root: str) -> Tuple[Optional[PublicKey], str]:

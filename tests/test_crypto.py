@@ -144,6 +144,16 @@ class TestKeyMaterial:
         with pytest.raises(UnsupportedAlgorithmError):
             generate_keypair(99)
 
+    def test_payload_past_the_largest_modulus_rejected(self, keypool):
+        public, _ = keypool.key(0)
+        head = public.key_bytes[:4]
+        largest = head + b"\x01" * (crypto.MAX_KEY_PAYLOAD - 4)
+        assert PublicKey.from_key_bytes(largest).key_bytes == largest
+        with pytest.raises(KeyFormatError, match=f"longer than {crypto.MAX_KEY_PAYLOAD} octets"):
+            PublicKey.from_key_bytes(largest + b"\x01")
+        with pytest.raises(KeyFormatError, match="longer than"):
+            PublicKey(algorithm=public.algorithm, key_bytes=largest + b"\x01")
+
     def test_both_algorithms_sign_and_verify(self):
         for alg in (crypto.RSA_SHA1, crypto.RSA_SHA256):
             public, secret = generate_keypair(alg, bits=1024)

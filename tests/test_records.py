@@ -63,6 +63,13 @@ class TestRecordValidation:
         rec = ResourceRecord(owner=f"x.{APEX}", ttl=60, rtype="A", rdata="0.0.0.0")
         assert rec.rdata == "0.0.0.0"
 
+    def test_key_payload_past_the_largest_modulus_rejected(self):
+        head = bytes([1, 0, 3, crypto.RSA_SHA1])
+        largest = head + b"\x01" * (crypto.MAX_KEY_PAYLOAD - 4)
+        assert ResourceRecord(owner=APEX, ttl=60, rtype="KEY", rdata=largest).rdata == largest
+        with pytest.raises(RdataFormatError, match="longer than"):
+            ResourceRecord(owner=APEX, ttl=60, rtype="KEY", rdata=largest + b"\x01")
+
     def test_unknown_type_rejected(self):
         with pytest.raises(UnknownRecordTypeError):
             ResourceRecord(owner=f"x.{APEX}", ttl=60, rtype="MX", rdata="10 mail")

@@ -373,6 +373,20 @@ class TestMalformedRequests:
         detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": update})
         assert detail == "update field 'signer_key' lacks field 'algorithm'"
 
+    def test_update_with_an_oversized_signer_key_binds_nothing(self, logged_service, keypool):
+        public, secret = keypool.key(0)
+        update = make_claim(secret, ROOT, 16, 1).to_dict()
+        oversized = public.key_bytes + b"\x01" * crypto.MAX_KEY_PAYLOAD
+        update["signer_key"]["key"] = base64.b64encode(oversized).decode()
+        bound = len(srv.bound_apex_keys)
+        detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": update})
+        assert detail == (
+            "update field 'signer_key' field 'key': "
+            f"key payload longer than {crypto.MAX_KEY_PAYLOAD} octets"
+        )
+        assert len(srv.bound_apex_keys) == bound
+        assert not any(key[0] == oversized for key in srv.bound_apex_keys._entries)
+
     def claim(self, keypool, field, inner, value) -> dict:
         update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
         update[field][inner] = value
