@@ -35,7 +35,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import crypto
@@ -52,14 +52,15 @@ from .crypto import (
 from .errors import (
     DelegationLoopError,
     DepthExceededError,
+    HandleStructureError,
     OnhsError,
     ParamsMismatchError,
     ResolutionError,
     RRsetFormatError,
 )
 from .handles import Handle, parse_handle, parse_label
-# covering_nxt is not called in this module; it stays imported because
-# perfbench/tracer.py wraps it here by name.
+# build_nxt_chain and covering_nxt are not called in this module; they stay
+# imported because perfbench/tracer.py wraps both here by name.
 from .records import (
     CACHE_CAP,
     DEFAULT_TTL,
@@ -1009,7 +1010,8 @@ class HandleServer:
     owner zone lists the names under its apex that hold a slot; the root
     zone lists the root, every apex holding a KEY slot and every name
     holding a sticky slot, as root_zone_snapshot mirrors them. Bisection
-    finds the same NXT records build_nxt_chain gives for the whole zone.
+    finds a denied name's NXT records, and a zone export walks the same
+    index and reads the same cache, so both hand out the same signed sets.
 
     Each NXT set is signed once and cached by zone and owner, then served
     as it is while fresh. A write marks the cached sets whose record it can
@@ -1439,13 +1441,20 @@ class HandleServer:
 
     def _nxt_at(self, zone: SortKey, index: List[SortKey], i: int, now: str) -> SignedRRset:
         """The signed NXT set of index[i] in zone: the cached one as it is
-        while fresh and unmarked, else the record rebuilt for _signed_nxt."""
+        while fresh and unmarked. A marked one is rebuilt, and re-signed
+        only when its record changed; a stale one is signed again."""
         key = (zone, index[i])
         cached = self._nxt_sigs.get(key)
-        if cached is not None and key not in self._nxt_marked and _fresh(cached, now):
+        fresh = cached is not None and _fresh(cached, now)
+        if fresh and key not in self._nxt_marked:
             return cached[0]
         self._nxt_marked.discard(key)
-        return self._signed_nxt(zone, self._indexed_nxt(zone, index, i), now)
+        rec = self._indexed_nxt(zone, index, i)
+        if fresh and cached[0].records[0] == rec:
+            return cached[0]
+        signed = self._server_sign([rec], now).encoded()
+        self._nxt_sigs[key] = (signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
+        return signed
 
     def _indexed_nxt(self, zone: SortKey, index: List[SortKey], i: int) -> ResourceRecord:
         owner, types = self._nxt_owner(zone, index[i])
@@ -1455,31 +1464,26 @@ class HandleServer:
             rdata=NxtData(next_owner=next_owner, types=types),
         )
 
+    def _zone_slots(self, zone: SortKey, key: SortKey) -> List[Tuple[str, Slot]]:
+        """The slots zone holds at one indexed name other than the root, in
+        type order: all of them in an owner zone, and in the root zone an
+        apex's key and the sticky sets."""
+        entry = self._entries[_sort_key_name(key)]
+        return [
+            (rtype, slot) for rtype, slot in sorted(entry.slots.items())
+            if zone != self._root_key or self._in_root_zone(entry, rtype, slot)
+        ]
+
     def _nxt_owner(self, zone: SortKey, key: SortKey) -> Tuple[str, Tuple[str, ...]]:
         """Owner text and NXT type bitmap of one indexed name in one zone."""
         if key == self._root_key:
             # root_zone_snapshot's signed SOA and NS and unsigned KEY
             return self.root_zone, ("KEY", "NS", "NXT", "SIG", "SOA")
-        entry = self._entries[_sort_key_name(key)]
-        slots = [
-            (rtype, slot) for rtype, slot in sorted(entry.slots.items())
-            if zone != self._root_key or self._in_root_zone(entry, rtype, slot)
-        ]
+        slots = self._zone_slots(zone, key)
         types = {rtype for rtype, _ in slots} | {"NXT"}
         if any(slot.rrset.signature is not None for _, slot in slots):
             types.add("SIG")
         return slots[0][1].rrset.owner, tuple(types)
-
-    def _signed_nxt(self, zone: SortKey, rec: ResourceRecord, now: str) -> SignedRRset:
-        """rec signed by the server, reusing the cached signature of zone's
-        record at rec's owner while it signs rec and is fresh."""
-        key = (zone, canonical_sort_key(rec.owner))
-        cached = self._nxt_sigs.get(key)
-        if cached is not None and cached[0].records[0] == rec and _fresh(cached, now):
-            return cached[0]
-        signed = self._server_sign([rec], now).encoded()
-        self._nxt_sigs[key] = (signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
-        return signed
 
     def query_record(
         self, handle: Handle, rtype: str, now: Optional[str] = None
@@ -1509,9 +1513,7 @@ class HandleServer:
                 out.append(entry.handle)
         return sorted(out, key=lambda h: h.name_key())
 
-    def root_zone_snapshot(
-        self, now: Optional[str] = None, include_nxt: bool = True
-    ) -> ZoneSnapshot:
+    def root_zone_snapshot(self, now: Optional[str] = None) -> ZoneSnapshot:
         """Root zone: its own SOA/NS/KEY, claimed keys, irrevocable mirrors."""
         with self._lock:
             stamp = now or now_stamp()
@@ -1534,42 +1536,30 @@ class HandleServer:
             )
             rrsets = [self._server_sign([soa], stamp), self._server_sign([ns], stamp)]
             rrsets.append(self.root_key_rrset())
-            for key in self._zones[self._root_key][1:]:
-                entry = self._entries[_sort_key_name(key)]
-                rrsets.extend(
-                    slot.rrset for rtype, slot in sorted(entry.slots.items())
-                    if self._in_root_zone(entry, rtype, slot)
-                )
-            return self._zone(self.root_zone, rrsets, stamp, include_nxt)
+            return self._zone(self.root_zone, rrsets, stamp)
 
-    def owner_zone_snapshot(
-        self, apex: Handle, now: Optional[str] = None, include_nxt: bool = True
-    ) -> ZoneSnapshot:
+    def owner_zone_snapshot(self, apex: Handle, now: Optional[str] = None) -> ZoneSnapshot:
+        """An apex's owner zone: every set stored at or under it."""
+        if not apex.is_apex():
+            raise HandleStructureError(f"only an apex has an owner zone, not {apex.fqdn_no_dot()}")
         with self._lock:
-            stamp = now or now_stamp()
-            rrsets = [
-                slot.rrset for entry in self._subtree(apex) for _, slot in sorted(entry.slots.items())
-            ]
-            return self._zone(apex.fqdn_no_dot(), rrsets, stamp, include_nxt)
+            return self._zone(apex.fqdn_no_dot(), [], now or now_stamp())
 
-    def _zone(
-        self, apex: str, rrsets: List[SignedRRset], now: str, include_nxt: bool
-    ) -> ZoneSnapshot:
-        # rrsets come in type order within each name: build_nxt_chain takes
-        # a name's text from its first set, as _nxt_owner does
-        zone = ZoneSnapshot(
+    def _zone(self, apex: str, rrsets: List[SignedRRset], now: str) -> ZoneSnapshot:
+        """apex's zone: rrsets, then at each name of its index the sets the
+        zone holds there and the NXT set its denials serve. A zone with no
+        names has no NXT set."""
+        zone = canonical_sort_key(apex)
+        index = self._zones.get(zone, [])
+        for i, key in enumerate(index):
+            if key != self._root_key:
+                rrsets.extend(slot.rrset for _, slot in self._zone_slots(zone, key))
+            rrsets.append(self._nxt_at(zone, index, i, now))
+        return ZoneSnapshot(
             apex=apex,
             rrsets={(name_key(s.owner), s.rtype): s for s in rrsets},
             serial=self._update_count,
         )
-        if not include_nxt:
-            return zone
-        zone_key = canonical_sort_key(apex)
-        chain = {
-            (name_key(rec.owner), "NXT"): self._signed_nxt(zone_key, rec, now)
-            for rec in build_nxt_chain(zone)
-        }
-        return replace(zone, rrsets={**zone.rrsets, **chain})
 
     # -- zone ingestion --
 

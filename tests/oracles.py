@@ -102,3 +102,35 @@ def chain_pairs(names):
         (ordered[i], ordered[(i + 1) % len(ordered)])
         for i in range(len(ordered))
     ]
+
+
+def nxt_chain(sets):
+    """Expected NXT records of a zone holding these record sets, as
+    (owner, next owner, types) triples in zone order. Each set is an
+    (owner, type, signed) triple. A name is written as the owner of its
+    first set by type name. Its types are those of its sets, plus NXT,
+    plus SIG when any of its sets is signed (RFC 2535 section 5.2)."""
+    written, types = {}, {}
+    for owner, rtype, signed in sorted(sets, key=lambda s: s[1]):
+        name = tuple(ordering_key(owner))
+        written.setdefault(name, owner)
+        types.setdefault(name, {"NXT"}).add(rtype)
+        if signed:
+            types[name].add("SIG")
+    return [
+        (owner, after, tuple(sorted(types[tuple(ordering_key(owner))])))
+        for owner, after in chain_pairs(list(written.values()))
+    ]
+
+
+def covering(chain, target):
+    """The chain record that denies target: the last one whose owner is at
+    or before target in zone order, or, when target comes before every
+    owner, the last one, which wraps around to the first."""
+    if not chain:
+        return None
+    pick = chain[-1]
+    for record in chain:
+        if ordering_key(record[0]) <= ordering_key(target):
+            pick = record
+    return pick

@@ -308,6 +308,13 @@ def test_zone_dump_and_load(tmp_path, keypool):
     owner_zone_file = tmp_path / "owner.zone"
     owner_zone_file.write_text(proc.stdout)
 
+    # only an apex has an owner zone
+    proc = run_cli(
+        "zone", "dump", "--config", src_conf, "--owner", leaf.fqdn_no_dot(),
+        expect=1,
+    )
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
     # a second instance verifies the dumped zone, and keeps none of it
     dst_conf = write_config(tmp_path / "dst", name="dst.conf")
     proc = run_cli("zone", "load", str(owner_zone_file), "--config", dst_conf, expect=0)

@@ -1,10 +1,11 @@
 """Denial proofs served from the per-zone owner index.
 
-The served NXT sets must hold the records that covering_nxt picks from
-build_nxt_chain over a zone rebuilt by scanning the whole store, also
-after updates land on a warm cache; a warm NOT_FOUND must neither sign
-nor rebuild a zone or a record; and a cached NXT signature is served
-only while fresh, and re-signed exactly when its record changed.
+The served NXT sets, and the NXT sets of every zone export, must hold the
+records the whole-zone chain of oracles.py gives over a zone rebuilt by
+scanning the whole store, also after updates land on a warm cache; a warm
+NOT_FOUND must neither sign nor rebuild a zone or a record; and a cached
+NXT signature is served only while fresh, and re-signed exactly when its
+record changed.
 """
 
 import random
@@ -14,16 +15,17 @@ from typing import Dict, List
 import pytest
 
 from conftest import FIXED_NOW, ROOT
+from oracles import covering, nxt_chain
 
 from onhs import crypto, records, server as srv
 from onhs.client import verify_resolution
 from onhs.crypto import SecretKey, stamp_add
+from onhs.errors import HandleStructureError
 from onhs.handles import Handle, HandleLabel, parse_handle
 from onhs.records import (
     ZoneSnapshot,
     build_nxt_chain,
     canonical_sort_key,
-    covering_nxt,
     name_key,
     parse_zone,
     serialize_zone,
@@ -96,7 +98,7 @@ def corpus(keypool) -> Corpus:
     for msg in messages:
         assert full.apply_update(msg, now=NOW).accepted, (msg.action, msg.target)
     zones = [
-        parse_zone(serialize_zone(full.owner_zone_snapshot(apex, now=NOW, include_nxt=False)))
+        parse_zone(serialize_zone(full.owner_zone_snapshot(apex, now=NOW)))
         for apex in (a, b)
     ]
     return Corpus(
@@ -113,58 +115,73 @@ def corpus(keypool) -> Corpus:
 # ---- the oracle: zones rebuilt by scanning the whole store -----------------
 
 
-def scanned_owner_zone(server, apex: Handle) -> ZoneSnapshot:
-    zone = ZoneSnapshot(apex=apex.fqdn_no_dot())
+def scanned_owner_zone(server, apex: Handle) -> dict:
+    """(name key, type) -> set, for every set stored at or under apex."""
     prefix = apex.name_key()
+    return {
+        (key, rtype): slot.rrset
+        for key, entry in server._entries.items()
+        if key == prefix or key.endswith("." + prefix)
+        for rtype, slot in entry.slots.items()
+    }
+
+
+def scanned_root_zone(server, own_sets: ZoneSnapshot) -> dict:
+    """The root's own SOA, NS and KEY sets, every apex key and every sticky set."""
+    zone = {(ROOT, rtype): own_sets.get(ROOT, rtype) for rtype in ("SOA", "NS", "KEY")}
     for key, entry in server._entries.items():
-        if key == prefix or key.endswith("." + prefix):
-            for _, slot in sorted(entry.slots.items()):
-                zone = zone.with_rrset(slot.rrset)
-    return zone
-
-
-def scanned_root_zone(server, own_sets: ZoneSnapshot) -> ZoneSnapshot:
-    zone = ZoneSnapshot(apex=ROOT)
-    for rtype in ("SOA", "NS", "KEY"):
-        zone = zone.with_rrset(own_sets.get(ROOT, rtype))
-    for entry in server._entries.values():
-        for rtype, slot in sorted(entry.slots.items()):
+        for rtype, slot in entry.slots.items():
             if (entry.handle.is_apex() and rtype == "KEY") or slot.sticky:
-                zone = zone.with_rrset(slot.rrset)
+                zone[key, rtype] = slot.rrset
     return zone
+
+
+def nxt_triple(rec) -> tuple:
+    return rec.owner, rec.rdata.next_owner, rec.rdata.types
+
+
+def checked_export(served: ZoneSnapshot, sets: dict) -> list:
+    """The oracle's chain over sets, after checking that the export served
+    holds exactly sets and that chain's NXT records."""
+    chain = nxt_chain(
+        (rrset.owner, rtype, rrset.signature is not None) for (_, rtype), rrset in sets.items()
+    )
+    assert {k: rrset for k, rrset in served.rrsets.items() if k[1] != "NXT"} == sets, served.apex
+    assert [
+        nxt_triple(rrset.records[0]) for rrset in served.ordered_rrsets() if rrset.rtype == "NXT"
+    ] == chain, served.apex
+    return chain
 
 
 class Oracle:
-    """covering_nxt over build_nxt_chain, one chain per zone, built lazily."""
+    """Denials the whole-zone chain gives, one chain per zone, built
+    lazily; building one checks the server's export of that zone."""
 
     def __init__(self, server):
         self.server = server
         self.chains: Dict[str, tuple] = {}
 
-    def chain(self, apex: Handle):
-        if apex.name_key() in self.server._entries:
-            key = apex.name_key()
-            if key not in self.chains:
-                zone = scanned_owner_zone(self.server, apex)
-                served = self.server.owner_zone_snapshot(apex, now=NOW, include_nxt=False)
-                assert served.rrsets == zone.rrsets, apex
-                self.chains[key] = (zone, build_nxt_chain(zone))
-                assert build_nxt_chain(served) == self.chains[key][1], apex
-        else:
-            key = ROOT
-            if key not in self.chains:
-                served = self.server.root_zone_snapshot(now=NOW, include_nxt=False)
-                zone = scanned_root_zone(self.server, served)
-                assert served.rrsets == zone.rrsets
-                self.chains[key] = (zone, build_nxt_chain(zone))
-                assert build_nxt_chain(served) == self.chains[key][1]
-        return self.chains[key]
+    def chain(self, apex: Handle) -> tuple:
+        """(apex text, chain) of the zone that denies names under apex:
+        its owner zone once anything is stored there, else the root zone."""
+        key = apex.name_key()
+        if key not in self.chains:
+            served = self.server.owner_zone_snapshot(apex, now=NOW)
+            chain = checked_export(served, scanned_owner_zone(self.server, apex))
+            self.chains[key] = (served.apex, chain)
+        if self.chains[key][1]:
+            return self.chains[key]
+        if ROOT not in self.chains:
+            served = self.server.root_zone_snapshot(now=NOW)
+            chain = checked_export(served, scanned_root_zone(self.server, served))
+            self.chains[ROOT] = (served.apex, chain)
+        return self.chains[ROOT]
 
     def denial(self, handle: Handle) -> list:
-        zone, chain = self.chain(handle.apex())
-        cover = covering_nxt(chain, handle.fqdn_no_dot())
-        apex_rec = next((r for r in chain if name_key(r.owner) == name_key(zone.apex)), None)
-        return [cover] + ([apex_rec] if apex_rec is not None and apex_rec is not cover else [])
+        apex, chain = self.chain(handle.apex())
+        cover = covering(chain, handle.fqdn_no_dot())
+        own = next((r for r in chain if name_key(r[0]) == name_key(apex)), None)
+        return [cover] + ([own] if own is not None and own != cover else [])
 
 
 def probes(server, corpus: Corpus) -> List[Handle]:
@@ -188,12 +205,12 @@ def probes(server, corpus: Corpus) -> List[Handle]:
 
 
 def served_agree(server, names: List[Handle], trial: int) -> int:
-    """Serve each name's denial through query_record and compare the proof
-    with the oracle's."""
+    """Serve each name's denial through query_record, then export the
+    zones, and compare both with the oracle."""
+    proofs = [server.query_record(handle, "NXT", now=NOW).proof for handle in names]
     oracle = Oracle(server)
-    for handle in names:
-        proof = server.query_record(handle, "NXT", now=NOW).proof
-        assert [rr.records[0] for rr in proof] == oracle.denial(handle), (trial, handle)
+    for handle, proof in zip(names, proofs):
+        assert [nxt_triple(rr.records[0]) for rr in proof] == oracle.denial(handle), (trial, handle)
     return len(names)
 
 
@@ -220,7 +237,7 @@ def test_index_agrees_with_the_whole_zone_oracle(corpus):
             got = server.resolve(handle, now=NOW)
             if got.outcome == OUTCOME_NOT_FOUND:
                 final = srv.walk(handle, server._node_sets, server.depth_budget).final
-                nxt = [rr.records[0] for rr in got.evidence if rr.rtype == "NXT"]
+                nxt = [nxt_triple(rr.records[0]) for rr in got.evidence if rr.rtype == "NXT"]
                 assert nxt == oracle.denial(final), (trial, handle)
     assert checked > 50000
 
@@ -364,15 +381,88 @@ def test_nxt_signatures_are_reused_only_while_fresh(corpus, keypool, monkeypatch
     }
 
 
-def test_zone_export_signs_through_the_same_cache(corpus, monkeypatch):
+def test_zone_export_signs_through_the_same_cache(corpus, keypool, monkeypatch):
     server = corpus.server()
-    zone = server.owner_zone_snapshot(corpus.claimed, now=NOW)
+    a = corpus.claimed
+    zone = server.owner_zone_snapshot(a, now=NOW)
     calls: dict = {}
     monkeypatch.setattr(SecretKey, "sign", counting(calls, "sign", SecretKey.sign))
-    ghost = corpus.claimed.child(IA(55))
+    for module in (srv, records):
+        monkeypatch.setattr(
+            module, "build_nxt_chain", counting(calls, "build_nxt_chain", build_nxt_chain)
+        )
+    monkeypatch.setattr(
+        srv.HandleServer, "_indexed_nxt",
+        counting(calls, "_indexed_nxt", srv.HandleServer._indexed_nxt),
+    )
+    ghost = a.child(IA(55))
     got = server.resolve(ghost, now=NOW)
     assert calls == {}
     served = {(rr.owner, rr.rtype): rr for rr in got.evidence}
     for rr in zone.ordered_rrsets():
         if rr.rtype == "NXT" and (rr.owner, "NXT") in served:
             assert served[(rr.owner, "NXT")] == rr
+
+    def exported(export):
+        return {rr.owner: rr for rr in export.ordered_rrsets() if rr.rtype == "NXT"}
+
+    def same_sets(first, second):
+        return first.keys() == second.keys() and all(first[o] is second[o] for o in first)
+
+    # an unchanged zone's second export builds nothing and hands out the
+    # same signed sets; the root zone signs its SOA and NS sets afresh
+    assert same_sets(exported(zone), exported(server.owner_zone_snapshot(a, now=NOW)))
+    assert calls == {}
+    root = exported(server.root_zone_snapshot(now=NOW))
+    calls.clear()
+    assert same_sets(root, exported(server.root_zone_snapshot(now=NOW)))
+    assert calls == {"sign": 2}
+
+    def resigned_by(msg):
+        """owner -> whether its record changed, for each set the export re-signed."""
+        before = exported(server.owner_zone_snapshot(a, now=NOW))
+        calls.clear()
+        assert server.apply_update(msg, now=NOW).accepted
+        after = exported(server.owner_zone_snapshot(a, now=NOW))
+        fresh = [owner for owner, rrset in after.items() if before.get(owner) is not rrset]
+        assert calls.get("sign", 0) == len(fresh) and "build_nxt_chain" not in calls
+        return {
+            owner: owner not in before or before[owner].records[0] != after[owner].records[0]
+            for owner in fresh
+        }
+
+    # a new name: its own record, and its predecessor's, whose next owner it is
+    a56 = a.child(IA(56)).fqdn_no_dot()
+    changed = resigned_by(corpus.create_56)
+    assert len(changed) == 2 and a56 in changed and all(changed.values())
+    # a rebind keeps a1's types and its A set's owner text (upper case)
+    a1_upper = Handle(labels=a.child(IA(1)).labels, root_suffix=ROOT.upper())
+    k0 = keypool.key(0)[1]
+    assert resigned_by(srv.make_assign(k0, a1_upper, "10.0.0.9", 13, now=NOW)) == {}
+
+
+def test_only_an_apex_has_an_owner_zone(corpus, keypool):
+    # An export of a1's subtree would chain that subtree alone under the
+    # server key: a1's record there would point back to a1 over a3, a stored
+    # name holding an address, and verify as a denial of it.
+    k0 = keypool.key(0)[1]
+    a = corpus.claimed
+    a1, a3 = a.child(IA(1)), a.child(IA(3))
+    server = corpus.server([
+        corpus.messages[0],
+        srv.make_create_child(k0, a1, 2, now=NOW),
+        srv.make_create_child(k0, a1.child(IA(2)), 3, now=NOW),
+        srv.make_create_child(k0, a3, 4, now=NOW),
+        srv.make_assign(k0, a3, "10.0.0.3", 5, now=NOW),
+    ])
+    assert server.resolve(a3, now=NOW).outcome == srv.OUTCOME_ADDRESS
+    for top in (a1, a1.child(IA(2)), a3):
+        with pytest.raises(HandleStructureError):
+            server.owner_zone_snapshot(top, now=NOW)
+    server.owner_zone_snapshot(a, now=NOW)
+    server.root_zone_snapshot(now=NOW)
+    # an empty zone has no names to chain; the root zone denies names under it
+    assert server.owner_zone_snapshot(corpus.empty, now=NOW).rrsets == {}
+    assert server._nxt_sigs and all(
+        owner in server._zones.get(zone, ()) for zone, owner in server._nxt_sigs
+    )

@@ -12,7 +12,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "onhs"
 
 # (module, name) pairs imported on purpose without a use
 KEPT = {
-    # perfbench/tracer.py wraps server.covering_nxt by that name
+    # perfbench/tracer.py wraps server.build_nxt_chain and
+    # server.covering_nxt by those names
+    ("server", "build_nxt_chain"),
     ("server", "covering_nxt"),
 }
 
