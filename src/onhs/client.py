@@ -16,6 +16,7 @@ not hidden.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .handles import Handle, parse_handle
-from .records import CACHE_CAP, LruCache, SignedRRset, canonical_sort_key, is_irrevocable, name_key
+from .records import CACHE_CAP, SignedRRset, canonical_sort_key, is_irrevocable, name_key
 from .server import (
     DEFAULT_DEPTH_BUDGET,
     OUTCOME_ADDRESS,
@@ -60,31 +61,16 @@ class ResolverEndpoint(Protocol):
 # ---- verification ----------------------------------------------------------
 
 
-class VerifiedSignatures(LruCache):
-    """The signature checks that held in this process, for reuse.
-
-    An entry is (signer key, canonical set octets, signature octets); it
-    means the RSA check held over exactly those octets, which no clock or
-    later input can change. The octets include the signature's validity
-    window, and verify_rrset still tests that window against now, with
-    every other rule, on each use: only the RSA step is skipped. Failures
-    are never kept. Past cap entries, the least recently used one goes.
-    """
-
-    def __call__(self, key: PublicKey, signature: bytes, message: bytes) -> bool:
-        entry = (key, message, signature)
-        if self.get(entry):
-            return True
-        if not crypto.rsa_check(key, signature, message):
-            return False
-        self.put(entry, True)
-        return True
-
-
-# Shared by every verify_resolution in the process. The server's own
-# checks of incoming updates (apply_update, replay) never use it: each
-# update is a new message, so it would only fill.
-verified_signatures = VerifiedSignatures(CACHE_CAP)
+# The RSA checks made in this process, for reuse by every
+# verify_resolution in it. crypto.rsa_check's answer is a pure function of
+# the key, the canonical set octets and the signature octets, so a kept
+# answer, a failure as well as a success, is the one it would give again.
+# The octets include the signature's validity window, and verify_rrset still
+# tests that window against now, with every other rule, on each use: only
+# the RSA step is skipped. The server's own checks of incoming updates
+# (apply_update, replay) never use it: each update is a new message, so it
+# would only fill.
+verified_signatures = functools.lru_cache(maxsize=CACHE_CAP)(crypto.rsa_check)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import datetime as _dt
+import functools
 import hashlib
 import re
 import struct
@@ -145,13 +146,11 @@ class PublicKey:
     key_bytes holds the complete KEY record payload; two equal keys always
     have identical key_bytes, and the label hash is taken over them. The
     RSA key they encode is built on the first verify and kept for the
-    next (threads that verify first at once may each build it; all are
-    the same key); equality, hashing and repr do not see it.
+    next; equality, hashing and repr do not see it.
     """
 
     algorithm: int
     key_bytes: bytes
-    _rsa: Optional[rsa.RSAPublicKey] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -181,13 +180,13 @@ class PublicKey:
         """Uppercase 40-digit SHA-1 of the canonical key octets."""
         return hashlib.sha1(self.key_bytes).hexdigest().upper()
 
+    @functools.cached_property
+    def _rsa(self) -> rsa.RSAPublicKey:
+        return _material_to_rsa(self.material)
+
     def verify(self, signature: bytes, message: bytes) -> bool:
-        pub = self._rsa
-        if pub is None:
-            pub = _material_to_rsa(self.material)
-            object.__setattr__(self, "_rsa", pub)
         try:
-            pub.verify(signature, message, padding.PKCS1v15(), _digest_for(self.algorithm))
+            self._rsa.verify(signature, message, padding.PKCS1v15(), _digest_for(self.algorithm))
             return True
         except InvalidSignature:
             return False

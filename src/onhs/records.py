@@ -17,11 +17,9 @@ from __future__ import annotations
 import base64
 import re
 import struct
-import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import crypto
 from .crypto import RecordSignature, SignatureParams, check_stamp
@@ -309,40 +307,11 @@ def parse_rrset(data: bytes, signature: Optional[bytes]) -> SignedRRset:
     return rrset
 
 
-# ---- a bounded cache -----------------------------------------------------
-
-CACHE_CAP = 4096  # entries in each of the verifier's caches
-
-
-class LruCache:
-    """A map of at most cap entries, safe to share between threads; past
-    cap, the least recently used entry goes. Values are never None."""
-
-    def __init__(self, cap: int) -> None:
-        self._cap = cap
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: Hashable) -> Optional[object]:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if len(self._entries) > self._cap:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+# Entries in each process-wide memo: server.received_sets,
+# server.bound_apex_keys and client.verified_signatures. Each is a
+# functools.lru_cache keyed on input from outside the process, so each is
+# bounded, and past the cap the least recently used entry goes.
+CACHE_CAP = 4096
 
 
 def is_irrevocable(rrset: SignedRRset) -> bool:

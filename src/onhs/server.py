@@ -29,6 +29,7 @@ from __future__ import annotations
 import base64
 import binascii
 import datetime
+import functools
 import json
 import re
 import threading
@@ -65,7 +66,6 @@ from .records import (
     CACHE_CAP,
     DEFAULT_TTL,
     IMPOSSIBLE_ADDRESS,
-    LruCache,
     NxtData,
     ResourceRecord,
     SignedRRset,
@@ -222,10 +222,14 @@ def body_field(data: object, name: str, kind: type, where: str):
 
 def base64_field(data: object, name: str, where: str) -> bytes:
     """The octets of data[name], which must be a base64 string."""
+    return _base64(body_field(data, name, str, where), f"{where} field {name!r}")
+
+
+def _base64(text: str, what: str) -> bytes:
     try:
-        return base64.b64decode(body_field(data, name, str, where), validate=True)
+        return base64.b64decode(text, validate=True)
     except binascii.Error as exc:
-        raise ValueError(f"{where} field {name!r} is not base64: {exc}") from None
+        raise ValueError(f"{what} is not base64: {exc}") from None
 
 
 def canonical_json(data: dict) -> bytes:
@@ -301,12 +305,20 @@ def signature_from_dict(data: object, where: str) -> RecordSignature:
 # base64 of its signature octets, or null for an unsigned set}. The octets
 # carry the records and the signature params; see records.parse_rrset.
 
-# Sets decoded from answers in this process, by the two strings they
-# arrived as: answers repeat the sets of earlier ones (zone keys, denial
-# records), and a hit skips base64, parsing and the check that the octets
-# encode back to themselves. Only answers are decoded here, so the server
-# never fills it.
-received_sets = LruCache(CACHE_CAP)
+@functools.lru_cache(maxsize=CACHE_CAP)
+def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
+    """The set an answer carries as these two strings.
+
+    Kept for the process, because answers repeat the sets of earlier ones
+    (zone keys, denial records), and a hit skips base64, parsing and the
+    check that the octets encode back to themselves. A string that fails
+    raises, and lru_cache keeps no exception. Only answers are decoded
+    here, so the server never fills it.
+    """
+    return parse_rrset(
+        _base64(octets, "field 'octets'"),
+        None if signature is None else _base64(signature, "field 'signature'"),
+    )
 
 
 def _set_to_json(rrset: SignedRRset) -> dict:
@@ -320,18 +332,12 @@ def _set_to_json(rrset: SignedRRset) -> dict:
 def _set_from_json(data: object, where: str) -> SignedRRset:
     octets = body_field(data, "octets", str, where)
     signature = _optional_field(data, "signature", str, where)
-    key = (octets, signature)
-    rrset = received_sets.get(key)
-    if rrset is None:
-        try:
-            rrset = parse_rrset(
-                base64_field(data, "octets", where),
-                None if signature is None else base64_field(data, "signature", where),
-            )
-        except RRsetFormatError as exc:
-            raise RRsetFormatError(f"{where}: {exc}") from None
-        received_sets.put(key, rrset)
-    return rrset
+    try:
+        return received_sets(octets, signature)
+    except RRsetFormatError as exc:
+        raise RRsetFormatError(f"{where}: {exc}") from None
+    except ValueError as exc:  # a field that is not base64
+        raise ValueError(f"{where} {exc}") from None
 
 
 def _sets_from_json(data: object, name: str, where: str) -> Tuple[SignedRRset, ...]:
@@ -598,29 +604,14 @@ def apex_key(key_bytes: bytes, owner: str, root: str) -> Tuple[Optional[PublicKe
     return (key, V_OK) if bound else (None, "label-mismatch")
 
 
-class BoundApexKeys(LruCache):
-    """apex_key's answers in this process, for reuse.
-
-    apex_key is pure, so an entry keyed on all of its inputs (the key
-    bytes, the owner and the root) is its answer for good, a refusal as
-    well as a bound key. Past cap entries, the least recently used one goes.
-    The key bytes come from a PublicKey or a KEY record, which both refuse
-    more than crypto.MAX_KEY_PAYLOAD octets, so an entry stays small.
-    """
-
-    def __call__(self, key_bytes: bytes, owner: str, root: str) -> Tuple[Optional[PublicKey], str]:
-        entry = (key_bytes, owner, root)
-        bound = self.get(entry)
-        if bound is None:
-            bound = apex_key(key_bytes, owner, root)
-            self.put(entry, bound)
-        return bound
-
-
-# Filled by update intake and through ApexKeys: the updates to an apex are
-# signed by its key, and the answers under it carry its KEY set, so each
-# apex key is bound, and its RSA key built, once for all of them.
-bound_apex_keys = BoundApexKeys(CACHE_CAP)
+# apex_key's answers in this process, filled by update intake and through
+# ApexKeys: the updates to an apex are signed by its key, and the answers
+# under it carry its KEY set, so each apex key is bound, and its RSA key
+# built, once for all of them. apex_key is pure, so an entry keyed on all of
+# its inputs is its answer for good, a refusal as well as a bound key. The
+# key bytes come from a PublicKey or a KEY record, which both refuse more
+# than crypto.MAX_KEY_PAYLOAD octets, so an entry stays small.
+bound_apex_keys = functools.lru_cache(maxsize=CACHE_CAP)(apex_key)
 
 
 class ApexKeys(dict):
@@ -1110,8 +1101,10 @@ class HandleServer:
             reason = R_KEY_LABEL_MISMATCH if msg.action == CLAIM else R_WRONG_AUTHORITY
             return Verdict.rejected(reason, "key hash does not end in the label suffix")
 
-        held = self._apex_key(apex)
-        if held is not None and held != signer:
+        # the apex's KEY slot, filled by its claim or by load_zone
+        entry = self._entries.get(apex_name)
+        held = entry.slots.get("KEY") if entry is not None else None
+        if held is not None and held.rrset.records[0].rdata != signer.key_bytes:
             reason = R_ALREADY_CLAIMED if msg.action == CLAIM else R_WRONG_AUTHORITY
             return Verdict.rejected(reason, "another key holds this apex")
 
@@ -1140,13 +1133,6 @@ class HandleServer:
 
         self._commit(msg, target, rrsets)
         return Verdict.ok()
-
-    def _apex_key(self, handle: Handle) -> Optional[PublicKey]:
-        """The key in the KEY slot of handle's apex, put there by its claim
-        or by load_zone; None while the apex is unclaimed."""
-        entry = self._entries.get(handle.apex().name_key())
-        slot = entry.slots.get("KEY") if entry is not None else None
-        return None if slot is None else PublicKey.from_key_bytes(slot.rrset.records[0].rdata)
 
     def _materialize(self, msg: UpdateMessage, target: Handle) -> List[SignedRRset]:
         """The signed sets msg carries, as _action_records builds them. Only

@@ -181,7 +181,7 @@ class UpdateLog:
 class HandleService:
     """Owns a HandleServer plus its durability; answers wire messages."""
 
-    def __init__(self, config: ServerConfig, *, key_bits: int = 2048):
+    def __init__(self, config: ServerConfig):
         self.config = config
         data_dir = Path(config.data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
@@ -189,7 +189,7 @@ class HandleService:
         if key_path.exists():
             secret = crypto.load_secret_key(key_path)
         else:
-            _, secret = crypto.generate_keypair(crypto.RSA_SHA1, bits=key_bits)
+            _, secret = crypto.generate_keypair(crypto.RSA_SHA1)
             crypto.save_secret_key(key_path, secret)
         self.server = HandleServer(
             config.root_zone,

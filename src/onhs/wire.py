@@ -88,12 +88,7 @@ def _decode_payload(payload: bytes) -> WireMessage:
         raise MalformedFrameError("frame needs string kind and correlation_id")
     if not isinstance(body, dict):
         raise MalformedFrameError("frame body must be a JSON object")
-    try:
-        return WireMessage(kind=kind, correlation_id=correlation_id, body=body)
-    except MalformedFrameError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise MalformedFrameError(str(exc)) from exc
+    return WireMessage(kind=kind, correlation_id=correlation_id, body=body)
 
 
 def read_message(stream: BinaryIO) -> Optional[WireMessage]:

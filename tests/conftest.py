@@ -55,14 +55,23 @@ def new_server(**kwargs) -> srv.HandleServer:
     return srv.HandleServer(ROOT, _SERVER_KEYS.key(0)[1], **kwargs)
 
 
-def new_service(data_dir: Path) -> HandleService:
-    """A HandleService for ROOT over data_dir, signing with the pooled
-    server key; it logs every update, so it keeps the update history."""
+def with_server_key(config: ServerConfig) -> ServerConfig:
+    """config, with the pooled server key written into its data_dir unless
+    a key is there already, so a HandleService over it makes no key."""
+    data_dir = Path(config.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     key_path = data_dir / "server.key"
     if not key_path.exists():
         crypto.save_secret_key(key_path, _SERVER_KEYS.key(0)[1])
-    return HandleService(ServerConfig(root_zone=ROOT, data_dir=str(data_dir), listen_port=0))
+    return config
+
+
+def new_service(data_dir: Path) -> HandleService:
+    """A HandleService for ROOT over data_dir, signing with the pooled
+    server key; it logs every update, so it keeps the update history."""
+    return HandleService(
+        with_server_key(ServerConfig(root_zone=ROOT, data_dir=str(data_dir), listen_port=0))
+    )
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
+from conftest import FIXED_NOW, ROOT, build_example_zones, new_server, with_server_key
 
 from oracles import sha1_hex
 
@@ -456,7 +456,7 @@ def test_criterion_09_durability(tmp_path, keypool):
     for n in (1, 10, 100):
         config = ServerConfig(root_zone=ROOT)
         config.data_dir = str(tmp_path / f"store-{n}")
-        service = HandleService(config, key_bits=1024)
+        service = HandleService(with_server_key(config))
         claim = make_claim(secret, ROOT, 16, 1)
         assert service.server.apply_update(claim).accepted
         apex = parse_handle(claim.target, ROOT)
@@ -468,7 +468,7 @@ def test_criterion_09_durability(tmp_path, keypool):
         before = service.server.dump_state()
         service.close()
 
-        reborn = HandleService(config, key_bits=1024)
+        reborn = HandleService(config)
         if reborn.replayed != n:
             problems.append(f"N={n}: replayed {reborn.replayed}")
         elif reborn.server.dump_state() != before:

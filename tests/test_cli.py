@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, with_server_key
 
 import onhs
 from onhs.crypto import load_secret_key
@@ -278,7 +278,7 @@ def test_zone_dump_and_load(tmp_path, keypool):
     # build some state directly, then drive the zone tools from the CLI
     src_conf = write_config(tmp_path / "src", name="src.conf")
     cfg = ServerConfig.load(src_conf)
-    service = HandleService(cfg, key_bits=1024)
+    service = HandleService(with_server_key(cfg))
     _, sec = keypool.key(0)
     claim = make_claim(sec, ROOT, 16, 1)
     service.server.apply_update(claim)

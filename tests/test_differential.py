@@ -100,7 +100,7 @@ def verify_cold_and_warm(got, handle, now):
     both runs again on the answer as it arrives over the wire, must return
     the same VerifiedResolution, but for the resolution it carries."""
     served = verify_cold_and_warm_as(got, handle, now)
-    received_sets.clear()
+    received_sets.cache_clear()
     wired = Resolution.from_dict(json.loads(json.dumps(got.to_dict())))
     assert wired.to_dict() == got.to_dict()
     assert replace(verify_cold_and_warm_as(wired, handle, now), resolution=got) == served
@@ -108,9 +108,9 @@ def verify_cold_and_warm(got, handle, now):
 
 
 def verify_cold_and_warm_as(got, handle, now):
-    verified_signatures.clear()
+    verified_signatures.cache_clear()
     cold = verify_resolution(got, handle, ROOT, now=now)
-    verify_resolution(got, handle, ROOT, now=NOW)  # caches every set that holds
+    verify_resolution(got, handle, ROOT, now=NOW)  # caches every RSA check
     warm = verify_resolution(got, handle, ROOT, now=now)
     assert warm == cold, (str(handle), now, cold.failures, warm.failures)
     return cold

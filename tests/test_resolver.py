@@ -1,5 +1,6 @@
 """Client-side verification, handle references, and key upgrade."""
 
+import functools
 import sys
 import threading
 from dataclasses import replace
@@ -9,11 +10,10 @@ import pytest
 
 from conftest import FIXED_NOW, ROOT, build_example_zones, new_server, new_service
 
-from onhs import crypto, server as srv
+from onhs import crypto
 from onhs.client import (
     HandleReference,
     V_STALE,
-    VerifiedSignatures,
     _enumerate_owner_zone,
     cancel_old_key,
     key_upgrade,
@@ -26,7 +26,6 @@ from onhs.errors import ResolutionError, VerificationError
 from onhs.handles import HandleLabel, parse_handle
 from onhs.records import CACHE_CAP, IMPOSSIBLE_ADDRESS, ResourceRecord, SignedRRset, name_key
 from onhs.server import (
-    BoundApexKeys,
     OUTCOME_ADDRESS,
     OUTCOME_CANCELLED,
     OUTCOME_COMPROMISED,
@@ -272,7 +271,7 @@ class TestVerifyResolution:
 
 
 class TestVerifiedSignatureCache:
-    """verify_resolution remembers the RSA checks that held, and nothing else."""
+    """verify_resolution remembers its RSA checks' answers, and nothing else."""
 
     THEN = "20250101000000"
     SOON = "20250101000100"  # a minute later, inside a one-hour validity
@@ -290,10 +289,10 @@ class TestVerifiedSignatureCache:
 
     def test_warm_cache_still_reports_an_expired_set(self, keypool):
         server, leaf, _ = self.signed_address(keypool)
-        verified_signatures.clear()
+        verified_signatures.cache_clear()
         res = server.resolve(leaf, now=self.SOON)
         assert verify_resolution(res, leaf, ROOT, now=self.SOON).verified
-        assert len(verified_signatures) > 0
+        assert verified_signatures.cache_info().currsize > 0
         got = verify_resolution(res, leaf, ROOT, now=NOW)
         assert not got.verified
         assert (leaf.name_key(), "A", crypto.REJECT_EXPIRED) in got.record_verdicts
@@ -311,7 +310,7 @@ class TestVerifiedSignatureCache:
             make_compromise(sec_b, apex_b, "2025-01-01", 2, now=self.THEN, validity=3600),
         ]:
             assert server.apply_update(msg, now=self.THEN).accepted
-        verified_signatures.clear()
+        verified_signatures.cache_clear()
         for name, outcome, stale in (
             (leaf, OUTCOME_CANCELLED, (leaf.name_key(), "A", V_STALE)),
             (apex_b, OUTCOME_COMPROMISED, (apex_b.name_key(), "TXT", V_STALE)),
@@ -329,9 +328,9 @@ class TestVerifiedSignatureCache:
         _, leaf, msg = self.signed_address(keypool)
         sig, key = msg.signature, msg.signer_key
         record = ResourceRecord(leaf.fqdn_no_dot(), 3600, "A", "10.0.0.1")
-        cache = VerifiedSignatures(16)
+        cache = functools.lru_cache(maxsize=16)(crypto.rsa_check)
         assert crypto.verify_rrset([record], sig, key, self.SOON, cache).ok
-        assert len(cache) == 1
+        assert cache.cache_info().currsize == 1
         flipped = bytearray(sig.signature_bytes)
         flipped[10] ^= 1
         for records, signature, signer in (
@@ -341,59 +340,47 @@ class TestVerifiedSignatureCache:
         ):
             result = crypto.verify_rrset(records, signature, signer, self.SOON, cache)
             assert result.reason == crypto.REJECT_BAD_SIGNATURE
-        assert len(cache) == 1
+        assert cache.cache_info()[:2] == (0, 4)  # no hit: each altered check ran
         assert crypto.verify_rrset([record], sig, key, self.SOON, cache).ok
+        assert cache.cache_info().hits == 1
 
-    def test_a_failed_check_is_never_stored(self, keypool):
+    def test_a_flipped_signature_is_refused_cold_and_warm(self, keypool):
         server, leaf, _ = self.signed_address(keypool)
         res = server.resolve(leaf, now=self.SOON)
         evidence = []
         for rrset in res.evidence:
-            if rrset.signature is not None:
-                flipped = bytes([rrset.signature.signature_bytes[0] ^ 1])
-                sig = replace(
-                    rrset.signature,
-                    signature_bytes=flipped + rrset.signature.signature_bytes[1:],
-                )
-                rrset = SignedRRset(rrset.records, sig)
+            if rrset.rtype == "A":
+                sig = rrset.signature
+                flipped = bytes([sig.signature_bytes[0] ^ 1]) + sig.signature_bytes[1:]
+                rrset = SignedRRset(rrset.records, replace(sig, signature_bytes=flipped))
             evidence.append(rrset)
-        verified_signatures.clear()
-        got = verify_resolution(replace(res, evidence=tuple(evidence)), leaf, ROOT, now=self.SOON)
-        assert not got.verified
-        assert len(verified_signatures) == 0
+        forged = replace(res, evidence=tuple(evidence))
+        refused = (leaf.name_key(), "A", crypto.REJECT_BAD_SIGNATURE)
 
-    def test_least_recently_used_entry_goes_past_the_cap(self):
-        class Key:
-            calls = 0
+        verified_signatures.cache_clear()
+        cold = verify_resolution(forged, leaf, ROOT, now=self.SOON)
+        assert not cold.verified and refused in cold.record_verdicts
+        # warm: the failed check is kept, and so is the same octets' check
+        # under the right signature
+        assert verify_resolution(forged, leaf, ROOT, now=self.SOON) == cold
+        assert verify_resolution(res, leaf, ROOT, now=self.SOON).verified
+        assert verify_resolution(forged, leaf, ROOT, now=self.SOON) == cold
 
-            def verify(self, signature, message):
-                Key.calls += 1
-                return True
-
-        key = Key()
-        cache = VerifiedSignatures(2)
-        for message in (b"a", b"b", b"a", b"c"):
-            assert cache(key, b"sig", message)
-        assert len(cache) == 2 and Key.calls == 3
-        assert cache(key, b"sig", b"a") and Key.calls == 3  # kept: used after b
-        assert cache(key, b"sig", b"b") and Key.calls == 4  # evicted by c
-
-    def test_concurrent_callers_lose_no_entry(self):
-        class Key:
-            def verify(self, signature, message):
-                return True
-
-        key, cache = Key(), VerifiedSignatures(1200)
-        errors = []
+    def test_threads_sharing_the_cache_agree_with_one_thread(self, example_zones):
+        z = example_zones
+        names = [z.leaf_2_3, z.leaf_3_3, z.old_leaf, z.under_compromised,
+                 z.apex2, z.new_leaf, z.apex1.child(IA("77"))]
+        answers = [(name, z.server.resolve(name, now=NOW)) for name in names]
+        expected = [verify_resolution(res, name, ROOT, now=NOW) for name, res in answers]
+        assert all(got.verified for got in expected)
+        results = [[] for _ in range(8)]
 
         def work(worker):
-            try:
-                for i in range(200):
-                    assert cache(key, b"sig", b"%d-%d" % (worker, i))
-                    assert cache(key, b"sig", b"%d-%d" % ((worker + 1) % 8, i // 2))
-            except Exception as exc:  # reported below, in the test's thread
-                errors.append(exc)
+            for _ in range(20):
+                for name, res in answers:
+                    results[worker].append(verify_resolution(res, name, ROOT, now=NOW))
 
+        verified_signatures.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -401,15 +388,14 @@ class TestVerifiedSignatureCache:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=30)
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(cache) == 1200  # 1,600 distinct entries, capped
+        assert all(got == expected * 20 for got in results)
 
     def test_the_server_never_fills_it(self, keypool, tmp_path):
-        verified_signatures.clear()
+        verified_signatures.cache_clear()
         build_example_zones(keypool)
         service = new_service(tmp_path / "data")
         build_example_zones(keypool, server=service.server)
@@ -417,7 +403,7 @@ class TestVerifiedSignatureCache:
         again = new_service(tmp_path / "data")
         again.close()
         assert again.replayed == 17
-        assert len(verified_signatures) == 0
+        assert verified_signatures.cache_info().currsize == 0
 
 
 class TestBoundApexKeys:
@@ -462,15 +448,7 @@ class TestBoundApexKeys:
         key_bytes, root = keypool.key(0)[0].key_bytes, name_key(ROOT)
         for i in range(CACHE_CAP + 10):
             assert bound_apex_keys(key_bytes, f"h0k{i}.{root}", root) == (None, "bad-owner")
-        assert len(bound_apex_keys) == CACHE_CAP
-
-    def test_least_recently_used_answer_goes_past_the_cap(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(srv, "apex_key", lambda *args: calls.append(args) or (None, "bad-owner"))
-        memo = BoundApexKeys(2)
-        for owner in ("a", "b", "a", "c", "a", "b"):
-            memo(b"key", owner, "root")
-        assert [owner for _, owner, _ in calls] == ["a", "b", "c", "b"]
+        assert bound_apex_keys.cache_info().currsize == CACHE_CAP
 
 
 class _DownEndpoint:

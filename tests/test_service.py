@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXED_NOW, ROOT, new_service
+from conftest import FIXED_NOW, ROOT, new_service, with_server_key
 
 from onhs import crypto, server as srv, wire
 from onhs.client import verify_resolution
@@ -95,7 +95,7 @@ def service_config(tmp_path) -> ServerConfig:
     cfg = ServerConfig(root_zone=ROOT)
     cfg.data_dir = str(tmp_path / "data")
     cfg.listen_port = 0
-    return cfg
+    return with_server_key(cfg)
 
 
 class TestDurability:
@@ -115,13 +115,13 @@ class TestDurability:
 
     def test_restart_replays_to_identical_state(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         leaf = self.populate(service, keypool)
         state = service.server.dump_state()
         key_bytes = service.server.server_key.key_bytes
         service.close()
 
-        reborn = HandleService(cfg, key_bits=1024)
+        reborn = HandleService(cfg)
         try:
             assert reborn.replayed == 4
             assert reborn.server.dump_state() == state
@@ -133,7 +133,7 @@ class TestDurability:
 
     def test_log_lines_are_replayable_records(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         self.populate(service, keypool)
         service.close()
 
@@ -151,12 +151,12 @@ class TestDurability:
 
     def test_double_restart_is_stable(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         self.populate(service, keypool)
         state = service.server.dump_state()
         service.close()
         for _ in range(2):
-            service = HandleService(cfg, key_bits=1024)
+            service = HandleService(cfg)
             assert service.server.dump_state() == state
             service.close()
         # the log did not grow from replaying
@@ -165,7 +165,7 @@ class TestDurability:
 
     def test_torn_last_line_is_cut_off_and_reported(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         leaf = self.populate(service, keypool)
         service.close()
         log = tmp_path / "data" / "updates.log"
@@ -173,7 +173,7 @@ class TestDurability:
         last = whole[whole.rindex(b"\n", 0, len(whole) - 1) + 1:]
         log.write_bytes(whole[:-7])  # a crash inside the last timestamp
 
-        reborn = HandleService(cfg, key_bits=1024)
+        reborn = HandleService(cfg)
         assert reborn.replayed == 3
         assert reborn.log.dropped_tail == len(last) - 7
         assert log.read_bytes() == whole[:-len(last)]
@@ -181,7 +181,7 @@ class TestDurability:
         assert reborn.server.apply_update(make_assign(sec1, leaf, "10.0.0.9", 5)).accepted
         reborn.close()
 
-        again = HandleService(cfg, key_bits=1024)
+        again = HandleService(cfg)
         try:
             assert again.replayed == 4
             assert again.log.dropped_tail == 0
@@ -192,14 +192,14 @@ class TestDurability:
 
     def test_complete_last_line_missing_its_newline_is_kept(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         leaf = self.populate(service, keypool)
         state = service.server.dump_state()
         service.close()
         log = tmp_path / "data" / "updates.log"
         log.write_bytes(log.read_bytes()[:-1])
 
-        reborn = HandleService(cfg, key_bits=1024)
+        reborn = HandleService(cfg)
         assert reborn.replayed == 4
         assert reborn.log.dropped_tail == 0
         assert reborn.server.dump_state() == state
@@ -210,7 +210,7 @@ class TestDurability:
 
     def test_bad_line_before_the_end_names_its_line(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         self.populate(service, keypool)
         service.close()
         log = tmp_path / "data" / "updates.log"
@@ -218,14 +218,14 @@ class TestDurability:
         lines[1] = lines[1][:-7]
         log.write_bytes(b"\n".join(lines))
         with pytest.raises(LogFormatError, match="line 2"):
-            HandleService(cfg, key_bits=1024)
+            HandleService(cfg)
         # a complete last line that does not decode is corruption too
         lines = log.read_bytes().split(b"\n")
         lines[1] = lines[0]
         lines[3] = b"not an update 20260816120000"
         log.write_bytes(b"\n".join(lines))
         with pytest.raises(LogFormatError, match="line 4"):
-            HandleService(cfg, key_bits=1024)
+            HandleService(cfg)
 
 
 class TestOneRsaKeyPerApex:
@@ -263,7 +263,7 @@ class TestOneRsaKeyPerApex:
         state = service.server.dump_state()
         service.close()
 
-        srv.bound_apex_keys.clear()  # as a restarted process finds it
+        srv.bound_apex_keys.cache_clear()  # as a restarted process finds it
         reborn = new_service(tmp_path / "data")
         try:
             assert reborn.replayed == 22
@@ -378,14 +378,14 @@ class TestMalformedRequests:
         update = make_claim(secret, ROOT, 16, 1).to_dict()
         oversized = public.key_bytes + b"\x01" * crypto.MAX_KEY_PAYLOAD
         update["signer_key"]["key"] = base64.b64encode(oversized).decode()
-        bound = len(srv.bound_apex_keys)
+        bound = srv.bound_apex_keys.cache_info()
         detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": update})
         assert detail == (
             "update field 'signer_key' field 'key': "
             f"key payload longer than {crypto.MAX_KEY_PAYLOAD} octets"
         )
-        assert len(srv.bound_apex_keys) == bound
-        assert not any(key[0] == oversized for key in srv.bound_apex_keys._entries)
+        # refused before intake binds anything: no lookup, no entry
+        assert srv.bound_apex_keys.cache_info() == bound
 
     def claim(self, keypool, field, inner, value) -> dict:
         update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
@@ -462,7 +462,7 @@ class TestMalformedRequests:
 @pytest.fixture()
 def tcp_server(tmp_path):
     cfg = service_config(tmp_path)
-    service = HandleService(cfg, key_bits=1024)
+    service = HandleService(cfg)
     front = TcpHandleServer(service)
     port = front.start()
     yield front, port
@@ -643,7 +643,7 @@ class TestTcp:
 
     def test_restarted_server_serves_the_old_state(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
-        service = HandleService(cfg, key_bits=1024)
+        service = HandleService(cfg)
         front = TcpHandleServer(service)
         port = front.start()
         _, sec = keypool.key(0)
@@ -657,7 +657,7 @@ class TestTcp:
         finally:
             front.stop()
 
-        service2 = HandleService(cfg, key_bits=1024)
+        service2 = HandleService(cfg)
         front2 = TcpHandleServer(service2)
         port2 = front2.start()
         try:

@@ -100,7 +100,7 @@ class TestRoundTrip:
     @given(rrset=signed_sets())
     def test_a_set_travels_in_an_answer(self, rrset):
         res = Resolution("q", "NOT_FOUND", None, (rrset,), (rrset,), ("w",))
-        received_sets.clear()
+        received_sets.cache_clear()
         got = Resolution.from_dict(res.to_dict())
         assert got.evidence == (owners_lowered(rrset),) == got.transfer_notices
         assert got.to_dict() == res.to_dict()
