@@ -14,7 +14,11 @@ accepted updates, never on their arrival order or multiplicity:
   * every update carries the authority public key, which is checked against
     the apex label hash, so a message is verifiable on arrival even when it
     outruns the claim it depends on; once the apex is claimed it must also
-    be the key in the apex's KEY slot.
+    be the key in the apex's KEY slot;
+  * updates, replay and zone loads enter the store one way,
+    HandleServer._admit, whose gate reads what each set is (a KEY set, a
+    cancel or compromise, a transfer, revocable content), never the name
+    of the action that carried it, so one merge law holds for all three.
 
 _action_records holds what each update action writes: the make_* builders
 sign its records, and HandleServer verifies an update against them. walk
@@ -1017,7 +1021,6 @@ class HandleServer:
         root_zone: str,
         server_secret: Optional[SecretKey] = None,
         *,
-        depth_budget: int = DEFAULT_DEPTH_BUDGET,
         audit_cap: int = DEFAULT_AUDIT_CAP,
     ):
         self.root_zone = strip_dot(root_zone)
@@ -1025,7 +1028,6 @@ class HandleServer:
             _, server_secret = crypto.generate_keypair(crypto.RSA_SHA1)
         self.server_secret = server_secret
         self.server_key = server_secret.public_key()
-        self.depth_budget = depth_budget
         self.audit_cap = audit_cap
         self._entries: Dict[str, HandleEntry] = {}
         self._update_count = 0
@@ -1127,12 +1129,7 @@ class HandleServer:
             if why != V_OK:
                 return Verdict.rejected(R_BAD_SIGNATURE, why)
 
-        gate = self._gate(msg.action, target, rrsets)
-        if gate is not None:
-            return gate
-
-        self._commit(msg, target, rrsets)
-        return Verdict.ok()
+        return self._admit(target, rrsets, msg.serial, msg.action == TRANSFER)
 
     def _materialize(self, msg: UpdateMessage, target: Handle) -> List[SignedRRset]:
         """The signed sets msg carries, as _action_records builds them. Only
@@ -1170,34 +1167,53 @@ class HandleServer:
                 )
         return None
 
-    def _gate(
-        self, action: str, target: Handle, rrsets: List[SignedRRset]
-    ) -> Optional[Verdict]:
-        entry = self._entries.get(target.name_key())
-        if action == CLAIM:
+    def _gate(self, target: Handle, rrset: SignedRRset, transfer: bool) -> Optional[Verdict]:
+        """Why rrset, a transfer's DNAME when transfer, may not go into
+        target's slots, read from what the set is: a KEY set is a claim, and
+        records.is_irrevocable tells a cancel and a compromise, which are
+        always applicable, from revocable content."""
+        if rrset.rtype == "KEY":
             if not target.is_apex():
                 return Verdict.rejected(R_MALFORMED, "claim target must be an apex handle")
             return None
-        if action == CREATE_CHILD:
-            if target.is_apex():
-                return Verdict.rejected(R_UNKNOWN_PARENT, "an apex handle has no parent")
-            return self._sticky_block(target)
-        if action in (ASSIGN, DELEGATE):
-            return self._sticky_block(target)
-        if action == TRANSFER:
+        if transfer:
+            entry = self._entries.get(target.name_key())
             if entry is not None:
                 if entry.cancelled:
                     return Verdict.rejected(R_HANDLE_CANCELLED)
-                dest = name_key(rrsets[0].records[0].rdata)
+                dest = name_key(rrset.records[0].rdata)
                 moved = entry.sticky("DNAME")
                 if moved is not None and name_key(moved.records[0].rdata) != dest:
                     return Verdict.rejected(
                         R_HANDLE_TRANSFERRED, "already transferred to a different target"
                     )
             return None
-        return None  # CANCEL and COMPROMISE are always applicable
+        if is_irrevocable(rrset):
+            return None
+        if rrset.rtype == "TXT" and target.is_apex():
+            return Verdict.rejected(R_UNKNOWN_PARENT, "an apex handle has no parent")
+        return self._sticky_block(target)
 
     # -- commit --
+
+    def _admit(
+        self, target: Handle, rrsets: List[SignedRRset], serial: int, transfer: bool
+    ) -> Verdict:
+        """The one way into the store, for updates, replay and zone loads:
+        the gate, then a merge of rrsets into target's slots. A transfer's
+        DNAME and the sets records.is_irrevocable calls a cancel or a
+        compromise are sticky, and admitting one first purges the revocable
+        subtree."""
+        refused = self._gate(target, rrsets[0], transfer)
+        if refused is not None:
+            return refused
+        entry = self._ensure_entry(target)
+        slots = [Slot(serial, transfer or is_irrevocable(rrset), rrset) for rrset in rrsets]
+        if any(slot.sticky for slot in slots):
+            self._purge_revocable(target)
+        for slot in slots:
+            self._merge_slot(entry, slot.rrset.rtype, slot)
+        return Verdict.ok()
 
     def _ensure_entry(self, handle: Handle) -> HandleEntry:
         """handle's entry, made along with any missing ancestor's. A new
@@ -1289,20 +1305,6 @@ class HandleServer:
             out.append(self._entries[_sort_key_name(index[i])])
         return out
 
-    def _commit(self, msg: UpdateMessage, target: Handle, rrsets: List[SignedRRset]) -> None:
-        """Merge msg's sets into target's slots. A transfer's DNAME and the
-        sets records.is_irrevocable calls a cancel or a compromise are
-        sticky, and committing one first purges the revocable subtree."""
-        entry = self._ensure_entry(target)
-        slots = [
-            Slot(msg.serial, msg.action == TRANSFER or is_irrevocable(rrset), rrset)
-            for rrset in rrsets
-        ]
-        if any(slot.sticky for slot in slots):
-            self._purge_revocable(target)
-        for slot in slots:
-            self._merge_slot(entry, slot.rrset.rtype, slot)
-
     # -- audit --
 
     def subscribe_audit(self, handle: Handle, endpoint_id: str, owner: bool = False) -> Verdict:
@@ -1383,7 +1385,7 @@ class HandleServer:
         depth_budget: Optional[int] = None,
         now: Optional[str] = None,
     ) -> Resolution:
-        budget = depth_budget if depth_budget is not None else self.depth_budget
+        budget = DEFAULT_DEPTH_BUDGET if depth_budget is None else depth_budget
         if budget < 1:
             raise ResolutionError("depth budget must be at least 1")
         with self._lock:
@@ -1557,9 +1559,13 @@ class HandleServer:
         An apex KEY set counts when apex_key binds it, and every other set
         when signed_set_verdict accepts it under the key of its owner's
         apex, an expired signature only on content records.is_irrevocable
-        calls a cancel or a compromise, which takes a sticky slot. A bare
-        DNAME is taken as a delegation. Returns (sets loaded, problems for
-        sets skipped).
+        calls a cancel or a compromise, which takes a sticky slot. A set
+        that counts is admitted as an update's sets are, at serial 0, so
+        the update gate may still refuse it: a revocable set at or under a
+        cancelled name is refused handle-cancelled, and a cancel purges the
+        revocable sets loaded under it before. A bare DNAME is taken as a
+        delegation. Returns (sets loaded, "<owner> <rtype>: <reason>" for
+        each set skipped).
         """
         with self._lock:
             stamp = now or now_stamp()
@@ -1576,16 +1582,16 @@ class HandleServer:
                     continue
                 if rrset.rtype in ("NXT", "SOA", "NS"):
                     continue  # derived or operator-owned; never ingested
-                sticky = is_irrevocable(rrset)
                 if rrset.rtype == "KEY":
                     why = keys[handle.name_key()][1]
                 else:
-                    why = signed_set_verdict(rrset, keys.key, root, stamp, sticky)
-                if why not in (V_OK, V_STALE):
+                    why = signed_set_verdict(rrset, keys.key, root, stamp, is_irrevocable(rrset))
+                if why in (V_OK, V_STALE):
+                    why = self._admit(handle, [rrset], 0, transfer=False).reason
+                if why is None:
+                    loaded += 1
+                else:
                     problems.append(f"{rrset.owner} {rrset.rtype}: {why}")
-                    continue
-                self._merge_slot(self._ensure_entry(handle), rrset.rtype, Slot(0, sticky, rrset))
-                loaded += 1
             return loaded, problems
 
     # -- deterministic state dump --

@@ -31,7 +31,6 @@ from .errors import (
 from .handles import Handle, parse_handle
 from .server import (
     DEFAULT_AUDIT_CAP,
-    DEFAULT_DEPTH_BUDGET,
     AuditSubscriber,
     HandleServer,
     RecordAnswer,
@@ -54,7 +53,6 @@ class ServerConfig:
     listen_host: str = "127.0.0.1"
     listen_port: int = DEFAULT_PORT
     data_dir: str = "./onhs-data"
-    depth_budget: int = DEFAULT_DEPTH_BUDGET
     audit_cap: int = DEFAULT_AUDIT_CAP
 
     @staticmethod
@@ -77,8 +75,6 @@ class ServerConfig:
             cfg.listen_port = int(port)
         if "data_dir" in values:
             cfg.data_dir = values["data_dir"]
-        if "depth_budget" in values:
-            cfg.depth_budget = int(values["depth_budget"])
         if "audit_cap" in values:
             cfg.audit_cap = int(values["audit_cap"])
         env_dir = os.environ.get("ONHS_DATA_DIR")
@@ -191,12 +187,7 @@ class HandleService:
         else:
             _, secret = crypto.generate_keypair(crypto.RSA_SHA1)
             crypto.save_secret_key(key_path, secret)
-        self.server = HandleServer(
-            config.root_zone,
-            secret,
-            depth_budget=config.depth_budget,
-            audit_cap=config.audit_cap,
-        )
+        self.server = HandleServer(config.root_zone, secret, audit_cap=config.audit_cap)
         self.log = UpdateLog(data_dir / "updates.log")
         self.replayed = self.log.replay_into(self.server)
         self.log.open_for_append()

@@ -134,3 +134,36 @@ def covering(chain, target):
         if ordering_key(record[0]) <= ordering_key(target):
             pick = record
     return pick
+
+
+# ---- the merge law over a state dump -----------------------------------------
+
+
+def merge_law_violations(dump_text):
+    """Each revocable slot, other than a KEY slot, stored at or below a
+    name that holds a sticky slot, as "<name> <type> under <sticky name>".
+
+    dump_text is HandleServer.dump_state() text: an "entry <name> ..." line
+    per name, then a "  slot <type> serial=<n> sticky=<0|1>" line per slot.
+    A sticky set (a cancel, a compromise, a transfer) kills the revocable
+    sets below it whichever arrived first, so a store that keeps the merge
+    law lists none. KEY slots survive, because verifiers always need keys.
+    """
+    slots = {}
+    name = None
+    for line in dump_text.splitlines():
+        fields = line.split()
+        if fields[:1] == ["entry"]:
+            name = fields[1]
+            slots[name] = []
+        elif fields[:1] == ["slot"]:
+            slots[name].append((fields[1], fields[3] == "sticky=1"))
+    killers = [n for n, held in slots.items() if any(sticky for _, sticky in held)]
+    return [
+        f"{n} {rtype} under {killer}"
+        for n, held in sorted(slots.items())
+        for rtype, sticky in held
+        if not sticky and rtype != "KEY"
+        for killer in killers
+        if n == killer or n.endswith("." + killer)
+    ]

@@ -15,7 +15,7 @@ from typing import Dict, List
 import pytest
 
 from conftest import FIXED_NOW, ROOT
-from oracles import covering, nxt_chain
+from oracles import covering, merge_law_violations, nxt_chain
 
 from onhs import crypto, records, server as srv
 from onhs.client import verify_resolution
@@ -231,12 +231,13 @@ def test_index_agrees_with_the_whole_zone_oracle(corpus):
         for method, arg in changes:
             checked += served_agree(server, names, trial)
             getattr(server, method)(arg, now=NOW)
+            assert merge_law_violations(server.dump_state()) == [], (trial, method)
         checked += served_agree(server, names, trial)
         oracle = Oracle(server)
         for handle in names:  # a NOT_FOUND answer denies the name its walk ended at
             got = server.resolve(handle, now=NOW)
             if got.outcome == OUTCOME_NOT_FOUND:
-                final = srv.walk(handle, server._node_sets, server.depth_budget).final
+                final = srv.walk(handle, server._node_sets, srv.DEFAULT_DEPTH_BUDGET).final
                 nxt = [nxt_triple(rr.records[0]) for rr in got.evidence if rr.rtype == "NXT"]
                 assert nxt == oracle.denial(final), (trial, handle)
     assert checked > 50000

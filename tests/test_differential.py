@@ -32,6 +32,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
+from oracles import merge_law_violations
 from test_denial import corpus, probes  # noqa: F401  (corpus is a fixture)
 
 from onhs import crypto, server as srv
@@ -155,6 +156,7 @@ def test_drawn_update_sequences(keypool, steps):
             "compromise": lambda: srv.make_compromise(secret, target, "2026-08-01", serial, **at),
         }[op]()
         server.apply_update(msg, now=NOW)
+        assert merge_law_violations(server.dump_state()) == [], (op, str(target))
     for i in range(3):  # last, so updates often outrun their claim
         server.apply_update(srv.make_claim(keypool.key(i)[1], ROOT, 16, 1, now=NOW), now=NOW)
     assert_agree(server, stored_and_absent(server, apex_of(keypool, 3)), keypool)

@@ -2,12 +2,14 @@
 
 import base64
 import random
+import re
 from collections import deque
 from dataclasses import replace
 
 import pytest
 
 from conftest import FIXED_NOW, ROOT, build_example_zones, new_server
+from oracles import merge_law_violations
 
 from onhs import crypto, server as srv
 from onhs.client import verify_resolution
@@ -687,6 +689,36 @@ class TestZones:
         assert not fresh.query_record(z.leaf_2_3, "A", now=NOW).found
         assert fresh.audit_store(now=NOW) == []
 
+    def test_exports_around_a_cancel_load_as_the_updates_built(self, keypool):
+        # an owner-zone export from before the cancel holds c's sets, the
+        # root-zone export from after it the cancel; either load order must
+        # end in the store the updates built, serials aside
+        _, sec = keypool.key(0)
+        claim = make_claim(sec, ROOT, 16, 1, now=NOW)
+        apex = parse_handle(claim.target, ROOT)
+        c = apex.child(IA("1"))
+        built = new_server()
+        for msg in (
+            claim, make_create_child(sec, c, 2, now=NOW), make_assign(sec, c, "10.0.0.1", 3, now=NOW)
+        ):
+            assert built.apply_update(msg, now=NOW).accepted
+        before = serialize_zone(built.owner_zone_snapshot(apex, now=NOW))
+        assert built.apply_update(make_cancel(sec, apex, 4, now=NOW), now=NOW).accepted
+        after = serialize_zone(built.root_zone_snapshot(now=NOW))
+
+        def masked(state):
+            return re.sub(r"serial=\d+", "serial=*", state)
+
+        for order, skipped in (((before, after), []), ((after, before), ["A", "TXT"])):
+            fresh = new_server()
+            problems = [p for text in order for p in fresh.load_zone(parse_zone(text), now=NOW)[1]]
+            assert masked(fresh.dump_state()) == masked(built.dump_state())
+            assert merge_law_violations(fresh.dump_state()) == []
+            assert not fresh.query_record(c, "A", now=NOW).found
+            assert sorted(problems) == [
+                f"{c.fqdn_no_dot()} {rtype}: {R_HANDLE_CANCELLED}" for rtype in skipped
+            ]
+
     def test_dump_state_lists_flags_and_slots(self, example_zones):
         z = example_zones
         state = z.server.dump_state()
@@ -702,3 +734,35 @@ class TestZones:
             if ln.startswith(f"entry {z.transferred.name_key()} ")
         )
         assert f"transferred_to={z.new_home.name_key()}" in transferred_line
+
+
+class TestUnsignedUpdateFields:
+    """An update's signature covers its record sets and their signature
+    params, not the update's serial or action. Anyone who holds a signed
+    update, as every audit subscriber does, can change either and send it
+    again. Both tests fail until the two fields are signed."""
+
+    @pytest.mark.xfail(strict=True, reason="the update serial is not signed")
+    def test_an_old_assign_sent_again_with_a_higher_serial_is_refused(self, keypool):
+        server, (apex,) = claimed_server(keypool, 0)
+        sec = keypool.key(0)[1]
+        leaf = apex.child(IA("1"))
+        old = make_assign(sec, leaf, "10.0.0.1", 2, now=NOW)
+        for msg in (old, make_assign(sec, leaf, "10.0.0.9", 3, now=NOW)):
+            assert server.apply_update(msg, now=NOW).accepted
+        server.apply_update(replace(old, serial=10**9), now=NOW)
+        assert server.resolve(leaf, now=NOW).address == "10.0.0.9"
+
+    @pytest.mark.xfail(strict=True, reason="the update action is not signed")
+    def test_a_delegate_sent_again_as_a_transfer_is_refused(self, keypool):
+        server, (apex, other) = claimed_server(keypool, 0, 1)
+        sec = keypool.key(0)[1]
+        name, dest = apex.child(IA("1")), other.child(IA("2"))
+        delegate = make_delegate(sec, name, dest, 2, now=NOW)
+        for msg in (delegate, make_assign(keypool.key(1)[1], dest, "10.0.0.2", 2, now=NOW)):
+            assert server.apply_update(msg, now=NOW).accepted
+        assert server.resolve(name, now=NOW).outcome == OUTCOME_ADDRESS
+        server.apply_update(replace(delegate, action=srv.TRANSFER), now=NOW)
+        assert server.resolve(name, now=NOW).outcome != OUTCOME_TRANSFERRED_AND_ADDRESS
+        below = make_create_child(sec, name.child(IA("3")), 3, now=NOW)
+        assert server.apply_update(below, now=NOW).accepted

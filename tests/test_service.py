@@ -47,7 +47,6 @@ class TestConfig:
         assert cfg.root_zone == ROOT
         assert cfg.listen_host == "127.0.0.1"
         assert cfg.listen_port == DEFAULT_PORT
-        assert cfg.depth_budget == 16
         assert cfg.audit_cap == 8
 
     def test_full_config_parses(self):
@@ -58,14 +57,12 @@ class TestConfig:
                 "",
                 "listen = 0.0.0.0:5310",
                 "data_dir = /var/lib/onhs",
-                "depth_budget = 8",
                 "audit_cap = 3",
             ]
         )
         cfg = ServerConfig.parse(text)
         assert (cfg.listen_host, cfg.listen_port) == ("0.0.0.0", 5310)
         assert cfg.data_dir == "/var/lib/onhs"
-        assert cfg.depth_budget == 8
         assert cfg.audit_cap == 3
 
     def test_listen_port_only(self):
