@@ -1,8 +1,11 @@
 """Record sets, canonical ordering, zone text, and denial chains."""
 
+import operator
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import chain_pairs, zone_sort
 
@@ -15,6 +18,7 @@ from onhs.errors import (
     ZoneSyntaxError,
 )
 from onhs.records import (
+    RRTYPES,
     NxtData,
     ResourceRecord,
     SignedRRset,
@@ -248,6 +252,94 @@ class TestZoneText:
     def test_zone_without_apex_rejected(self):
         with pytest.raises(ZoneSyntaxError):
             parse_zone("handleserver1.x.example. IN A 10.0.0.1\n")
+
+
+# ---- drawn zones -------------------------------------------------------------
+
+ORIGIN = f"h1g5k{'C' * 16}.{APEX}"
+ELSEWHERE = "elsewhere.example.net"
+zone_label = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
+                     min_size=1, max_size=8)
+prefixes = st.lists(zone_label, min_size=1, max_size=3).map(".".join)
+# the origin itself, a name under it (written with the origin's own case,
+# which the parser gives a relative name back in), or a name outside it
+zone_names = st.one_of(
+    st.just(ORIGIN),
+    prefixes.map(lambda p: f"{p}.{ORIGIN}"),
+    prefixes.map(lambda p: f"{p}.{ELSEWHERE}"),
+)
+u32 = st.integers(0, 2**32 - 1)
+# seconds on a whole week, day, hour or minute, which render with a unit,
+# and any count, which mostly does not
+durations = st.one_of(
+    st.builds(operator.mul, st.integers(1, 500), st.sampled_from([60, 3600, 86400, 604800])),
+    u32,
+)
+stamps = st.integers(10**13, 10**14 - 2).map(str)
+# zone text holds one record per line, so a TXT string cannot hold what
+# str.splitlines breaks a line at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+ZONE_RDATA = {
+    "A": st.lists(st.integers(0, 255).flatmap(lambda n: st.sampled_from([str(n), f"{n:03d}"])),
+                  min_size=4, max_size=4).map(".".join),
+    "NS": zone_names,
+    "DNAME": zone_names,
+    "TXT": st.text(st.characters(exclude_categories=("Cs",), exclude_characters=LINE_BREAKS),
+                   max_size=30),
+    "KEY": st.tuples(st.integers(0, 65535), st.integers(0, 255), st.integers(0, 255),
+                     st.binary(min_size=1, max_size=40)).map(
+        lambda t: struct.pack(">HBB", *t[:3]) + t[3]),
+    "SOA": st.builds(SoaData, zone_names, zone_names, u32, durations, durations, durations,
+                     durations),
+    "NXT": st.builds(NxtData, zone_names,
+                     st.lists(st.sampled_from(RRTYPES + ("SIG",)), min_size=1).map(tuple)),
+}
+
+
+@st.composite
+def zone_sets(draw):
+    """One set of any type, owned in or outside the origin (an SOA set at
+    the origin), with a drawn ttl, signed or not."""
+    rtype = draw(st.sampled_from(RRTYPES))
+    owner = ORIGIN if rtype == "SOA" else draw(zone_names)
+    ttl = draw(durations)
+    rdatas = draw(st.lists(ZONE_RDATA[rtype], min_size=1, max_size=1 if rtype == "SOA" else 3))
+    records = tuple(ResourceRecord(owner, ttl, rtype, rd) for rd in rdatas)
+    if not draw(st.booleans()):
+        return SignedRRset(records)
+    inception = draw(stamps)
+    params = SignatureParams(
+        algorithm=draw(st.integers(1, 255)),
+        label_count=len(owner.split(".")),
+        original_ttl=draw(u32),
+        expiration=draw(stamps.filter(lambda e: e > inception)),
+        inception=inception,
+        signer=draw(zone_names),
+    )
+    return SignedRRset(records, crypto.RecordSignature(params, draw(st.binary(min_size=1,
+                                                                             max_size=40))))
+
+
+@st.composite
+def zones(draw):
+    sets = draw(st.lists(zone_sets(), max_size=8))
+    rrsets = {(s.owner.lower(), s.rtype): s for s in sets}
+    return ZoneSnapshot(ORIGIN, rrsets, serial=draw(u32), default_ttl=draw(durations))
+
+
+class TestZoneTextRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(zone=zones())
+    def test_parse_inverts_serialize_and_serialize_is_stable(self, zone):
+        text = serialize_zone(zone)
+        parsed = parse_zone(text)
+        assert (parsed.apex, parsed.serial, parsed.default_ttl) == (
+            zone.apex, zone.serial, zone.default_ttl)
+        assert parsed.rrsets == zone.rrsets
+        assert [s.canonical_bytes() for s in parsed.ordered_rrsets()] == [
+            s.canonical_bytes() for s in zone.ordered_rrsets()]
+        assert serialize_zone(parsed) == text
 
 
 class TestDenialChain:
