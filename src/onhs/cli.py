@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-budget", type=int, default=None)
     p.set_defaults(func=cmd_resolve)
 
-    p = sub.add_parser("query", help="fetch one record set")
+    p = sub.add_parser("query", help="fetch one record set as served, unverified")
     add_common(p, key=False)
     p.add_argument("handle")
     p.add_argument("rtype", choices=list(rec.RRTYPES))

@@ -391,6 +391,29 @@ def _enumerate_owner_zone(
     return out, f"the NXT chain did not close within {limit} names"
 
 
+def _served_set(
+    endpoint: ResolverEndpoint, owner: Handle, rtype: str, apex: Handle, key: PublicKey,
+    now: str,
+) -> Tuple[Optional[SignedRRset], str, bool]:
+    """The set endpoint serves for owner's rtype; why it does not count
+    under apex's key, or V_OK or V_STALE; and whether the answer's
+    status_records list it. A KEY set counts when it holds key; any other
+    when signed_set_verdict accepts it, a cancel, a compromise or a listed
+    DNAME as sticky."""
+    answer = endpoint.query_record(owner, rtype)
+    got = answer.rrset
+    if not answer.found:
+        return None, "not found", False
+    if got is None or got.rtype != rtype or name_key(got.owner) != owner.name_key():
+        return None, "not-the-set-asked-for", False
+    listed = got in answer.status_records
+    if rtype == "KEY":
+        return got, V_OK if got.records[0].rdata == key.key_bytes else "not the old key", listed
+    sticky = is_irrevocable(got) or (rtype == "DNAME" and listed)
+    root = name_key(apex.root_suffix_no_dot())
+    return got, srv.signed_set_verdict(got, {apex.name_key(): key}.get, root, now, sticky), listed
+
+
 def key_upgrade(
     old_secret: SecretKey,
     old_apex: Handle,
@@ -409,9 +432,9 @@ def key_upgrade(
     addresses and delegations (delegations that pointed back into the old
     hierarchy are rewritten to the new one), verifies that the copies
     resolve under the new key, and only then transfers the old apex. Each
-    A, TXT and DNAME set it reads must be the set asked for, signed by
-    old_secret's key (signed_set_verdict). Any failure before the transfer
-    aborts with the old hierarchy intact.
+    KEY, A, TXT and DNAME set it reads must count under old_secret's key
+    (_served_set). Any failure before the transfer aborts with the old
+    hierarchy intact, and says why in the report's warnings.
     """
     report = UpgradeReport(ok=False, new_apex=None)
     stamp = now or now_stamp()
@@ -419,86 +442,65 @@ def key_upgrade(
         suffix_len = len(old_apex.apex_label.key_suffix)
     serial = serial_start
     old_key = old_secret.public_key()
-    served = endpoint.query_record(old_apex, "KEY").rrset
-    if served is None or served.records[0].rdata != old_key.key_bytes:
-        why = "not found" if served is None else "not the old key"
+    _, why, _ = _served_set(endpoint, old_apex, "KEY", old_apex, old_key, stamp)
+    if why not in (V_OK, V_STALE):
         report.warnings.append(f"{old_apex.fqdn_no_dot()} KEY: {why}; nothing was changed")
         return report
 
+    def submit(step: str, msg: UpdateMessage) -> bool:
+        """Send one update and record it as step; say why on a refusal."""
+        nonlocal serial
+        verdict = endpoint.apply_update(msg, stamp)
+        report.step(step, verdict.accepted)
+        serial += 1
+        if not verdict.accepted:
+            report.warnings.append(f"{step} rejected: {verdict.reason}")
+        return verdict.accepted
+
     claim = srv.make_claim(new_secret, root_zone, suffix_len, serial, now=stamp)
-    verdict = endpoint.apply_update(claim, stamp)
     new_apex = parse_handle(claim.target, root_zone)
-    report.step(f"claim {new_apex.fqdn_no_dot()}", verdict.accepted)
-    if not verdict.accepted:
-        report.warnings.append(f"claim rejected: {verdict.reason}")
+    if not submit(f"claim {new_apex.fqdn_no_dot()}", claim):
         return report
     report.new_apex = new_apex
-    serial += 1
 
     owners, gap = _enumerate_owner_zone(endpoint, old_apex, root_zone)
     if gap is not None:
         report.warnings.append(f"cannot list {old_apex.fqdn_no_dot()}: {gap}")
         return report
-    root = name_key(root_zone)
-    key_of = {old_apex.name_key(): old_key}.get
     replicated: List[Tuple[Handle, str]] = []  # (new handle, address)
     for owner in owners:
         if owner.name_key() == old_apex.name_key():
             continue
-        answers = {rtype: endpoint.query_record(owner, rtype) for rtype in ("A", "TXT", "DNAME")}
-        for rtype, ans in answers.items():
-            if not ans.found:
+        sets: Dict[str, SignedRRset] = {}
+        for rtype in ("A", "TXT", "DNAME"):
+            got, why, _ = _served_set(endpoint, owner, rtype, old_apex, old_key, stamp)
+            if why == "not found":
                 continue
-            got = ans.rrset
-            why = (
-                "not-the-set-asked-for"
-                if got is None or got.rtype != rtype or name_key(got.owner) != owner.name_key()
-                else srv.signed_set_verdict(got, key_of, root, stamp, is_irrevocable(got))
-            )
             if why not in (V_OK, V_STALE):
                 report.warnings.append(f"{owner.fqdn_no_dot()} {rtype}: {why}")
                 return report
-        a_answer, txt_answer, dname_answer = answers["A"], answers["TXT"], answers["DNAME"]
-        if any(ans.found and is_irrevocable(ans.rrset) for ans in (a_answer, txt_answer)):
+            sets[rtype] = got
+        if any(is_irrevocable(got) for got in sets.values()):
             report.warnings.append(
                 f"skipping {owner.fqdn_no_dot()}: cancelled in the old hierarchy"
             )
             continue
         new_name = owner.replace_prefix(old_apex, new_apex)
-        verdict = endpoint.apply_update(
-            srv.make_create_child(new_secret, new_name, serial, now=stamp), stamp
-        )
-        report.step(f"create {new_name.fqdn_no_dot()}", verdict.accepted)
-        serial += 1
-        if not verdict.accepted:
-            report.warnings.append(
-                f"create {new_name.fqdn_no_dot()} rejected: {verdict.reason}"
-            )
+        step = f"create {new_name.fqdn_no_dot()}"
+        if not submit(step, srv.make_create_child(new_secret, new_name, serial, now=stamp)):
             return report
-        if a_answer.found:
-            address = a_answer.rrset.records[0].rdata
-            verdict = endpoint.apply_update(
-                srv.make_assign(new_secret, new_name, address, serial, now=stamp), stamp
-            )
-            report.step(f"assign {new_name.fqdn_no_dot()} {address}", verdict.accepted)
-            serial += 1
-            if not verdict.accepted:
+        if "A" in sets:
+            address = sets["A"].records[0].rdata
+            msg = srv.make_assign(new_secret, new_name, address, serial, now=stamp)
+            if not submit(f"assign {new_name.fqdn_no_dot()} {address}", msg):
                 return report
             replicated.append((new_name, address))
-        if dname_answer.found:
-            dest_text = dname_answer.rrset.records[0].rdata
-            dest = parse_handle(dest_text, root_zone)
+        if "DNAME" in sets:
+            dest = parse_handle(sets["DNAME"].records[0].rdata, root_zone)
             if dest.name_key() == old_apex.name_key() or dest.is_under(old_apex):
                 dest = dest.replace_prefix(old_apex, new_apex)
-            verdict = endpoint.apply_update(
-                srv.make_delegate(new_secret, new_name, dest, serial, now=stamp), stamp
-            )
-            report.step(
-                f"delegate {new_name.fqdn_no_dot()} to {dest.fqdn_no_dot()}",
-                verdict.accepted,
-            )
-            serial += 1
-            if not verdict.accepted:
+            msg = srv.make_delegate(new_secret, new_name, dest, serial, now=stamp)
+            if not submit(f"delegate {new_name.fqdn_no_dot()} to {dest.fqdn_no_dot()}", msg):
                 return report
 
     new_key = new_secret.public_key()
@@ -515,14 +517,9 @@ def key_upgrade(
             return report
 
     transfer = srv.make_transfer(old_secret, old_apex, new_apex, serial, now=stamp)
-    verdict = endpoint.apply_update(transfer, stamp)
-    report.step(
-        f"transfer {old_apex.fqdn_no_dot()} to {new_apex.fqdn_no_dot()}", verdict.accepted
+    report.ok = submit(
+        f"transfer {old_apex.fqdn_no_dot()} to {new_apex.fqdn_no_dot()}", transfer
     )
-    if not verdict.accepted:
-        report.warnings.append(f"transfer rejected: {verdict.reason}")
-        return report
-    report.ok = True
     return report
 
 
@@ -537,12 +534,16 @@ def cancel_old_key(
     now: Optional[str] = None,
 ) -> Tuple[List[Verdict], List[str]]:
     """Retire the old apex after an upgrade: cancel it, and mark it
-    compromised too when the key itself is suspect."""
+    compromised too when the key itself is suspect. Warns unless the apex
+    holds a transfer: a DNAME set the answer lists as sticky, signed by
+    the old key."""
     warnings: List[str] = []
     verdicts: List[Verdict] = []
     stamp = now or now_stamp()
-    answer = endpoint.query_record(old_apex, "DNAME")
-    if not answer.found:
+    _, why, listed = _served_set(
+        endpoint, old_apex, "DNAME", old_apex, old_secret.public_key(), stamp
+    )
+    if not (listed and why in (V_OK, V_STALE)):
         warnings.append(
             "cancelling an apex that was never transferred strands its children"
         )

@@ -81,10 +81,6 @@ def now_stamp() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime(_STAMP_FORMAT)
 
 
-def make_stamp(dt: _dt.datetime) -> str:
-    return dt.astimezone(_dt.timezone.utc).strftime(_STAMP_FORMAT)
-
-
 def check_stamp(text: str) -> str:
     if not _STAMP_RE.fullmatch(text):
         raise ParamsMismatchError(f"timestamp {text!r} is not 14 digits")
@@ -268,13 +264,10 @@ def verify_key_matches_label(key: PublicKey, label: HandleLabel) -> bool:
 # ---- key files -----------------------------------------------------------
 
 
-def save_public_key(path, key: PublicKey) -> None:
-    text = f"{key.algorithm}\n{base64.b64encode(key.key_bytes).decode()}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def save_secret_key(path, secret: SecretKey) -> None:
+    """Write a key file, the one form there is: three lines, the algorithm
+    code, the base64 public key payload, and the base64 private key DER.
+    load_secret_key rebuilds the public half from the DER."""
     pub = secret.public_key()
     text = (
         f"{secret.algorithm}\n"
@@ -285,29 +278,13 @@ def save_secret_key(path, secret: SecretKey) -> None:
         fh.write(text)
 
 
-def _read_key_lines(path) -> list:
+def load_secret_key(path) -> SecretKey:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if len(lines) not in (2, 3):
-        raise KeyFormatError(f"key file {path} has {len(lines)} lines, expected 2 or 3")
+    if len(lines) != 3:
+        raise KeyFormatError(f"key file {path} has {len(lines)} lines, expected 3")
     if not lines[0].isdigit():
         raise KeyFormatError(f"key file {path} has a bad algorithm line")
-    return lines
-
-
-def load_public_key(path) -> PublicKey:
-    lines = _read_key_lines(path)
-    try:
-        blob = base64.b64decode(lines[1], validate=True)
-    except Exception as exc:
-        raise KeyFormatError(f"bad base64 in {path}: {exc}") from exc
-    return PublicKey(algorithm=int(lines[0]), key_bytes=blob)
-
-
-def load_secret_key(path) -> SecretKey:
-    lines = _read_key_lines(path)
-    if len(lines) != 3:
-        raise KeyFormatError(f"key file {path} has no secret line")
     try:
         der = base64.b64decode(lines[2], validate=True)
     except Exception as exc:

@@ -115,14 +115,13 @@ Rdata = Union[str, bytes, SoaData, NxtData]
 _A_OCTET_RE = re.compile(r"[0-9]{1,3}$")
 
 
-def _check_address_text(text: str) -> str:
+def _check_address_text(text: str) -> None:
     parts = text.split(".")
     if len(parts) != 4:
         raise RdataFormatError(f"address {text!r} does not have four octets")
     for part in parts:
         if not _A_OCTET_RE.fullmatch(part) or int(part) > 255:
             raise RdataFormatError(f"address octet {part!r} outside 0..255")
-    return text
 
 
 def key_payload_fields(payload: bytes) -> Tuple[int, int, int, bytes]:
@@ -189,18 +188,26 @@ class ResourceRecord:
         return rd
 
 
+# Fields in the rdata text of each type that has more than one (for NXT,
+# at least this many); every other type's text is one field.
+_RDATA_FIELDS = {"KEY": 4, "SOA": 7, "NXT": 2}
+
+
+def _field_count_ok(rtype: str, count: int) -> bool:
+    want = _RDATA_FIELDS.get(rtype, 1)
+    return count == want or (rtype == "NXT" and count > want)
+
+
 def rdata_from_text(rtype: str, text: str) -> Rdata:
     """The rdata whose canonical_rdata_text is text, for a record of rtype.
 
-    Unlike zone text, a TXT string is bare (spaces, no quotes) and a name
-    is complete (no origin, no trailing dot). A, NS, DNAME and TXT rdata
-    is the text itself; ResourceRecord checks it. Raises RdataFormatError.
+    A, NS, DNAME and TXT rdata is the text itself; ResourceRecord checks
+    it. Raises RdataFormatError.
     """
-    if rtype not in ("KEY", "SOA", "NXT"):
+    if rtype not in _RDATA_FIELDS:
         return text
     parts = text.split(" ")
-    fields = {"KEY": 4, "SOA": 7, "NXT": 2}[rtype]  # NXT: at least
-    if len(parts) < fields or (rtype != "NXT" and len(parts) > fields):
+    if not _field_count_ok(rtype, len(parts)):
         raise RdataFormatError(f"{rtype} rdata {text[:80]!r} has {len(parts)} fields")
     try:
         if rtype == "KEY":
@@ -426,6 +433,9 @@ def covering_nxt(chain: Sequence[ResourceRecord], target: str) -> Optional[Resou
 
 # ---- zone text: serialization --------------------------------------------
 
+# positions of the name fields in each type's rdata text
+_NAME_FIELDS = {"NS": (0,), "DNAME": (0,), "SOA": (0, 1), "NXT": (0,)}
+
 
 def _render_name(name: str, apex: str) -> str:
     if name_key(name) == name_key(apex):
@@ -441,32 +451,24 @@ def _quote_txt(text: str) -> str:
 
 
 def _render_rdata(rec: ResourceRecord, apex: str) -> str:
-    rd = rec.rdata
-    if rec.rtype == "A":
-        assert isinstance(rd, str)
-        return rd
-    if rec.rtype in ("NS", "DNAME"):
-        assert isinstance(rd, str)
-        return _render_name(rd, apex)
+    text = rec.canonical_rdata_text()
     if rec.rtype == "TXT":
-        assert isinstance(rd, str)
-        return _quote_txt(rd)
-    if rec.rtype == "KEY":
-        assert isinstance(rd, bytes)
-        flags, proto, alg, material = key_payload_fields(rd)
-        return f"{flags} {proto} {alg} {base64.b64encode(material).decode()}"
+        return _quote_txt(text)
+    fields = text.split(" ") if rec.rtype in _RDATA_FIELDS else [text]
+    for i in _NAME_FIELDS.get(rec.rtype, ()):
+        fields[i] = _render_name(fields[i], apex)
     if rec.rtype == "SOA":
-        assert isinstance(rd, SoaData)
-        return (
-            f"{_render_name(rd.primary, apex)} {_render_name(rd.contact, apex)} "
-            f"( {rd.serial} {render_duration(rd.refresh)} {render_duration(rd.retry)} "
-            f"{render_duration(rd.expire)} {render_duration(rd.minimum)} )"
-        )
-    assert isinstance(rd, NxtData)
-    return " ".join((_render_name(rd.next_owner, apex),) + rd.types)
+        fields[2:] = ["(", fields[2], *(render_duration(int(f)) for f in fields[3:]), ")"]
+    return " ".join(fields)
 
 
 def serialize_zone(zone: ZoneSnapshot) -> str:
+    """The zone's text. Each record's rdata is its canonical_rdata_text,
+    which parse_zone reads back through rdata_from_text, with three
+    differences: a name field (NS, DNAME, SOA primary and contact, NXT
+    next owner) is relative to the origin where it falls under it, a TXT
+    string is quoted, and the SOA timers are durations inside parentheses.
+    """
     lines = [
         f"$ORIGIN {strip_dot(zone.apex)}.",
         f"$SERIAL {zone.serial}",
@@ -582,43 +584,16 @@ def _unquote_txt(token: str, line_no: int) -> str:
 def _parse_rdata(
     rtype: str, args: List[str], origin: Optional[str], line_no: int
 ) -> Rdata:
-    try:
-        if rtype == "A":
-            if len(args) != 1:
-                raise RdataFormatError("A takes one address")
-            return _check_address_text(args[0])
-        if rtype in ("NS", "DNAME"):
-            if len(args) != 1:
-                raise RdataFormatError(f"{rtype} takes one name")
-            return _resolve_name(args[0], origin, line_no)
-        if rtype == "TXT":
-            if len(args) != 1:
-                raise RdataFormatError("TXT takes one quoted string")
-            return _unquote_txt(args[0], line_no)
-        if rtype == "KEY":
-            return rdata_from_text(rtype, " ".join(args))
-        if rtype == "SOA":
-            if len(args) != 7:
-                raise RdataFormatError("SOA takes seven fields")
-            return SoaData(
-                primary=_resolve_name(args[0], origin, line_no),
-                contact=_resolve_name(args[1], origin, line_no),
-                serial=int(args[2]),
-                refresh=parse_duration(args[3]),
-                retry=parse_duration(args[4]),
-                expire=parse_duration(args[5]),
-                minimum=parse_duration(args[6]),
-            )
-        if rtype == "NXT":
-            if len(args) < 2:
-                raise RdataFormatError("NXT takes a next owner and at least one type")
-            return NxtData(
-                next_owner=_resolve_name(args[0], origin, line_no),
-                types=tuple(args[1:]),
-            )
-    except (ValueError, struct.error) as exc:
-        raise RdataFormatError(f"bad {rtype} payload: {exc}") from exc
-    raise UnknownRecordTypeError(f"record type {rtype!r} not supported")
+    if not _field_count_ok(rtype, len(args)):
+        raise RdataFormatError(f"{rtype} rdata on line {line_no} has {len(args)} fields")
+    if rtype == "TXT":
+        return _unquote_txt(args[0], line_no)
+    fields = list(args)
+    for i in _NAME_FIELDS.get(rtype, ()):
+        fields[i] = _resolve_name(fields[i], origin, line_no)
+    if rtype == "SOA":
+        fields[3:] = [str(parse_duration(f)) for f in fields[3:]]
+    return rdata_from_text(rtype, " ".join(fields))
 
 
 def parse_zone(text: str, apex: Optional[str] = None) -> ZoneSnapshot:

@@ -118,8 +118,3 @@ def _read_exact(stream: BinaryIO, count: int) -> Optional[bytes]:
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
-
-
-def write_message(stream: BinaryIO, msg: WireMessage) -> None:
-    stream.write(encode_message(msg))
-    stream.flush()

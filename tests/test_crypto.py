@@ -163,25 +163,31 @@ class TestKeyMaterial:
 
     def test_key_files_round_trip(self, keypool, tmp_path):
         public, secret = keypool.key(2)
-        pub_path = tmp_path / "k.pub"
-        sec_path = tmp_path / "k.sec"
-        crypto.save_public_key(pub_path, public)
-        crypto.save_secret_key(sec_path, secret)
-        assert crypto.load_public_key(pub_path) == public
-        loaded = crypto.load_secret_key(sec_path)
+        path = tmp_path / "k.key"
+        crypto.save_secret_key(path, secret)
+        loaded = crypto.load_secret_key(path)
+        assert loaded == secret
         assert loaded.public_key() == public
-        # the secret file carries the public half on line two
-        assert crypto.load_public_key(sec_path) == public
+        # the file carries the public half on line two
+        lines = path.read_text().splitlines()
+        assert lines == [str(secret.algorithm), base64.b64encode(public.key_bytes).decode(),
+                         base64.b64encode(secret.private_bytes).decode()]
 
-    def test_key_file_garbage_rejected(self, tmp_path):
+    def test_key_file_garbage_rejected(self, keypool, tmp_path):
+        public, secret = keypool.key(2)
+        pub64 = base64.b64encode(public.key_bytes).decode()
+        der64 = base64.b64encode(secret.private_bytes).decode()
         path = tmp_path / "bad.key"
-        path.write_text("5\nnot base64!!\n")
-        with pytest.raises(KeyFormatError):
-            crypto.load_public_key(path)
-        path.write_text("hello\n")
-        with pytest.raises(KeyFormatError):
-            crypto.load_public_key(path)
-
+        for text in (
+            f"5\n{pub64}\nnot base64!!\n",
+            "hello\n",
+            f"5\n{pub64}\n",  # a public half alone is no key file
+            f"x\n{pub64}\n{der64}\n",
+            f"5\n{pub64}\n{der64}\n{der64}\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(KeyFormatError):
+                crypto.load_secret_key(path)
 
     def test_secret_key_file_with_garbage_der_rejected_at_load(self, tmp_path):
         # valid base64 over bytes that are no DER key
@@ -280,7 +286,7 @@ class TestTimestamps:
         """stamp_add as it was written with strptime."""
         dt = datetime.datetime.strptime(crypto.check_stamp(stamp), "%Y%m%d%H%M%S")
         dt = dt.replace(tzinfo=datetime.timezone.utc) + datetime.timedelta(seconds=seconds)
-        return crypto.make_stamp(dt)
+        return dt.strftime("%Y%m%d%H%M%S")
 
     @pytest.mark.parametrize(
         "stamp,seconds,expected",
@@ -305,11 +311,10 @@ class TestTimestamps:
     def test_stamp_add_matches_the_strptime_form_on_random_stamps(self):
         rng = random.Random(1415)
         for _ in range(500):
-            stamp = crypto.make_stamp(datetime.datetime(
+            stamp = datetime.datetime(
                 rng.randint(1970, 2200), rng.randint(1, 12), rng.randint(1, 28),
                 rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59),
-                tzinfo=datetime.timezone.utc,
-            ))
+            ).strftime("%Y%m%d%H%M%S")
             seconds = rng.randint(-10 ** 9, 10 ** 9)
             assert crypto.stamp_add(stamp, seconds) == self.strptime_stamp_add(stamp, seconds)
 

@@ -32,6 +32,7 @@ from onhs.server import (
     OUTCOME_NOT_FOUND,
     OUTCOME_TRANSFERRED_AND_ADDRESS,
     RecordAnswer,
+    Verdict,
     apex_key,
     bound_apex_keys,
     make_assign,
@@ -795,6 +796,35 @@ class TestKeyUpgrade:
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
 
+    def test_a_refused_assign_says_why_it_stopped(self, keypool, logged_service):
+        server = logged_service.server
+        old_sec, new_sec, apex = self.flat_zone(keypool, server, 3)
+
+        class RefusesOneAssign:
+            """Forwards everything but refuses the first ASSIGN."""
+
+            refused = 0
+
+            def resolve(self, handle, depth_budget=None, now=None):
+                return server.resolve(handle, depth_budget, now)
+
+            def query_record(self, handle, rtype, now=None):
+                return server.query_record(handle, rtype, now)
+
+            def apply_update(self, msg, now=None):
+                if msg.action == "ASSIGN" and not self.refused:
+                    self.refused += 1
+                    return Verdict(False, "handle-cancelled")
+                return server.apply_update(msg, now)
+
+        report = key_upgrade(old_sec, apex, new_sec, RefusesOneAssign(), ROOT, now=NOW)
+        assert not report.ok
+        step = f"assign {report.new_apex.child(IA(1)).fqdn_no_dot()} 10.0.0.1"
+        assert report.steps[-1] == (step, False)
+        assert report.warnings == [f"{step} rejected: handle-cancelled"]
+        actions = [m.action for m, _ in logged_service.entry_log(apex)]
+        assert "TRANSFER" not in actions
+
     def test_an_apex_nobody_claimed_is_refused_before_any_claim(self, keypool, logged_service):
         server = logged_service.server
         _, old_sec = keypool.fresh()
@@ -832,6 +862,24 @@ class TestKeyUpgrade:
         assert all(v.accepted for v in verdicts)
         assert any("strands" in w for w in warnings)
         assert server.resolve(apex.child(IA("1")), now=NOW).outcome == OUTCOME_CANCELLED
+
+    def test_a_delegation_at_the_apex_is_no_transfer(self, keypool):
+        server = new_server()
+        _, sec = keypool.fresh()
+        claim = make_claim(sec, ROOT, 16, 1, now=NOW)
+        assert server.apply_update(claim, now=NOW).accepted
+        apex = parse_handle(claim.target, ROOT)
+        child = apex.child(IA("1"))
+        elsewhere = parse_handle(make_claim(keypool.key(4)[1], ROOT, 16, 1).target, ROOT)
+        for msg in (
+            make_assign(sec, child, "10.0.0.1", 2, now=NOW),
+            make_delegate(sec, apex, elsewhere, 3, now=NOW),
+        ):
+            assert server.apply_update(msg, now=NOW).accepted
+        verdicts, warnings = cancel_old_key(sec, apex, server, serial=4, now=NOW)
+        assert all(v.accepted for v in verdicts)
+        assert any("strands" in w for w in warnings)
+        assert server.resolve(child, now=NOW).outcome == OUTCOME_CANCELLED
 
     def test_compromise_flag_reaches_the_store(self, keypool):
         server = new_server()

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function and class it defines is used somewhere in the package.
 
 No linter runs on this code, so this reads each module with the standard
 library's ast. A name counts as used when it appears as a name anywhere
@@ -66,4 +67,45 @@ def test_no_module_imports_a_name_it_never_uses():
         for name, line in imported_names(tree).items():
             if name not in used and (path.stem, name) not in KEPT:
                 unused.append(f"{path.name}:{line} {name}")
+    assert unused == []
+
+
+# (module, name) pairs defined on purpose without a use in the package
+KEPT_DEFINITIONS = {
+    # the whole-frame decoder, which the frame fuzz tests drive; the
+    # server reads frames from a stream with read_message
+    ("wire", "decode_message"),
+}
+
+
+def defined_names(tree: ast.Module) -> dict:
+    """name -> line of each function and class the module defines at top level."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """used_names, imported_names (the test above holds every import to a
+    use or to KEPT), and every attribute name read off an object, as in
+    crypto.rsa_check."""
+    return used_names(tree) | set(imported_names(tree)) | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_function_and_class_is_used_or_exported():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unused = [
+        f"{module}.py:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in defined_names(tree).items()
+        if name not in referenced and (module, name) not in KEPT_DEFINITIONS
+    ]
     assert unused == []

@@ -15,7 +15,6 @@ from onhs.wire import (
     decode_message,
     encode_message,
     read_message,
-    write_message,
 )
 
 
@@ -126,7 +125,7 @@ class TestStream:
     def test_back_to_back_frames_then_clean_eof(self):
         stream = io.BytesIO()
         for i in range(3):
-            write_message(stream, self.msg(i))
+            stream.write(encode_message(self.msg(i)))
         stream.seek(0)
         got = [read_message(stream) for _ in range(4)]
         assert got[:3] == [self.msg(0), self.msg(1), self.msg(2)]
