@@ -231,7 +231,7 @@ def resolve_and_verify(
     for endpoint in endpoints:
         try:
             resolution = endpoint.resolve(handle, depth_budget, now)
-        except (OnhsError, OSError) as exc:
+        except (OnhsError, OSError, ValueError) as exc:  # a reply that does not read
             last = exc
             continue
         return verify_resolution(

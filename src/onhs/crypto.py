@@ -267,7 +267,7 @@ def verify_key_matches_label(key: PublicKey, label: HandleLabel) -> bool:
 def save_secret_key(path, secret: SecretKey) -> None:
     """Write a key file, the one form there is: three lines, the algorithm
     code, the base64 public key payload, and the base64 private key DER.
-    load_secret_key rebuilds the public half from the DER."""
+    load_secret_key rebuilds the public half from the DER and checks line two."""
     pub = secret.public_key()
     text = (
         f"{secret.algorithm}\n"
@@ -286,10 +286,13 @@ def load_secret_key(path) -> SecretKey:
     if not lines[0].isdigit():
         raise KeyFormatError(f"key file {path} has a bad algorithm line")
     try:
-        der = base64.b64decode(lines[2], validate=True)
+        public, der = (base64.b64decode(line, validate=True) for line in lines[1:])
     except Exception as exc:
         raise KeyFormatError(f"bad base64 in {path}: {exc}") from exc
-    return SecretKey(algorithm=int(lines[0]), private_bytes=der)
+    secret = SecretKey(algorithm=int(lines[0]), private_bytes=der)
+    if secret.public_key().key_bytes != public:
+        raise KeyFormatError(f"key file {path}: the public key line is not the private key's")
+    return secret
 
 
 # ---- record-set signatures ----------------------------------------------

@@ -144,8 +144,8 @@ class ResourceRecord:
     def __post_init__(self) -> None:
         if self.rtype not in RRTYPES:
             raise UnknownRecordTypeError(f"record type {self.rtype!r} not supported")
-        if self.ttl < 0:
-            raise RdataFormatError("negative ttl")
+        if type(self.ttl) is not int or self.ttl < 0:
+            raise RdataFormatError(f"ttl must be an integer of 0 or more, not {self.ttl!r}")
         object.__setattr__(self, "owner", strip_dot(self.owner))
         rd = self.rdata
         if self.rtype == "A":

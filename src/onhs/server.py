@@ -60,6 +60,7 @@ from .errors import (
     HandleStructureError,
     OnhsError,
     ParamsMismatchError,
+    RdataFormatError,
     ResolutionError,
     RRsetFormatError,
 )
@@ -129,7 +130,11 @@ class Verdict:
 
     @staticmethod
     def from_dict(data: dict) -> "Verdict":
-        return Verdict(bool(data["accepted"]), data.get("reason"), data.get("detail"))
+        return Verdict(
+            body_field(data, "accepted", bool, "verdict"),
+            optional_field(data, "reason", str, "verdict"),
+            optional_field(data, "detail", str, "verdict"),
+        )
 
     @staticmethod
     def from_tag(tag: str) -> "Verdict":
@@ -206,8 +211,12 @@ def _json_type(value: object) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
-def body_field(data: object, name: str, kind: type, where: str):
-    """data[name], which must be a JSON value of type kind.
+_REQUIRED = object()
+
+
+def body_field(data: object, name: str, kind: type, where: str, default=_REQUIRED):
+    """data[name], which must be a JSON value of type kind; default when
+    data lacks the field, if a default is given. A bool is not an int.
 
     A ValueError naming the field and what was found takes the place of the
     KeyError or TypeError that indexing a malformed body would raise.
@@ -215,6 +224,8 @@ def body_field(data: object, name: str, kind: type, where: str):
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object, not {_json_type(data)}")
     if name not in data:
+        if default is not _REQUIRED:
+            return default
         raise ValueError(f"{where} lacks field {name!r}")
     value = data[name]
     if type(value) is not kind:
@@ -335,7 +346,7 @@ def _set_to_json(rrset: SignedRRset) -> dict:
 
 def _set_from_json(data: object, where: str) -> SignedRRset:
     octets = body_field(data, "octets", str, where)
-    signature = _optional_field(data, "signature", str, where)
+    signature = optional_field(data, "signature", str, where)
     try:
         return received_sets(octets, signature)
     except RRsetFormatError as exc:
@@ -351,10 +362,10 @@ def _sets_from_json(data: object, name: str, where: str) -> Tuple[SignedRRset, .
     )
 
 
-def _optional_field(data: object, name: str, kind: type, where: str):
-    """data[name] as body_field gives it, or None when it is null or absent."""
+def optional_field(data: object, name: str, kind: type, where: str, default=None):
+    """data[name] as body_field gives it, or default when it is null or absent."""
     if isinstance(data, dict) and data.get(name) is None:
-        return None
+        return default
     return body_field(data, name, kind, where)
 
 
@@ -399,7 +410,7 @@ class Resolution:
         return Resolution(
             queried=body_field(data, "queried", str, where),
             outcome=body_field(data, "outcome", str, where),
-            address=_optional_field(data, "address", str, where),
+            address=optional_field(data, "address", str, where),
             evidence=_sets_from_json(data, "evidence", where),
             transfer_notices=_sets_from_json(data, "transfer_notices", where),
             warnings=tuple(warnings),
@@ -427,7 +438,7 @@ class RecordAnswer:
     def from_dict(data: dict) -> "RecordAnswer":
         """As Resolution.from_dict, for a query_record answer."""
         where = "answer"
-        rrset = _optional_field(data, "rrset", dict, where)
+        rrset = optional_field(data, "rrset", dict, where)
         return RecordAnswer(
             found=body_field(data, "found", bool, where),
             rrset=None if rrset is None else _set_from_json(rrset, f"{where} field 'rrset'"),
@@ -778,29 +789,25 @@ class AuditEvent:
         }
 
 
-class _Malformed(OnhsError):
-    """Internal: update payload failed structural validation."""
-
-
 # ---- update actions --------------------------------------------------------
 
 
 def normalize_compromise_note(text: str) -> str:
-    """Accept ISO YYYY-MM-DD or legacy DD/MM/YYYY naming a day that
-    exists; return ISO."""
+    """Accept ISO YYYY-MM-DD or legacy DD/MM/YYYY, in ASCII digits, naming
+    a day that exists; return ISO."""
     text = text.strip()
-    iso = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", text)
-    legacy = re.fullmatch(r"(\d{2})/(\d{2})/(\d{4})", text)
+    iso = re.fullmatch(r"([0-9]{4})-([0-9]{2})-([0-9]{2})", text)
+    legacy = re.fullmatch(r"([0-9]{2})/([0-9]{2})/([0-9]{4})", text)
     if iso:
         year, month, day = iso.groups()
     elif legacy:
         day, month, year = legacy.groups()
     else:
-        raise _Malformed(f"compromise date {text!r} not understood")
+        raise RdataFormatError(f"compromise date {text!r} not understood")
     try:
         datetime.date(int(year), int(month), int(day))
     except ValueError as exc:
-        raise _Malformed(f"compromise date {text!r}: {exc}") from None
+        raise RdataFormatError(f"compromise date {text!r}: {exc}") from None
     return f"{year}-{month}-{day}"
 
 
@@ -812,46 +819,34 @@ def _action_records(
 
     This is the one copy of what each action writes: the make_* builders
     sign these records, and HandleServer verifies an update's signatures
-    over them. Raises _Malformed when payload cannot make them.
+    over them. Raises an OnhsError or a ValueError, naming the payload field
+    at fault, when payload cannot make them.
     """
-    if not isinstance(payload, dict):
-        raise _Malformed("payload must be a mapping")
-    ttl = payload.get("ttl", DEFAULT_TTL)
-    if not isinstance(ttl, int) or ttl < 0:
-        raise _Malformed("bad ttl")
+    where = f"{action.lower()} payload"
+    ttl = body_field(payload, "ttl", int, where, DEFAULT_TTL)
 
     def one(rtype: str, rdata) -> Tuple[ResourceRecord, ...]:
         return (ResourceRecord(owner=owner, ttl=ttl, rtype=rtype, rdata=rdata),)
 
-    try:
-        if action == CLAIM:
-            body_field(payload, "algorithm", int, "claim payload")
-            return [one("KEY", base64_field(payload, "key", "claim payload"))]
-        if action == CREATE_CHILD:
-            return [one("TXT", "Created")]
-        if action == ASSIGN:
-            address = payload.get("address")
-            if not isinstance(address, str):
-                raise _Malformed("assign payload needs an address")
-            if address == IMPOSSIBLE_ADDRESS:
-                raise _Malformed(f"address {IMPOSSIBLE_ADDRESS} is reserved for cancel")
-            return [one("A", address)]
-        if action in (DELEGATE, TRANSFER):
-            dest = payload.get("target")
-            if not isinstance(dest, str):
-                raise _Malformed(f"{action.lower()} payload needs a target")
-            return [one("DNAME", parse_handle(dest, root_zone).fqdn_no_dot())]
-        if action == CANCEL:
-            return [one("A", IMPOSSIBLE_ADDRESS)]
-        if action == COMPROMISE:
-            note = payload.get("note")
-            if not isinstance(note, str):
-                raise _Malformed("compromise payload needs a note date")
-            iso = normalize_compromise_note(note)
-            return [one("TXT", f"Compromised {iso}"), one("A", IMPOSSIBLE_ADDRESS)]
-    except (OnhsError, ValueError) as exc:
-        raise _Malformed(str(exc)) from exc
-    raise _Malformed(f"unknown action {action!r}")
+    if action == CLAIM:
+        body_field(payload, "algorithm", int, where)
+        return [one("KEY", base64_field(payload, "key", where))]
+    if action == CREATE_CHILD:
+        return [one("TXT", "Created")]
+    if action == ASSIGN:
+        address = body_field(payload, "address", str, where)
+        if address == IMPOSSIBLE_ADDRESS:
+            raise RdataFormatError(f"address {IMPOSSIBLE_ADDRESS} is reserved for cancel")
+        return [one("A", address)]
+    if action in (DELEGATE, TRANSFER):
+        dest = parse_handle(body_field(payload, "target", str, where), root_zone)
+        return [one("DNAME", dest.fqdn_no_dot())]
+    if action == CANCEL:
+        return [one("A", IMPOSSIBLE_ADDRESS)]
+    if action == COMPROMISE:
+        iso = normalize_compromise_note(body_field(payload, "note", str, where))
+        return [one("TXT", f"Compromised {iso}"), one("A", IMPOSSIBLE_ADDRESS)]
+    raise ValueError(f"unknown action {action!r}")
 
 
 def _sign(
@@ -1112,7 +1107,7 @@ class HandleServer:
 
         try:
             rrsets = self._materialize(msg, target)
-        except _Malformed as exc:
+        except (OnhsError, ValueError) as exc:
             return Verdict.rejected(R_MALFORMED, str(exc))
 
         key_of = {apex_name: signer}.get
@@ -1140,17 +1135,14 @@ class HandleServer:
         if msg.action == CLAIM and (
             sets[0][0].rdata != key.key_bytes or msg.payload["algorithm"] != key.algorithm
         ):
-            raise _Malformed("claim payload key differs from signer key")
+            raise ValueError("claim payload key differs from signer key")
         signatures = [msg.signature]
-        try:
-            if msg.action == COMPROMISE:
-                signatures.append(signature_from_dict(
-                    body_field(msg.payload, "cancel_signature", dict, "compromise payload"),
-                    "compromise payload field 'cancel_signature'",
-                ))
-            return [SignedRRset(records, sig) for records, sig in zip(sets, signatures)]
-        except (OnhsError, ValueError) as exc:  # a signature that does not decode or fit
-            raise _Malformed(str(exc)) from exc
+        if msg.action == COMPROMISE:
+            signatures.append(signature_from_dict(
+                body_field(msg.payload, "cancel_signature", dict, "compromise payload"),
+                "compromise payload field 'cancel_signature'",
+            ))
+        return [SignedRRset(records, sig) for records, sig in zip(sets, signatures)]
 
     # -- gates --
 
@@ -1385,7 +1377,9 @@ class HandleServer:
         depth_budget: Optional[int] = None,
         now: Optional[str] = None,
     ) -> Resolution:
+        # a request may lower the budget, not raise it: the walk holds the lock
         budget = DEFAULT_DEPTH_BUDGET if depth_budget is None else depth_budget
+        budget = min(budget, DEFAULT_DEPTH_BUDGET)
         if budget < 1:
             raise ResolutionError("depth budget must be at least 1")
         with self._lock:

@@ -39,6 +39,7 @@ from .server import (
     Verdict,
     body_field,
     decode_log_line,
+    optional_field,
 )
 
 DEFAULT_PORT = 4431
@@ -217,9 +218,7 @@ class HandleService:
                 else "depth-exceeded"
             )
             return _error(msg.correlation_id, code, str(exc))
-        except OnhsError as exc:
-            return _error(msg.correlation_id, "bad-request", str(exc))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (OnhsError, KeyError, ValueError, TypeError) as exc:
             return _error(msg.correlation_id, "bad-request", str(exc))
 
     def _dispatch(
@@ -229,9 +228,7 @@ class HandleService:
         root = self.config.root_zone
         if msg.kind == wire.KIND_QUERY_RESOLVE:
             handle = parse_handle(body_field(body, "handle", str, "resolve request"), root)
-            budget = None
-            if body.get("depth_budget") is not None:
-                budget = body_field(body, "depth_budget", int, "resolve request")
+            budget = optional_field(body, "depth_budget", int, "resolve request")
             resolution = self.server.resolve(handle, budget)
             return _response(msg.correlation_id, {"resolution": resolution.to_dict()})
         if msg.kind == wire.KIND_QUERY_RECORD:
@@ -246,11 +243,12 @@ class HandleService:
             return _response(msg.correlation_id, {"verdict": verdict.to_dict()})
         if msg.kind == wire.KIND_AUDIT_SUBSCRIBE:
             handle = parse_handle(body_field(body, "handle", str, "audit subscription"), root)
-            sub_id = endpoint_id or str(body.get("endpoint_id", "")) or str(uuid.uuid4())
-            owner = bool(body.get("owner", False))
+            owner = optional_field(body, "owner", bool, "audit subscription", False)
+            send_backlog = optional_field(body, "backlog", bool, "audit subscription", True)
+            sub_id = endpoint_id or str(uuid.uuid4())
             verdict = self.server.subscribe_audit(handle, sub_id, owner=owner)
             backlog = []
-            if verdict.accepted and body.get("backlog", True):
+            if verdict.accepted and send_backlog:
                 backlog = [
                     {"update": u.to_dict(), "verdict": v.to_dict()}
                     for u, v in self.entry_log(handle)
@@ -469,8 +467,8 @@ class RemoteEndpoint:
     def _call(self, kind: str, body: dict) -> dict:
         reply = self.request(wire.WireMessage(kind, str(uuid.uuid4()), body))
         if reply.kind == wire.KIND_ERROR:
-            code = str(reply.body.get("error", "error"))
-            detail = str(reply.body.get("detail", ""))
+            code = body_field(reply.body, "error", str, "error reply")
+            detail = body_field(reply.body, "detail", str, "error reply")
             if code == "delegation-loop":
                 raise DelegationLoopError(detail)
             if code == "depth-exceeded":
@@ -488,7 +486,7 @@ class RemoteEndpoint:
         if depth_budget is not None:
             body["depth_budget"] = depth_budget
         data = self._call(wire.KIND_QUERY_RESOLVE, body)
-        return Resolution.from_dict(data["resolution"])
+        return Resolution.from_dict(body_field(data, "resolution", dict, "resolve reply"))
 
     def query_record(
         self, handle: Handle, rtype: str, now: Optional[str] = None
@@ -496,11 +494,11 @@ class RemoteEndpoint:
         data = self._call(
             wire.KIND_QUERY_RECORD, {"handle": handle.fqdn_no_dot(), "rtype": rtype}
         )
-        return RecordAnswer.from_dict(data["answer"])
+        return RecordAnswer.from_dict(body_field(data, "answer", dict, "record reply"))
 
     def apply_update(self, msg: UpdateMessage, now: Optional[str] = None) -> Verdict:
         data = self._call(wire.KIND_UPDATE, {"update": msg.to_dict()})
-        return Verdict.from_dict(data["verdict"])
+        return Verdict.from_dict(body_field(data, "verdict", dict, "update reply"))
 
     def subscribe_audit(
         self, handle: Handle, *, owner: bool = False, backlog: bool = True
@@ -509,4 +507,5 @@ class RemoteEndpoint:
             wire.KIND_AUDIT_SUBSCRIBE,
             {"handle": handle.fqdn_no_dot(), "owner": owner, "backlog": backlog},
         )
-        return Verdict.from_dict(data["verdict"]), list(data.get("backlog", []))
+        verdict = Verdict.from_dict(body_field(data, "verdict", dict, "audit reply"))
+        return verdict, body_field(data, "backlog", list, "audit reply")

@@ -189,6 +189,17 @@ class TestKeyMaterial:
             with pytest.raises(KeyFormatError):
                 crypto.load_secret_key(path)
 
+    def test_key_file_whose_public_line_is_another_key_rejected(self, keypool, tmp_path):
+        _, secret_a = keypool.key(2)
+        public_b, _ = keypool.key(3)
+        path = tmp_path / "mixed.key"
+        crypto.save_secret_key(path, secret_a)
+        lines = path.read_text().splitlines()
+        lines[1] = base64.b64encode(public_b.key_bytes).decode()
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(KeyFormatError, match="public key line"):
+            crypto.load_secret_key(path)
+
     def test_secret_key_file_with_garbage_der_rejected_at_load(self, tmp_path):
         # valid base64 over bytes that are no DER key
         junk = base64.b64encode(b"not a DER private key").decode()

@@ -209,6 +209,17 @@ class TestVerdicts:
         assert server.apply_update(bad, now=NOW).reason == R_MALFORMED
         assert server.resolve(apex1, now=NOW).outcome == OUTCOME_NOT_FOUND
 
+    def test_compromise_date_in_digits_other_than_ascii_rejected(self, keypool):
+        server, (apex1,) = claimed_server(keypool, 0)
+        _, sec1 = keypool.key(0)
+        arabic_indic = "\u0662\u0660\u0660\u0663-\u0660\u0664-\u0660\u0661"  # 2003-04-01
+        with pytest.raises(OnhsError):
+            make_compromise(sec1, apex1, arabic_indic, 2, now=NOW)
+        msg = make_compromise(sec1, apex1, "2003-04-01", 2, now=NOW)
+        bad = replace(msg, payload={**msg.payload, "note": arabic_indic})
+        assert server.apply_update(bad, now=NOW).reason == R_MALFORMED
+        assert server.resolve(apex1, now=NOW).outcome == OUTCOME_NOT_FOUND
+
     def test_assign_of_the_cancel_address_rejected(self, keypool):
         server, (apex1,) = claimed_server(keypool, 0)
         _, sec1 = keypool.key(0)

@@ -455,6 +455,25 @@ class TestMalformedRequests:
         assert reply.kind == wire.KIND_RESPONSE
         assert reply.body["resolution"]["outcome"] == "NOT_FOUND"
 
+    def test_a_request_cannot_raise_the_depth_budget(self, logged_service, keypool):
+        _, sec = keypool.key(0)
+        claim = make_claim(sec, ROOT, 16, 1)
+        assert logged_service.server.apply_update(claim).accepted
+        nodes = [parse_handle(claim.target, ROOT).child(IA(str(i))) for i in range(1, 19)]
+        for serial, (src, dst) in enumerate(zip(nodes, nodes[1:]), 2):
+            assert logged_service.server.apply_update(make_delegate(sec, src, dst, serial)).accepted
+
+        def resolve(first) -> wire.WireMessage:
+            body = {"handle": first.fqdn_no_dot(), "depth_budget": 100}
+            request = wire.WireMessage(wire.KIND_QUERY_RESOLVE, "c-1", body)
+            return logged_service.handle_request(request)
+
+        # seventeen rewrites are one past the default budget, which a request may only lower
+        refused = resolve(nodes[0]).body
+        assert refused["error"] == "depth-exceeded"
+        assert refused["detail"].startswith("depth-exceeded after 16 rewrites")
+        assert resolve(nodes[1]).body["resolution"]["outcome"] == "NOT_FOUND"
+
 
 @pytest.fixture()
 def tcp_server(tmp_path):
