@@ -11,13 +11,14 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import client as cl
 from . import crypto
 from . import records as rec
 from . import server as srv
 from . import service as svc
+from .codec import UpdateMessage, Verdict, body_field
 from .errors import OnhsError
 from .handles import Handle, parse_handle, parse_handle_guess_root
 
@@ -34,15 +35,7 @@ def _endpoint(args) -> svc.RemoteEndpoint:
     return svc.RemoteEndpoint(host, port)
 
 
-def _default_serial() -> int:
-    return int(time.time())
-
-
-def _load_secret(path: str) -> crypto.SecretKey:
-    return crypto.load_secret_key(path)
-
-
-def _print_verdict(verdict: srv.Verdict, context: str) -> int:
+def _print_verdict(verdict: Verdict, context: str) -> int:
     if verdict.accepted:
         print(f"accepted {context}")
         return 0
@@ -75,7 +68,7 @@ def cmd_update(args) -> int:
     args.context is the verdict line's text, formatted with the update's
     target as {name} and the subcommand's arguments by their names.
     """
-    secret = _load_secret(args.key)
+    secret = crypto.load_secret_key(args.key)
     handle = _handle_arg(args.handle, args.root) if "handle" in args else None
     msg = args.build(args, secret, handle)
     with _endpoint(args) as ep:
@@ -147,6 +140,14 @@ def cmd_query(args) -> int:
     return 0 if answer.found else 1
 
 
+def _audit_item(item: object, where: str) -> Tuple[UpdateMessage, Verdict]:
+    """The update and verdict of one backlog item or audit event."""
+    return (
+        UpdateMessage.from_dict(body_field(item, "update", dict, where)),
+        Verdict.from_dict(body_field(item, "verdict", dict, where)),
+    )
+
+
 def cmd_audit(args) -> int:
     handle = _handle_arg(args.handle, args.root)
     with _endpoint(args) as ep:
@@ -154,9 +155,8 @@ def cmd_audit(args) -> int:
         if not verdict.accepted:
             return _print_verdict(verdict, f"audit subscription for {handle.fqdn_no_dot()}")
         for item in backlog:
-            update = item["update"]
-            tag = srv.Verdict.from_dict(item["verdict"]).tag()
-            print(f"past {update['action']} {update['target']} serial={update['serial']} {tag}")
+            update, logged = _audit_item(item, "audit backlog item")
+            print(f"past {update.action} {update.target} serial={update.serial} {logged.tag()}")
         if not args.follow:
             return 0
         print("following; interrupt to stop", file=sys.stderr)
@@ -165,11 +165,12 @@ def cmd_audit(args) -> int:
                 event = ep.read_event(timeout=3600.0)
                 if event is None:
                     continue
-                update = event["update"]
-                tag = srv.Verdict.from_dict(event["verdict"]).tag()
+                update, logged = _audit_item(event, "audit event")
+                seq = body_field(event, "seq", int, "audit event")
+                stamp = body_field(event, "stamp", str, "audit event")
                 print(
-                    f"event seq={event['seq']} {update['action']} {update['target']} "
-                    f"serial={update['serial']} {tag} at {event['stamp']}"
+                    f"event seq={seq} {update.action} {update.target} "
+                    f"serial={update.serial} {logged.tag()} at {stamp}"
                 )
         except KeyboardInterrupt:
             return 0
@@ -348,15 +349,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "serial", None) is None and hasattr(args, "serial"):
-        args.serial = _default_serial()
+        args.serial = int(time.time())
     if args.command == "claim" and not args.root:
         parser.error("claim requires --root")
     try:
         return args.func(args)
-    except OnhsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    # a ValueError is a reply whose fields do not read (codec.body_field)
+    except (OnhsError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

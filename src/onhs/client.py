@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from . import crypto, server as srv
+from .codec import RecordAnswer, Resolution, UpdateMessage, Verdict, canonical_json
 from .crypto import PublicKey, SecretKey, now_stamp
 from .errors import (
     DelegationLoopError,
@@ -33,17 +34,7 @@ from .errors import (
 )
 from .handles import Handle, parse_handle
 from .records import CACHE_CAP, SignedRRset, canonical_sort_key, is_irrevocable, name_key
-from .server import (
-    DEFAULT_DEPTH_BUDGET,
-    OUTCOME_ADDRESS,
-    OUTCOME_NOT_FOUND,
-    RecordAnswer,
-    Resolution,
-    UpdateMessage,
-    V_OK,
-    V_STALE,
-    Verdict,
-)
+from .server import DEFAULT_DEPTH_BUDGET, OUTCOME_ADDRESS, OUTCOME_NOT_FOUND, V_OK, V_STALE
 
 
 class ResolverEndpoint(Protocol):
@@ -269,9 +260,7 @@ class HandleReference:
         if self.superseded_by is not None:
             lines.append(f"superseded_by {self.superseded_by.fqdn_no_dot()}")
         if self.last_resolution is not None:
-            blob = base64.b64encode(
-                json.dumps(self.last_resolution.to_dict(), sort_keys=True).encode()
-            ).decode()
+            blob = base64.b64encode(canonical_json(self.last_resolution.to_dict())).decode()
             lines.append(f"last_resolution {blob}")
         Path(path).write_text("\n".join(lines) + "\n")
 

@@ -1,0 +1,367 @@
+"""The JSON shapes of updates, verdicts, answers and audit events.
+
+Each shape has one writer, its to_dict or *_to_dict, and one reader where
+one is needed, its from_dict or *_from_dict, which takes every field
+through body_field, optional_field or base64_field. canonical_json is the
+one serialisation, of wire frames and update log lines. Nothing here
+imports wire, server, service or the client.
+"""
+
+from __future__ import annotations
+
+import base64
+import binascii
+import copy
+import functools
+import json
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+from . import crypto
+from .crypto import PublicKey, RecordSignature, SignatureParams
+from .errors import OnhsError, ParamsMismatchError, RRsetFormatError
+from .records import CACHE_CAP, SignedRRset, parse_rrset
+
+# ---- field readers ---------------------------------------------------------
+
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _json_type(value: object) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+_REQUIRED = object()
+
+
+def body_field(data: object, name: str, kind: type, where: str, default=_REQUIRED):
+    """data[name], which must be a JSON value of type kind; default when
+    data lacks the field, if a default is given. A bool is not an int.
+
+    A ValueError naming the field and what was found takes the place of the
+    KeyError or TypeError that indexing a malformed body would raise.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, not {_json_type(data)}")
+    if name not in data:
+        if default is not _REQUIRED:
+            return default
+        raise ValueError(f"{where} lacks field {name!r}")
+    value = data[name]
+    if type(value) is not kind:
+        raise ValueError(
+            f"{where} field {name!r} must be {_JSON_TYPES[kind]}, not {_json_type(value)}"
+        )
+    return value
+
+
+def base64_field(data: object, name: str, where: str) -> bytes:
+    """The octets of data[name], which must be a base64 string."""
+    return _base64(body_field(data, name, str, where), f"{where} field {name!r}")
+
+
+def _base64(text: str, what: str) -> bytes:
+    try:
+        return base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{what} is not base64: {exc}") from None
+
+
+def optional_field(data: object, name: str, kind: type, where: str, default=None):
+    """data[name] as body_field gives it, or default when it is null or absent."""
+    if isinstance(data, dict) and data.get(name) is None:
+        return default
+    return body_field(data, name, kind, where)
+
+
+def canonical_json(data: dict) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+# ---- verdicts and updates --------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    accepted: bool
+    reason: Optional[str] = None
+    detail: Optional[str] = None
+
+    def tag(self) -> str:
+        return "accepted" if self.accepted else f"rejected:{self.reason}"
+
+    def to_dict(self) -> dict:
+        return {"accepted": self.accepted, "reason": self.reason, "detail": self.detail}
+
+    @staticmethod
+    def from_dict(data: dict) -> "Verdict":
+        return Verdict(
+            body_field(data, "accepted", bool, "verdict"),
+            optional_field(data, "reason", str, "verdict"),
+            optional_field(data, "detail", str, "verdict"),
+        )
+
+    @staticmethod
+    def from_tag(tag: str) -> "Verdict":
+        """The verdict tag() was taken from, less its detail."""
+        if tag == "accepted":
+            return Verdict(True)
+        kind, sep, reason = tag.partition(":")
+        if kind != "rejected" or not sep:
+            raise ValueError(f"bad verdict tag {tag!r}")
+        return Verdict(False, reason)
+
+    @staticmethod
+    def ok() -> "Verdict":
+        return Verdict(True)
+
+    @staticmethod
+    def rejected(reason: str, detail: Optional[str] = None) -> "Verdict":
+        return Verdict(False, reason, detail)
+
+
+@dataclass(frozen=True)
+class UpdateMessage:
+    """One signed update, self-contained.
+
+    target is the dotted name text; payload is a JSON-compatible dict whose
+    shape depends on action; signer_key is the authority public key (hash
+    bound to the apex label); signature covers the record set the message
+    materializes. serial orders competing updates for the same slot.
+    """
+
+    target: str
+    action: str
+    payload: dict
+    serial: int
+    signer_key: PublicKey
+    signature: RecordSignature
+
+    def to_dict(self) -> dict:
+        return {
+            "target": self.target,
+            "action": self.action,
+            "payload": copy.deepcopy(self.payload),
+            "serial": self.serial,
+            "signer_key": public_key_to_dict(self.signer_key),
+            "signature": signature_to_dict(self.signature),
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "UpdateMessage":
+        return UpdateMessage(
+            target=body_field(data, "target", str, "update"),
+            action=body_field(data, "action", str, "update"),
+            payload=dict(body_field(data, "payload", dict, "update")),
+            serial=body_field(data, "serial", int, "update"),
+            signer_key=public_key_from_dict(
+                body_field(data, "signer_key", dict, "update"), "update field 'signer_key'"
+            ),
+            signature=signature_from_dict(
+                body_field(data, "signature", dict, "update"), "update field 'signature'"
+            ),
+        )
+
+
+# -- the update log's line form --
+
+
+def encode_log_line(msg: UpdateMessage, verdict: Verdict, stamp: str) -> str:
+    """One updates.log line: base64 canonical update, verdict tag, arrival stamp."""
+    blob = base64.b64encode(canonical_json(msg.to_dict())).decode()
+    return f"{blob} {verdict.tag()} {stamp}"
+
+
+def decode_log_line(raw: bytes) -> Tuple[UpdateMessage, Verdict, str]:
+    """The update, verdict (without detail) and arrival stamp of one line."""
+    blob, _, rest = raw.decode("utf-8").strip().partition(" ")
+    tag, _, stamp = rest.rpartition(" ")
+    msg = UpdateMessage.from_dict(json.loads(base64.b64decode(blob, validate=True)))
+    return msg, Verdict.from_tag(tag), crypto.check_stamp(stamp)
+
+
+# -- plain-dict codecs for the pieces updates and answers are made of --
+
+
+def public_key_to_dict(key: PublicKey) -> dict:
+    return {"algorithm": key.algorithm, "key": base64.b64encode(key.key_bytes).decode()}
+
+
+def public_key_from_dict(data: object, where: str) -> PublicKey:
+    """The key in data; a ValueError names the field at fault."""
+    algorithm = body_field(data, "algorithm", int, where)
+    key_bytes = base64_field(data, "key", where)
+    try:
+        return PublicKey(algorithm=algorithm, key_bytes=key_bytes)
+    except OnhsError as exc:
+        raise ValueError(f"{where} field 'key': {exc}") from None
+
+
+def signature_to_dict(sig: RecordSignature) -> dict:
+    p = sig.params
+    return {
+        "algorithm": p.algorithm,
+        "label_count": p.label_count,
+        "original_ttl": p.original_ttl,
+        "expiration": p.expiration,
+        "inception": p.inception,
+        "signer": p.signer,
+        "signature": base64.b64encode(sig.signature_bytes).decode(),
+    }
+
+
+def signature_from_dict(data: object, where: str) -> RecordSignature:
+    """The signature in data; a ValueError names the field at fault."""
+    try:
+        params = SignatureParams(
+            algorithm=body_field(data, "algorithm", int, where),
+            label_count=body_field(data, "label_count", int, where),
+            original_ttl=body_field(data, "original_ttl", int, where),
+            expiration=body_field(data, "expiration", str, where),
+            inception=body_field(data, "inception", str, where),
+            signer=body_field(data, "signer", str, where),
+        )
+    except ParamsMismatchError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return RecordSignature(params=params, signature_bytes=base64_field(data, "signature", where))
+
+
+# -- record sets in answers --
+#
+# A set travels as {"octets": base64 of its canonical octets, "signature":
+# base64 of its signature octets, or null for an unsigned set}. The octets
+# carry the records and the signature params; see records.parse_rrset.
+
+@functools.lru_cache(maxsize=CACHE_CAP)
+def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
+    """The set an answer carries as these two strings.
+
+    Kept for the process, because answers repeat the sets of earlier ones
+    (zone keys, denial records), and a hit skips base64, parsing and the
+    check that the octets encode back to themselves. A string that fails
+    raises, and lru_cache keeps no exception. Only answers are decoded
+    here, so the server never fills it.
+    """
+    return parse_rrset(
+        _base64(octets, "field 'octets'"),
+        None if signature is None else _base64(signature, "field 'signature'"),
+    )
+
+
+def _set_to_json(rrset: SignedRRset) -> dict:
+    sig = rrset.signature
+    return {
+        "octets": base64.b64encode(rrset.canonical_bytes()).decode(),
+        "signature": None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
+    }
+
+
+def _set_from_json(data: object, where: str) -> SignedRRset:
+    octets = body_field(data, "octets", str, where)
+    signature = optional_field(data, "signature", str, where)
+    try:
+        return received_sets(octets, signature)
+    except RRsetFormatError as exc:
+        raise RRsetFormatError(f"{where}: {exc}") from None
+    except ValueError as exc:  # a field that is not base64
+        raise ValueError(f"{where} {exc}") from None
+
+
+def _sets_from_json(data: object, name: str, where: str) -> Tuple[SignedRRset, ...]:
+    items = body_field(data, name, list, where)
+    return tuple(
+        _set_from_json(item, f"{where} field {name!r} item {i}") for i, item in enumerate(items)
+    )
+
+
+# ---- answers and events ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Resolution:
+    queried: str
+    outcome: str
+    address: Optional[str]
+    evidence: Tuple[SignedRRset, ...]
+    transfer_notices: Tuple[SignedRRset, ...]
+    warnings: Tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {
+            "queried": self.queried,
+            "outcome": self.outcome,
+            "address": self.address,
+            "evidence": [_set_to_json(s) for s in self.evidence],
+            "transfer_notices": [_set_to_json(s) for s in self.transfer_notices],
+            "warnings": list(self.warnings),
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "Resolution":
+        """The resolution to_dict gave data for, but with every owner name
+        in lower case. A ValueError or RRsetFormatError names the field at
+        fault."""
+        where = "resolution"
+        warnings = body_field(data, "warnings", list, where)
+        for i, warning in enumerate(warnings):
+            if type(warning) is not str:
+                raise ValueError(f"{where} field 'warnings' item {i} must be a string")
+        return Resolution(
+            queried=body_field(data, "queried", str, where),
+            outcome=body_field(data, "outcome", str, where),
+            address=optional_field(data, "address", str, where),
+            evidence=_sets_from_json(data, "evidence", where),
+            transfer_notices=_sets_from_json(data, "transfer_notices", where),
+            warnings=tuple(warnings),
+        )
+
+
+@dataclass(frozen=True)
+class RecordAnswer:
+    """query_record result: the set if present, sticky context, NXT proof."""
+
+    found: bool
+    rrset: Optional[SignedRRset]
+    status_records: Tuple[SignedRRset, ...]
+    proof: Tuple[SignedRRset, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "found": self.found,
+            "rrset": None if self.rrset is None else _set_to_json(self.rrset),
+            "status_records": [_set_to_json(s) for s in self.status_records],
+            "proof": [_set_to_json(s) for s in self.proof],
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "RecordAnswer":
+        """As Resolution.from_dict, for a query_record answer."""
+        where = "answer"
+        rrset = optional_field(data, "rrset", dict, where)
+        return RecordAnswer(
+            found=body_field(data, "found", bool, where),
+            rrset=None if rrset is None else _set_from_json(rrset, f"{where} field 'rrset'"),
+            status_records=_sets_from_json(data, "status_records", where),
+            proof=_sets_from_json(data, "proof", where),
+        )
+
+
+@dataclass(frozen=True)
+class AuditEvent:
+    seq: int
+    handle: str
+    update: UpdateMessage
+    verdict: Verdict
+    stamp: str
+
+    def to_dict(self) -> dict:
+        return {
+            "seq": self.seq,
+            "handle": self.handle,
+            "update": self.update.to_dict(),
+            "verdict": self.verdict.to_dict(),
+            "stamp": self.stamp,
+        }

@@ -314,7 +314,7 @@ def parse_rrset(data: bytes, signature: Optional[bytes]) -> SignedRRset:
     return rrset
 
 
-# Entries in each process-wide memo: server.received_sets,
+# Entries in each process-wide memo: codec.received_sets,
 # server.bound_apex_keys and client.verified_signatures. Each is a
 # functools.lru_cache keyed on input from outside the process, so each is
 # bounded, and past the cap the least recently used entry goes.

@@ -20,6 +20,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import crypto, wire
+from .codec import (
+    RecordAnswer,
+    Resolution,
+    UpdateMessage,
+    Verdict,
+    body_field,
+    decode_log_line,
+    optional_field,
+)
 from .errors import (
     DelegationLoopError,
     DepthExceededError,
@@ -29,18 +38,7 @@ from .errors import (
     OnhsError,
 )
 from .handles import Handle, parse_handle
-from .server import (
-    DEFAULT_AUDIT_CAP,
-    AuditSubscriber,
-    HandleServer,
-    RecordAnswer,
-    Resolution,
-    UpdateMessage,
-    Verdict,
-    body_field,
-    decode_log_line,
-    optional_field,
-)
+from .server import DEFAULT_AUDIT_CAP, AuditSubscriber, HandleServer
 
 DEFAULT_PORT = 4431
 
@@ -302,10 +300,8 @@ class TcpHandleServer:
     def stop(self) -> None:
         self._stop.set()
         if self._listener is not None:
-            try:
+            with contextlib.suppress(OSError):
                 self._listener.close()
-            except OSError:
-                pass
         self.service.close()
 
     def serve_forever(self) -> None:
@@ -410,15 +406,11 @@ class RemoteEndpoint:
 
     def close(self) -> None:
         if self._stream is not None:
-            try:
+            with contextlib.suppress(OSError):
                 self._stream.close()
-            except OSError:
-                pass
         if self._sock is not None:
-            try:
+            with contextlib.suppress(OSError):
                 self._sock.close()
-            except OSError:
-                pass
         self._sock = None
         self._stream = None
 

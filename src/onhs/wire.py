@@ -1,18 +1,22 @@
 """Length-prefixed JSON framing for client/server traffic.
 
-A frame is a 4-byte big-endian length followed by that many bytes of UTF-8
-JSON. Frames are capped at 1 MiB. Decoding is total: anything that is not a
-well-formed frame raises a structured error rather than propagating whatever
-the JSON layer happened to throw.
+A frame is a 4-byte big-endian length followed by that many bytes of
+codec.canonical_json: an object of kind, correlation_id and body, and no
+other field. Frames are capped at 1 MiB. Decoding is total: anything that
+is not a well-formed frame raises a structured error rather than
+propagating whatever the JSON layer happened to throw, and a frame that
+decodes encodes back to the same bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
+from .codec import body_field, canonical_json
 from .errors import FrameTooLargeError, MalformedFrameError
 
 MAX_FRAME_BYTES = 1 << 20
@@ -50,45 +54,41 @@ class WireMessage:
 
 
 def encode_message(msg: WireMessage) -> bytes:
-    payload = json.dumps(
-        {"kind": msg.kind, "correlation_id": msg.correlation_id, "body": msg.body},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
+    payload = canonical_json(
+        {"kind": msg.kind, "correlation_id": msg.correlation_id, "body": msg.body}
+    )
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameTooLargeError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     return struct.pack(">I", len(payload)) + payload
 
 
 def decode_message(data: bytes) -> WireMessage:
-    """Decode one complete frame. Raises WireError subclasses, nothing else."""
-    if len(data) < 4:
-        raise MalformedFrameError("frame shorter than its length prefix")
-    (length,) = struct.unpack(">I", data[:4])
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(f"declared length {length} exceeds {MAX_FRAME_BYTES}")
-    if len(data) != 4 + length:
-        raise MalformedFrameError(
-            f"frame declares {length} payload bytes but carries {len(data) - 4}"
-        )
-    return _decode_payload(data[4:])
+    """Decode data, which must be one whole frame, as read_message reads it.
+    Raises WireError subclasses, nothing else."""
+    stream = io.BytesIO(data)
+    msg = read_message(stream)
+    if msg is None or stream.read(1):
+        raise MalformedFrameError(f"{len(data)} bytes are not one whole frame")
+    return msg
 
 
 def _decode_payload(payload: bytes) -> WireMessage:
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFrameError(f"frame payload is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedFrameError("frame payload must be a JSON object")
-    kind = obj.get("kind")
-    correlation_id = obj.get("correlation_id")
-    body = obj.get("body")
-    if not isinstance(kind, str) or not isinstance(correlation_id, str):
-        raise MalformedFrameError("frame needs string kind and correlation_id")
-    if not isinstance(body, dict):
-        raise MalformedFrameError("frame body must be a JSON object")
-    return WireMessage(kind=kind, correlation_id=correlation_id, body=body)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise MalformedFrameError(f"frame payload is not valid JSON: {exc}") from None
+    try:
+        msg = WireMessage(
+            kind=body_field(obj, "kind", str, "frame"),
+            correlation_id=body_field(obj, "correlation_id", str, "frame"),
+            body=body_field(obj, "body", dict, "frame"),
+        )
+    except ValueError as exc:
+        raise MalformedFrameError(str(exc)) from None
+    if len(obj) != 3 or canonical_json(obj) != payload:
+        # a fourth field; or a space, a key out of order or twice, an escape
+        raise MalformedFrameError("frame is not kind, correlation_id and body in canonical JSON")
+    return msg
 
 
 def read_message(stream: BinaryIO) -> Optional[WireMessage]:

@@ -1,4 +1,5 @@
-"""End-to-end checks of the command line tools, run as subprocesses."""
+"""End-to-end checks of the command line tools, run as subprocesses, and
+of their error reports on replies that do not read, run in process."""
 
 import base64
 import os
@@ -13,9 +14,10 @@ import pytest
 from conftest import ROOT, with_server_key
 
 import onhs
+from onhs import cli, wire
 from onhs.crypto import load_secret_key
 from onhs.server import make_assign, make_claim, make_create_child
-from onhs.service import HandleService, ServerConfig
+from onhs.service import HandleService, RemoteEndpoint, ServerConfig
 
 # The CLI as `python -m onhs`, so the tests need no installed `onhs` script.
 CLI = [sys.executable, "-m", "onhs"]
@@ -358,3 +360,32 @@ def test_serve_replays_the_log_on_restart(tmp_path):
         assert " KEY " in proc.stdout
     finally:
         second.stop()
+
+
+# ---- replies that do not read, in process with a stub endpoint ----------------
+
+
+def stub_reply(monkeypatch, body):
+    """Make every RemoteEndpoint answer each request with body, unconnected."""
+    monkeypatch.setattr(RemoteEndpoint, "connect", lambda self: None)
+    monkeypatch.setattr(
+        RemoteEndpoint, "request",
+        lambda self, msg: wire.WireMessage(wire.KIND_RESPONSE, msg.correlation_id, body),
+    )
+
+
+def test_a_reply_that_does_not_read_is_a_clean_error(monkeypatch, capsys, keypool):
+    stub_reply(monkeypatch, {"answer": {"found": "x"}})
+    apex = make_claim(keypool.key(0)[1], ROOT, 16, 1).target
+    assert cli.main(["query", apex, "A"]) == 1
+    assert capsys.readouterr().err == (
+        "error: answer field 'found' must be a boolean, not a string\n"
+    )
+
+
+def test_an_audit_item_is_read_through_the_codec(monkeypatch, capsys, keypool):
+    item = {"update": {"action": "ASSIGN"}, "verdict": {"accepted": True}}
+    stub_reply(monkeypatch, {"verdict": {"accepted": True}, "backlog": [item]})
+    apex = make_claim(keypool.key(0)[1], ROOT, 16, 1).target
+    assert cli.main(["audit", apex]) == 1
+    assert capsys.readouterr().err == "error: update lacks field 'target'\n"

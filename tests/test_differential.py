@@ -37,7 +37,7 @@ from test_denial import corpus, probes  # noqa: F401  (corpus is a fixture)
 
 from onhs import crypto, server as srv
 from onhs.client import verified_signatures, verify_resolution
-from onhs.server import Resolution, received_sets
+from onhs.codec import Resolution, received_sets
 from onhs.errors import DelegationLoopError, DepthExceededError
 from onhs.handles import Handle, HandleLabel, parse_handle
 from onhs.records import ResourceRecord, SignedRRset

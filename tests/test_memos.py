@@ -10,7 +10,7 @@ import importlib
 import pkgutil
 
 import onhs
-from onhs import client, server
+from onhs import client, codec, server
 from onhs.records import CACHE_CAP
 
 
@@ -35,5 +35,5 @@ def test_every_module_memo_is_capped():
 
 def test_the_three_memos_are_found():
     found = {id(memo) for _, memo in module_memos()}
-    for memo in (server.received_sets, server.bound_apex_keys, client.verified_signatures):
+    for memo in (codec.received_sets, server.bound_apex_keys, client.verified_signatures):
         assert id(memo) in found

@@ -24,7 +24,7 @@ from onhs.records import (
     SoaData,
     parse_rrset,
 )
-from onhs.server import Resolution, received_sets
+from onhs.codec import Resolution, received_sets
 
 # ---- drawing sets ----------------------------------------------------------
 

@@ -109,3 +109,33 @@ def test_every_function_and_class_is_used_or_exported():
         if name not in referenced and (module, name) not in KEPT_DEFINITIONS
     ]
     assert unused == []
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The modules of the package that a module imports, by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_codec_sits_below_wire_and_holds_every_dict_codec():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert package_imports(trees["codec"]) <= {"errors", "crypto", "handles", "records"}
+    assert "codec" in package_imports(trees["wire"])
+    assert "server" not in package_imports(trees["wire"])
+    elsewhere = [
+        f"{module}.py:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        if module != "codec"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "from_dict")
+    ]
+    assert elsewhere == []

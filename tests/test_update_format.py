@@ -11,12 +11,15 @@ key-label-mismatch, bad-signature, expired-signature and six malformed
 payloads.
 """
 
+import copy
 import hashlib
 from pathlib import Path
 
-from conftest import new_server
+from conftest import FIXED_NOW, ROOT, new_server
 
-from onhs.server import ACTIONS, Verdict, decode_log_line, encode_log_line
+from onhs.codec import Verdict, decode_log_line, encode_log_line
+from onhs.handles import parse_handle
+from onhs.server import ACTIONS, COMPROMISE, _make_update, make_claim
 
 FIXTURE = Path(__file__).parent / "data" / "parent-updates.log"
 
@@ -59,3 +62,19 @@ def test_verdicts_travel_as_three_fields():
     assert Verdict.from_dict(verdict.to_dict()) == verdict
     assert Verdict.ok().to_dict() == {"accepted": True, "reason": None, "detail": None}
     assert Verdict.from_dict({"accepted": True}) == Verdict.ok()
+
+
+def test_an_update_shares_no_payload_dict(keypool):
+    secret = keypool.key(0)[1]
+    claim = make_claim(secret, ROOT, 16, 1, now=FIXED_NOW)
+    kept = dict(claim.payload)
+    claim.to_dict()["payload"]["ttl"] = None
+    assert claim.payload == kept
+    handed = {"note": "2026-08-01", "ttl": 60}
+    msg = _make_update(
+        secret, parse_handle(claim.target, ROOT), COMPROMISE, handed, 2, FIXED_NOW, 60
+    )
+    assert handed == {"note": "2026-08-01", "ttl": 60}
+    kept = copy.deepcopy(msg.payload)
+    msg.to_dict()["payload"]["cancel_signature"]["signer"] = "elsewhere.example"
+    assert msg.payload == kept

@@ -6,6 +6,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onhs.errors import FrameTooLargeError, MalformedFrameError, WireError
 from onhs.wire import (
@@ -154,3 +155,82 @@ class TestStream:
         assert read_message(stream) == self.msg(7)
         assert read_message(stream) == self.msg(8)
         assert read_message(stream) is None
+
+
+# ---- drawn frames -------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+messages = st.builds(
+    WireMessage,
+    kind=st.sampled_from(KINDS),
+    correlation_id=st.text(max_size=10),
+    body=st.dictionaries(st.text(max_size=6), json_values, max_size=3),
+)
+FIELDS = ("kind", "correlation_id", "body")
+
+
+def fields_of(msg: WireMessage) -> dict:
+    return {"kind": msg.kind, "correlation_id": msg.correlation_id, "body": msg.body}
+
+
+def refused_or_exact(frame: bytes) -> None:
+    """frame raises a WireError, or decodes to a message that encodes to it."""
+    try:
+        got = decode_message(frame)
+    except WireError:
+        return
+    assert encode_message(got) == frame
+
+
+class TestDrawnFrames:
+    @settings(max_examples=75, deadline=None)
+    @given(msg=messages)
+    def test_a_message_round_trips_to_the_same_bytes(self, msg):
+        frame = encode_message(msg)
+        assert decode_message(frame) == msg
+        assert encode_message(decode_message(frame)) == frame
+
+    @settings(max_examples=75, deadline=None)
+    @given(msg=messages, data=st.data())
+    def test_a_frame_with_a_field_added_retyped_or_dropped(self, msg, data):
+        obj = fields_of(msg)
+        how = data.draw(st.sampled_from(["add", "retype", "drop"]))
+        if how == "add":
+            name = data.draw(st.text(max_size=6).filter(lambda k: k not in obj))
+            obj[name] = data.draw(json_values)
+        elif how == "retype":
+            name = data.draw(st.sampled_from(FIELDS))
+            obj[name] = data.draw(json_values.filter(lambda v: type(v) is not type(obj[name])))
+        else:
+            del obj[data.draw(st.sampled_from(FIELDS))]
+        refused_or_exact(frame_of(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()))
+
+    @settings(max_examples=75, deadline=None)
+    @given(msg=messages, data=st.data())
+    def test_a_frame_with_one_byte_changed(self, msg, data):
+        frame = bytearray(encode_message(msg))
+        at = data.draw(st.integers(0, len(frame) - 1))
+        frame[at] = data.draw(st.integers(0, 255).filter(lambda b: b != frame[at]))
+        refused_or_exact(bytes(frame))
+
+    @pytest.mark.parametrize("payload", [
+        b'{"body":{"a":1},"correlation_id":"c","kind":"RESPONSE","x":0}',  # a fourth field
+        b'{"body":{"a": 1},"correlation_id":"c","kind":"RESPONSE"}',  # a space
+        b'{"body":{"b":1,"a":2},"correlation_id":"c","kind":"RESPONSE"}',  # keys out of order
+        b'{"body":{"a":1,"a":2},"correlation_id":"c","kind":"RESPONSE"}',  # a key twice
+        b'{"body":{"a":"\\u0041"},"correlation_id":"c","kind":"RESPONSE"}',  # an escaped A
+        b'{"body":{"a":1e0},"correlation_id":"c","kind":"RESPONSE"}',  # 1.0 with an exponent
+    ])
+    def test_a_frame_that_encodes_back_differently_is_refused(self, payload):
+        with pytest.raises(MalformedFrameError):
+            decode_message(frame_of(payload))
+
+    def test_a_mistyped_field_is_named(self):
+        with pytest.raises(MalformedFrameError, match="'kind'"):
+            decode_message(frame_of(b'{"body":{},"correlation_id":"c","kind":7}'))
