@@ -32,8 +32,8 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .handles import Handle, parse_handle
-from .records import CACHE_CAP, SignedRRset, canonical_sort_key, is_irrevocable, name_key
+from .handles import CACHE_CAP, Handle, parse_handle
+from .records import SignedRRset, canonical_sort_key, is_irrevocable, key_sort_key, name_key
 from .server import DEFAULT_DEPTH_BUDGET, OUTCOME_ADDRESS, OUTCOME_NOT_FOUND, V_OK, V_STALE
 
 
@@ -102,20 +102,22 @@ def verify_resolution(
     # follows the denial records it signs. Any other set counts when
     # signed_set_verdict accepts it, a stale one only if irrevocable or a
     # transfer notice.
+    owned = [(name_key(rrset.owner), rrset) for rrset in resolution.evidence]
     key_sets: Dict[str, SignedRRset] = {}
-    for rrset in resolution.evidence:
+    for owner, rrset in owned:
         if rrset.rtype == "KEY":
-            key_sets.setdefault(name_key(rrset.owner), rrset)
+            key_sets.setdefault(owner, rrset)
     keys = srv.ApexKeys(key_sets, root)
     notice_ids = set(resolution.transfer_notices)
     good: Dict[Tuple[str, str], List[SignedRRset]] = {}
-    for rrset in resolution.evidence:
-        owner = name_key(rrset.owner)
+    for owner, rrset in owned:
         if rrset.rtype == "KEY":
             why = keys[owner][1] if rrset == key_sets[owner] else "conflicting-key"
         else:
             sticky = is_irrevocable(rrset) or (rrset.rtype == "DNAME" and rrset in notice_ids)
-            why = srv.signed_set_verdict(rrset, keys.key, root, stamp, sticky, verified_signatures)
+            why = srv.signed_set_verdict(
+                rrset, keys.key, root, stamp, sticky, verified_signatures, owner
+            )
         verdicts.append((owner, rrset.rtype, why))
         if why == V_STALE:
             warnings.append(f"{V_STALE} {owner} {rrset.rtype}")
@@ -186,15 +188,16 @@ def verify_resolution(
 def _nxt_covers(
     good: Dict[Tuple[str, str], List[SignedRRset]], target: Handle
 ) -> Optional[SignedRRset]:
-    """A verified NXT record whose span contains the target name, if any."""
-    tgt = canonical_sort_key(target.fqdn_no_dot())
+    """A verified NXT record whose span contains the target name, if any.
+    The sort keys of the target and of each span's owner are made from
+    the name keys already held."""
+    tgt = key_sort_key(target.name_key())
     for (owner_key, rtype), sets in good.items():
         if rtype != "NXT":
             continue
+        lo = key_sort_key(owner_key)
         for rrset in sets:
-            rec = rrset.records[0]
-            lo = canonical_sort_key(rec.owner)
-            hi = canonical_sort_key(rec.rdata.next_owner)
+            hi = canonical_sort_key(rrset.records[0].rdata.next_owner)
             if lo == tgt:
                 return rrset
             if lo < hi:

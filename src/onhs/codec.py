@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 from . import crypto
 from .crypto import PublicKey, RecordSignature, SignatureParams
 from .errors import OnhsError, ParamsMismatchError, RRsetFormatError
-from .records import CACHE_CAP, SignedRRset, parse_rrset
+from .handles import CACHE_CAP
+from .records import SignedRRset, parse_rrset
 
 # ---- field readers ---------------------------------------------------------
 
@@ -77,8 +78,11 @@ def optional_field(data: object, name: str, kind: type, where: str, default=None
     return body_field(data, name, kind, where)
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(data: dict) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL.encode(data).encode()
 
 
 # ---- verdicts and updates --------------------------------------------------
@@ -176,10 +180,15 @@ def encode_log_line(msg: UpdateMessage, verdict: Verdict, stamp: str) -> str:
 
 
 def decode_log_line(raw: bytes) -> Tuple[UpdateMessage, Verdict, str]:
-    """The update, verdict (without detail) and arrival stamp of one line."""
+    """The update, verdict (without detail) and arrival stamp of one line,
+    whose update must be the one encode_log_line writes for them."""
     blob, _, rest = raw.decode("utf-8").strip().partition(" ")
     tag, _, stamp = rest.rpartition(" ")
-    msg = UpdateMessage.from_dict(json.loads(base64.b64decode(blob, validate=True)))
+    update = base64.b64decode(blob, validate=True)
+    msg = UpdateMessage.from_dict(json.loads(update))
+    if canonical_json(msg.to_dict()) != update:
+        # a field the update does not hold; or a space, a key out of order, an escape
+        raise ValueError("update is not the canonical JSON of the update it holds")
     return msg, Verdict.from_tag(tag), crypto.check_stamp(stamp)
 
 

@@ -19,8 +19,9 @@ import functools
 import hashlib
 import re
 import struct
+import time
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -77,8 +78,20 @@ _STAMP_RE = re.compile(r"[0-9]{14}$")
 _STAMP_FORMAT = "%Y%m%d%H%M%S"
 
 
+# (second, its stamp): the stamp of the second now_stamp last formatted
+_last_stamp = (-1, "")
+
+
 def now_stamp() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime(_STAMP_FORMAT)
+    """The current UTC second as a 14-digit stamp. It is formatted once a
+    second and kept until time.time() reaches the next one."""
+    global _last_stamp
+    second = int(time.time())
+    kept = _last_stamp
+    if kept[0] != second:
+        moment = _dt.datetime.fromtimestamp(second, _dt.timezone.utc)
+        kept = _last_stamp = (second, moment.strftime(_STAMP_FORMAT))
+    return kept[1]
 
 
 def check_stamp(text: str) -> str:
@@ -306,6 +319,14 @@ class RecordLike(Protocol):
     def canonical_rdata_text(self) -> str: ...
 
 
+class SignedSetLike(Protocol):
+    """A records.SignedRRset: the records of one owner and type, whose
+    constructor refuses a signature whose label count is not the owner's."""
+
+    records: Sequence[RecordLike]
+    signature: Optional["RecordSignature"]
+
+
 @dataclass(frozen=True, slots=True)
 class SignatureParams:
     """Everything a verifier needs besides the records and the key.
@@ -519,7 +540,7 @@ def rsa_check(key: PublicKey, signature: bytes, message: bytes) -> bool:
 
 
 def verify_rrset(
-    records: Sequence[RecordLike],
+    records: Union[Sequence[RecordLike], SignedSetLike],
     signature: RecordSignature,
     key: PublicKey,
     now: str,
@@ -535,12 +556,20 @@ def verify_rrset(
     is left to check, so a caller may pass one that remembers its answers.
     message, when given, must be canonical_rrset_bytes(records,
     signature.params), as a set parsed from those octets holds them.
+
+    records is a list of records, or a records.SignedRRset; the shape
+    check (one owner and type, the owner's label count) is skipped for a
+    set that carries this very signature, as its constructor made it.
     """
     params = signature.params
     check_stamp(now)
     if params.algorithm not in ALGORITHMS or params.algorithm != key.algorithm:
         return VerifyResult(False, REJECT_PARAMS_MISMATCH)
-    if _check_set_shape(records, params):
+    held = getattr(records, "records", None)
+    shape_checked = held is not None and records.signature is signature
+    if held is not None:
+        records = held
+    if not shape_checked and _check_set_shape(records, params):
         return VerifyResult(False, REJECT_PARAMS_MISMATCH)
     if now < params.inception:
         return VerifyResult(False, REJECT_NOT_YET_VALID)

@@ -11,13 +11,14 @@ Label text forms:
     IA   h0k<ordinal>        ordinal: 1..60 decimal digits, no leading zero
     OA   h2k<ordinal>        same ordinal rules as IA
 
-Parsing is case-insensitive; the canonical form uses uppercase hex and
-lowercase structural letters. Rendered names obey DNS limits: 63 octets per
-label, 253 for the full name.
+Parsing is case-insensitive over ASCII letters only; the canonical form
+uses uppercase hex and lowercase structural letters. Rendered names obey
+DNS limits: 63 octets per label, 253 for the full name.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
@@ -41,11 +42,48 @@ MAX_ORDINAL_DIGITS = 60
 MAX_LABEL_LEN = 63
 MAX_NAME_LEN = 253
 
-_PK_RE = re.compile(r"h1g([0-9]+)k([0-9a-f]+)$", re.IGNORECASE)
-_IA_RE = re.compile(r"h0k([0-9]+)$", re.IGNORECASE)
-_OA_RE = re.compile(r"h2k([0-9]+)$", re.IGNORECASE)
+# Entries in each process-wide memo: handles._check_root,
+# codec.received_sets, server.bound_apex_keys and
+# client.verified_signatures. Each is a functools.lru_cache keyed on input
+# from outside the process, so each is bounded, and past the cap the least
+# recently used entry goes.
+CACHE_CAP = 4096
+
+# The three label forms in one pattern: a PK label's code and hex, or an
+# IA (0) or OA (2) label's form digit and ordinal. re.ASCII keeps
+# IGNORECASE from matching a letter that only folds to one of these, such
+# as the Kelvin sign to k.
+_LABEL_RE = re.compile(
+    r"h(?:1g([0-9]+)k([0-9a-f]+)|([02])k([0-9]+))", re.IGNORECASE | re.ASCII
+)
 _HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 _DECIMAL_RE = re.compile(r"[0-9]+")
+
+
+# -- the label rules, each in one place; the parser's pattern checks the
+# syntax that HandleLabel checks with _HEX_RE and _DECIMAL_RE --
+
+
+def _check_code(code: object) -> None:
+    if not isinstance(code, int) or not 1 <= code <= 255:
+        raise LabelSyntaxError(f"algorithm code {code!r} outside 1..255")
+
+
+def _checked_suffix(suffix: str) -> str:
+    """The key suffix in upper case, if its length is allowed."""
+    if not MIN_SUFFIX_HEX <= len(suffix) <= MAX_SUFFIX_HEX:
+        raise LabelLengthError(
+            f"key suffix length {len(suffix)} outside "
+            f"{MIN_SUFFIX_HEX}..{MAX_SUFFIX_HEX}"
+        )
+    return suffix.upper()
+
+
+def _check_ordinal(text: str) -> None:
+    if len(text) > MAX_ORDINAL_DIGITS:
+        raise LabelLengthError(f"ordinal longer than {MAX_ORDINAL_DIGITS} digits")
+    if len(text) > 1 and text[0] == "0":
+        raise LeadingZeroError(f"ordinal {text!r} has a leading zero")
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,28 +106,29 @@ class HandleLabel:
             suffix = self.key_suffix
             if code is None or suffix is None or self.ordinal is not None:
                 raise InvalidLabelError("PK label needs algorithm_code and key_suffix")
-            if not isinstance(code, int) or not 1 <= code <= 255:
-                raise LabelSyntaxError(f"algorithm code {code!r} outside 1..255")
+            _check_code(code)
             if not _HEX_RE.fullmatch(suffix):
                 raise LabelSyntaxError(f"key suffix {suffix!r} is not hex")
-            if not MIN_SUFFIX_HEX <= len(suffix) <= MAX_SUFFIX_HEX:
-                raise LabelLengthError(
-                    f"key suffix length {len(suffix)} outside "
-                    f"{MIN_SUFFIX_HEX}..{MAX_SUFFIX_HEX}"
-                )
-            object.__setattr__(self, "key_suffix", suffix.upper())
+            object.__setattr__(self, "key_suffix", _checked_suffix(suffix))
         elif self.kind in (IA, OA):
             if self.ordinal is None or self.algorithm_code is not None or self.key_suffix is not None:
                 raise InvalidLabelError(f"{self.kind} label needs only an ordinal")
-            text = self.ordinal
-            if not _DECIMAL_RE.fullmatch(text):
-                raise LabelSyntaxError(f"ordinal {text!r} is not decimal")
-            if len(text) > MAX_ORDINAL_DIGITS:
-                raise LabelLengthError(f"ordinal longer than {MAX_ORDINAL_DIGITS} digits")
-            if len(text) > 1 and text[0] == "0":
-                raise LeadingZeroError(f"ordinal {text!r} has a leading zero")
+            if not _DECIMAL_RE.fullmatch(self.ordinal):
+                raise LabelSyntaxError(f"ordinal {self.ordinal!r} is not decimal")
+            _check_ordinal(self.ordinal)
         else:
             raise InvalidLabelError(f"unknown label kind {self.kind!r}")
+
+    @staticmethod
+    def _made(kind: str, code: Optional[int], suffix: Optional[str],
+              ordinal: Optional[str]) -> "HandleLabel":
+        """The label of fields parse_label has already checked."""
+        label = object.__new__(HandleLabel)
+        object.__setattr__(label, "kind", kind)
+        object.__setattr__(label, "algorithm_code", code)
+        object.__setattr__(label, "key_suffix", suffix)
+        object.__setattr__(label, "ordinal", ordinal)
+        return label
 
     # -- constructors --
 
@@ -116,26 +155,25 @@ class HandleLabel:
 
 
 def parse_label(text: str) -> HandleLabel:
-    """Parse one label. Raises a subclass of InvalidLabelError on bad input;
-    HandleLabel checks the code range, the suffix length and the ordinal."""
+    """Parse one label, checking each rule once. Raises a subclass of
+    InvalidLabelError on bad input."""
     if not text:
         raise LabelSyntaxError("empty label")
     if len(text) > MAX_LABEL_LEN:
         raise LabelLengthError(f"label longer than {MAX_LABEL_LEN} octets")
-    m = _PK_RE.fullmatch(text)
-    if m:
-        code_text = m.group(1)
-        # the one rule HandleLabel cannot see: it gets the code as a number
+    m = _LABEL_RE.fullmatch(text)
+    if m is None:
+        raise LabelSyntaxError(f"label {text!r} does not match any handle form")
+    code_text, suffix, form, ordinal = m.groups()
+    if form is None:
+        # the one rule the code's number cannot show
         if len(code_text) > 1 and code_text[0] == "0":
             raise LeadingZeroError(f"algorithm code {code_text!r} has a leading zero")
-        return HandleLabel.pk(int(code_text), m.group(2))
-    m = _IA_RE.fullmatch(text)
-    if m:
-        return HandleLabel.ia(m.group(1))
-    m = _OA_RE.fullmatch(text)
-    if m:
-        return HandleLabel.oa(m.group(1))
-    raise LabelSyntaxError(f"label {text!r} does not match any handle form")
+        code = int(code_text)
+        _check_code(code)
+        return HandleLabel._made(PK, code, _checked_suffix(suffix), None)
+    _check_ordinal(ordinal)
+    return HandleLabel._made(IA if form == "0" else OA, None, None, ordinal)
 
 
 def strip_dot(name: str) -> str:
@@ -165,37 +203,32 @@ class Handle:
     _name_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            raise HandleStructureError("handle needs at least an apex label")
-        if self.labels[0].kind != PK:
-            raise HandleStructureError("apex label must be a PK label")
-        for lab in self.labels[1:]:
-            if lab.kind not in (IA, OA):
-                raise HandleStructureError("labels below the apex must be IA or OA")
-        root = strip_dot(self.root_suffix)
-        if not root:
-            raise HandleStructureError("empty root suffix")
-        for part in root.split("."):
-            if not part or len(part) > MAX_LABEL_LEN:
-                raise LabelLengthError(f"bad root suffix label {part!r}")
-        head = ".".join(lab.encode() for lab in reversed(self.labels))
-        object.__setattr__(self, "_fqdn", f"{head}.{self.root_suffix}")
-        if len(self.fqdn_no_dot()) > MAX_NAME_LEN:
-            raise HandleStructureError(
-                f"rendered name longer than {MAX_NAME_LEN} octets"
-            )
-        object.__setattr__(self, "_name_key", name_key(self._fqdn))
+        _check_structure(self.labels)
+        fqdn = _rendered(self.labels, self.root_suffix)
+        object.__setattr__(self, "_fqdn", fqdn)
+        object.__setattr__(self, "_name_key", name_key(fqdn))
+
+    @staticmethod
+    def _made(labels: Tuple[HandleLabel, ...], root_suffix: str, fqdn: str,
+              key: str) -> "Handle":
+        """The handle of parts already checked, with its names."""
+        handle = object.__new__(Handle)
+        object.__setattr__(handle, "labels", labels)
+        object.__setattr__(handle, "root_suffix", root_suffix)
+        object.__setattr__(handle, "_fqdn", fqdn)
+        object.__setattr__(handle, "_name_key", key)
+        return handle
 
     def _prefix(self, count: int) -> "Handle":
         """The handle of this one's first count labels, its names cut from
         this one's past the leaf labels it drops."""
         drop = len(self.labels) - count
-        prefix = object.__new__(Handle)
-        object.__setattr__(prefix, "labels", self.labels[:count])
-        object.__setattr__(prefix, "root_suffix", self.root_suffix)
-        object.__setattr__(prefix, "_fqdn", self._fqdn.split(".", drop)[drop])
-        object.__setattr__(prefix, "_name_key", self._name_key.split(".", drop)[drop])
-        return prefix
+        return Handle._made(
+            self.labels[:count],
+            self.root_suffix,
+            self._fqdn.split(".", drop)[drop],
+            self._name_key.split(".", drop)[drop],
+        )
 
     # -- rendering --
 
@@ -277,13 +310,47 @@ class Handle:
         return Handle(labels=new.labels + rest, root_suffix=new.root_suffix)
 
 
+def _check_structure(labels: Tuple[HandleLabel, ...]) -> None:
+    if not labels:
+        raise HandleStructureError("handle needs at least an apex label")
+    if labels[0].kind != PK:
+        raise HandleStructureError("apex label must be a PK label")
+    for lab in labels[1:]:
+        if lab.kind not in (IA, OA):
+            raise HandleStructureError("labels below the apex must be IA or OA")
+
+
+@functools.lru_cache(maxsize=CACHE_CAP)
+def _check_root(root_suffix: str) -> None:
+    """Refuses a root suffix with an empty or over-long label. Kept per
+    root, as every handle of a server or client hangs under the same one;
+    lru_cache keeps no refusal."""
+    root = strip_dot(root_suffix)
+    if not root:
+        raise HandleStructureError("empty root suffix")
+    for part in root.split("."):
+        if not part or len(part) > MAX_LABEL_LEN:
+            raise LabelLengthError(f"bad root suffix label {part!r}")
+
+
+def _rendered(labels: Tuple[HandleLabel, ...], root_suffix: str) -> str:
+    """The name of these labels under root_suffix, if the root and the
+    name's length are allowed."""
+    _check_root(root_suffix)
+    fqdn = ".".join([lab.encode() for lab in reversed(labels)] + [root_suffix])
+    if len(strip_dot(fqdn)) > MAX_NAME_LEN:
+        raise HandleStructureError(f"rendered name longer than {MAX_NAME_LEN} octets")
+    return fqdn
+
+
 def parse_handle(text: str, root_suffix: str) -> Handle:
     """Parse a dotted name into a Handle under root_suffix.
 
     The root portion matches case-insensitively and with or without a
     trailing dot; whatever text actually appeared is preserved so that
     re-rendering reproduces the input byte for byte (hex case aside, which
-    canonicalizes to uppercase).
+    canonicalizes to uppercase). Each label is read and checked once, in
+    one pass, and the handle is built from the checked parts.
     """
     stripped = strip_dot(text)
     root = strip_dot(root_suffix)
@@ -296,9 +363,10 @@ def parse_handle(text: str, root_suffix: str) -> Handle:
     if not head:
         raise HandleStructureError(f"{text!r} has no handle labels")
     root_verbatim = text[len(head) + 1:]
-    labels_leaf_first = head.split(".")
-    labels = tuple(parse_label(lab) for lab in reversed(labels_leaf_first))
-    return Handle(labels=labels, root_suffix=root_verbatim)
+    labels = tuple([parse_label(lab) for lab in reversed(head.split("."))])
+    _check_structure(labels)
+    fqdn = _rendered(labels, root_verbatim)
+    return Handle._made(labels, root_verbatim, fqdn, name_key(fqdn))
 
 
 def parse_handle_guess_root(text: str) -> Handle:

@@ -52,8 +52,12 @@ def canonical_sort_key(name: str) -> Tuple[bytes, ...]:
     bytewise after case folding; a parent therefore sorts before every
     name under it, and h0k10 sorts before h0k2.
     """
-    labels = name_key(name).split(".")
-    return tuple(lab.encode() for lab in reversed(labels))
+    return key_sort_key(name_key(name))
+
+
+def key_sort_key(key: str) -> Tuple[bytes, ...]:
+    """canonical_sort_key of a name already in name_key form."""
+    return tuple(lab.encode() for lab in reversed(key.split(".")))
 
 
 def canonical_order(names: Iterable[str]) -> List[str]:
@@ -312,13 +316,6 @@ def parse_rrset(data: bytes, signature: Optional[bytes]) -> SignedRRset:
         raise RRsetFormatError("octets are not the canonical encoding of the set they hold")
     object.__setattr__(rrset, "canonical", data)
     return rrset
-
-
-# Entries in each process-wide memo: codec.received_sets,
-# server.bound_apex_keys and client.verified_signatures. Each is a
-# functools.lru_cache keyed on input from outside the process, so each is
-# bounded, and past the cap the least recently used entry goes.
-CACHE_CAP = 4096
 
 
 def is_irrevocable(rrset: SignedRRset) -> bool:

@@ -73,11 +73,10 @@ from .errors import (
     RdataFormatError,
     ResolutionError,
 )
-from .handles import Handle, parse_handle, parse_label
+from .handles import CACHE_CAP, Handle, parse_handle, parse_label
 # build_nxt_chain and covering_nxt are not called in this module; they stay
 # imported because perfbench/tracer.py wraps both here by name.
 from .records import (
-    CACHE_CAP,
     DEFAULT_TTL,
     IMPOSSIBLE_ADDRESS,
     NxtData,
@@ -340,6 +339,7 @@ def signed_set_verdict(
     now: str,
     sticky: bool,
     check: crypto.SignatureCheck = crypto.rsa_check,
+    owner: Optional[str] = None,
 ) -> str:
     """Whether rrset counts at now. Its authority is its owner's apex, or
     the root for an NXT set; its signer field must name that authority,
@@ -348,12 +348,16 @@ def signed_set_verdict(
     counts, as V_STALE, when the signature holds at its inception.
 
     Returns V_OK, V_STALE, or why not: unsigned, V_WRONG_SIGNER, V_NO_KEY
-    or a crypto.verify_rrset reason.
+    or a crypto.verify_rrset reason. owner, when given, is the name key
+    of rrset's owner, which a caller that has it need not derive again.
     """
     sig = rrset.signature
     if sig is None:
         return "unsigned"
-    authority = root if rrset.rtype == "NXT" else zone_apex(name_key(rrset.owner), root)
+    if rrset.rtype == "NXT":
+        authority = root
+    else:
+        authority = zone_apex(name_key(rrset.owner) if owner is None else owner, root)
     if authority is None or name_key(sig.params.signer) != authority:
         return V_WRONG_SIGNER
     key = key_of(authority)
@@ -361,7 +365,7 @@ def signed_set_verdict(
         return V_NO_KEY
     stale = sticky and crypto.check_stamp(now) >= sig.params.expiration
     at = sig.params.inception if stale else now
-    result = verify_rrset(rrset.records, sig, key, at, check, rrset.canonical)
+    result = verify_rrset(rrset, sig, key, at, check, rrset.canonical)
     if not result.ok:
         return result.reason
     return V_STALE if stale else V_OK

@@ -11,6 +11,7 @@ across restarts.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import socket
 import threading
@@ -388,6 +389,7 @@ class RemoteEndpoint:
 
     Audit events that arrive interleaved with responses are buffered on
     .events; request() skips past them while waiting for its answer.
+    Correlation ids are this endpoint's request numbers: "1", "2", ...
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
@@ -398,6 +400,7 @@ class RemoteEndpoint:
         self._stream = None
         self._lock = threading.Lock()
         self.events: List[dict] = []
+        self._ids = itertools.count(1)
 
     def connect(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
@@ -457,7 +460,7 @@ class RemoteEndpoint:
     # -- ResolverEndpoint protocol --
 
     def _call(self, kind: str, body: dict) -> dict:
-        reply = self.request(wire.WireMessage(kind, str(uuid.uuid4()), body))
+        reply = self.request(wire.WireMessage(kind, str(next(self._ids)), body))
         if reply.kind == wire.KIND_ERROR:
             code = body_field(reply.body, "error", str, "error reply")
             detail = body_field(reply.body, "detail", str, "error reply")

@@ -107,13 +107,16 @@ def read_message(stream: BinaryIO) -> Optional[WireMessage]:
 
 def _read_exact(stream: BinaryIO, count: int) -> Optional[bytes]:
     """None on EOF before the first byte; error on EOF partway through."""
-    chunks = []
-    got = 0
+    first = stream.read(count)
+    if len(first) == count:
+        return first
+    if not first:
+        return None
+    chunks = [first]
+    got = len(first)
     while got < count:
         chunk = stream.read(count - got)
         if not chunk:
-            if got == 0:
-                return None
             raise MalformedFrameError("stream ended inside a frame")
         chunks.append(chunk)
         got += len(chunk)

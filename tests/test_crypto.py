@@ -35,7 +35,7 @@ from onhs.errors import (
     WrongLabelKindError,
 )
 from onhs.handles import HandleLabel, parse_label
-from onhs.records import ResourceRecord
+from onhs.records import ResourceRecord, SignedRRset
 
 NOW = "20260816120000"
 
@@ -348,6 +348,32 @@ class TestTimestamps:
                 add(stamp, 1)
 
 
+    @staticmethod
+    def datetime_now_stamp(moment: float) -> str:
+        """now_stamp as it was written, formatting every call, at moment."""
+        utc = datetime.datetime.fromtimestamp(moment, datetime.timezone.utc)
+        return utc.strftime("%Y%m%d%H%M%S")
+
+    def test_now_stamp_matches_datetime_across_second_boundaries(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_last_stamp", (-1, ""))
+        # 2026-12-31 23:59:59 UTC, the last second of a year
+        year_end = datetime.datetime(2026, 12, 31, 23, 59, 59, tzinfo=datetime.timezone.utc)
+        edge = int(year_end.timestamp()) + 1
+        moments = [edge - 1.5, edge - 0.75, edge - 0.001, edge, edge + 0.999, edge + 1,
+                   edge - 0.25, edge + 86400.5]
+        for moment in moments:
+            monkeypatch.setattr(crypto.time, "time", lambda moment=moment: moment)
+            assert crypto.now_stamp() == self.datetime_now_stamp(moment), moment
+        assert self.datetime_now_stamp(edge - 0.001) == "20261231235959"
+        assert self.datetime_now_stamp(edge) == "20270101000000"
+
+    def test_now_stamp_is_the_current_second(self):
+        before = self.datetime_now_stamp(datetime.datetime.now(datetime.timezone.utc).timestamp())
+        stamp = crypto.now_stamp()
+        after = self.datetime_now_stamp(datetime.datetime.now(datetime.timezone.utc).timestamp())
+        assert before <= stamp <= after
+
+
 class TestSignatures:
     def test_sign_verify_closure(self, keypool):
         public, secret = keypool.key(0)
@@ -428,6 +454,31 @@ class TestSignatures:
         )
         with pytest.raises(ParamsMismatchError):
             sign_rrset([record], secret, wrong)
+
+    def test_a_record_list_still_gets_the_shape_check(self, keypool):
+        """verify_rrset skips the shape check only for a SignedRRset that
+        carries the signature; a list of records, or a set given another
+        signature, is checked as before."""
+        public, secret = keypool.key(0)
+        record = make_record()
+        params = make_params(secret, record.owner)
+        sig = sign_rrset([record], secret, params)
+        elsewhere = make_record(owner="h0k2.h1g5kAABBCCDDEEFF0011.example.org")
+        mixed = verify_rrset([record, elsewhere], sig, public, NOW)
+        assert (mixed.ok, mixed.reason) == (False, crypto.REJECT_PARAMS_MISMATCH)
+        wrong = SignatureParams(
+            algorithm=params.algorithm, label_count=params.label_count + 1,
+            original_ttl=params.original_ttl, expiration=params.expiration,
+            inception=params.inception, signer=params.signer,
+        )
+        miscounted = RecordSignature(params=wrong, signature_bytes=sig.signature_bytes)
+        result = verify_rrset([record], miscounted, public, NOW)
+        assert (result.ok, result.reason) == (False, crypto.REJECT_PARAMS_MISMATCH)
+        rrset = SignedRRset((record,), sig)
+        assert verify_rrset(rrset, sig, public, NOW).ok
+        result = verify_rrset(rrset, miscounted, public, NOW)
+        assert (result.ok, result.reason) == (False, crypto.REJECT_PARAMS_MISMATCH)
+        assert verify_rrset([record], sig, public, NOW) == verify_rrset(rrset, sig, public, NOW)
 
     def test_params_mutation_detected(self, keypool):
         public, secret = keypool.key(0)

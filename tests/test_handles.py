@@ -310,6 +310,13 @@ BAD_LABELS = [
     ("h0k" + "1" * 61, LabelLengthError, "label longer than 63 octets"),
     ("", LabelSyntaxError, "empty label"),
     ("h1g5k" + "A" * 59, LabelLengthError, "label longer than 63 octets"),
+    # the Kelvin sign (U+212A) folds to k, but labels are ASCII only
+    (
+        "h1g5\u212a0061A38F9A3540B9",
+        LabelSyntaxError,
+        "label 'h1g5\u212a0061A38F9A3540B9' does not match any handle form",
+    ),
+    ("h0\u212a12", LabelSyntaxError, "label 'h0\u212a12' does not match any handle form"),
 ]
 
 
@@ -415,3 +422,41 @@ class TestDerivedHandles:
             target = target.child(long)
         with pytest.raises(HandleStructureError):  # target's name plus one 61-octet label
             deep.replace_prefix(handle.apex(), target)
+
+
+def _scrambled(text: str, flips: list) -> str:
+    """text with the letters at the drawn positions in the other case."""
+    chars = list(text)
+    for i in flips:
+        if i < len(chars):
+            chars[i] = chars[i].swapcase()
+    return "".join(chars)
+
+
+class TestParsedHandles:
+    """parse_handle reads each label once and builds the handle from the
+    checked parts; what it builds must be what the validating
+    constructors build, and the text must render back."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(handle=valid_handles(), flips=st.lists(st.integers(0, 252), max_size=12))
+    def test_a_parsed_name_renders_back_with_hex_in_upper_case(self, handle, flips):
+        canonical = handle.fqdn()
+        text = _scrambled(canonical, flips)
+        parsed = parse_handle(text, handle.root_suffix_no_dot().upper())
+        root_verbatim = text[len(text) - len(handle.root_suffix):]
+        assert parsed.fqdn() == canonical[: -len(handle.root_suffix)] + root_verbatim
+        built = Handle(labels=parsed.labels, root_suffix=root_verbatim)
+        assert parsed.labels == handle.labels
+        assert hash(parsed.labels) == hash(handle.labels)
+        assert parsed.fqdn() == built.fqdn()
+        assert parsed.name_key() == built.name_key()
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+
+    def test_a_kelvin_sign_is_not_the_k_of_a_label(self):
+        # U+212A folds to k; this name once parsed as
+        # h0k12.h1g5k082C3419B55AC99D, which renders differently
+        name = "h0\u212a12.h1g5\u212a082C3419B55AC99D.handleroot.example.org"
+        with pytest.raises(LabelSyntaxError):
+            parse_handle(name, ROOT)

@@ -1,5 +1,5 @@
 """Every process-wide memo in onhs is a functools.lru_cache capped at
-records.CACHE_CAP.
+handles.CACHE_CAP.
 
 Each memo is keyed on input from outside the process (answers, updates,
 KEY records), so one without a cap would let any client or server fill
@@ -11,7 +11,7 @@ import pkgutil
 
 import onhs
 from onhs import client, codec, server
-from onhs.records import CACHE_CAP
+from onhs.handles import CACHE_CAP
 
 
 def module_memos():

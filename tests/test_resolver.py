@@ -23,8 +23,8 @@ from onhs.client import (
     verify_resolution,
 )
 from onhs.errors import ResolutionError, VerificationError
-from onhs.handles import HandleLabel, parse_handle
-from onhs.records import CACHE_CAP, IMPOSSIBLE_ADDRESS, ResourceRecord, SignedRRset, name_key
+from onhs.handles import CACHE_CAP, HandleLabel, parse_handle
+from onhs.records import IMPOSSIBLE_ADDRESS, ResourceRecord, SignedRRset, name_key
 from onhs.server import (
     OUTCOME_ADDRESS,
     OUTCOME_CANCELLED,

@@ -657,6 +657,63 @@ class TestTcp:
                 assert event["update"]["serial"] == 4
                 assert event["verdict"]["accepted"] is True
 
+    def test_an_endpoint_numbers_its_requests(self, tcp_server, keypool):
+        _, port = tcp_server
+        _, sec = keypool.key(0)
+        claim = make_claim(sec, ROOT, 16, 1)
+        apex = parse_handle(claim.target, ROOT)
+        sent = []
+        with RemoteEndpoint("127.0.0.1", port) as endpoint, RemoteEndpoint(
+            "127.0.0.1", port
+        ) as other:
+            request = endpoint.request
+
+            def recorded(msg):
+                sent.append(msg.correlation_id)
+                reply = request(msg)
+                assert reply.correlation_id == msg.correlation_id
+                return reply
+
+            endpoint.request = recorded
+            assert endpoint.apply_update(claim).accepted
+            endpoint.resolve(apex)
+            endpoint.resolve(apex.child(IA("1")))
+            endpoint.query_record(apex, "KEY")
+            other.resolve(apex)  # numbered on its own connection
+        assert sent == ["1", "2", "3", "4"]
+
+    def test_a_reply_to_another_request_is_skipped(self):
+        """request() returns the reply that carries its id, past an audit
+        event and a reply that carries another."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        got = []
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                msg = wire.read_message(stream)
+                got.append(msg)
+                for kind, cid, body in [
+                    (wire.KIND_RESPONSE, "another", {"n": 1}),
+                    (wire.KIND_AUDIT_EVENT, "event-1", {"seq": 1}),
+                    (wire.KIND_RESPONSE, msg.correlation_id, {"n": 2}),
+                ]:
+                    conn.sendall(wire.encode_message(wire.WireMessage(kind, cid, body)))
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            with RemoteEndpoint("127.0.0.1", port, timeout=10) as endpoint:
+                sent = wire.WireMessage(wire.KIND_QUERY_RESOLVE, "7", {})
+                reply = endpoint.request(sent)
+                assert (reply.correlation_id, reply.body) == ("7", {"n": 2})
+                assert endpoint.events == [{"seq": 1}]
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert [m.correlation_id for m in got] == ["7"]
+
     def test_restarted_server_serves_the_old_state(self, tmp_path, keypool):
         cfg = service_config(tmp_path)
         service = HandleService(cfg)
