@@ -33,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .handles import CACHE_CAP, Handle, parse_handle
-from .records import SignedRRset, canonical_sort_key, is_irrevocable, key_sort_key, name_key
+from .records import SignedRRset, is_irrevocable, key_sort_key, name_key
 from .server import DEFAULT_DEPTH_BUDGET, OUTCOME_ADDRESS, OUTCOME_NOT_FOUND, V_OK, V_STALE
 
 
@@ -101,30 +101,30 @@ def verify_resolution(
     # owner's first one; keys are bound on first use, since the root's
     # follows the denial records it signs. Any other set counts when
     # signed_set_verdict accepts it, a stale one only if irrevocable or a
-    # transfer notice.
-    owned = [(name_key(rrset.owner), rrset) for rrset in resolution.evidence]
+    # transfer notice. Each set brings its owner's name key and its type.
     key_sets: Dict[str, SignedRRset] = {}
-    for owner, rrset in owned:
+    for rrset in resolution.evidence:
         if rrset.rtype == "KEY":
-            key_sets.setdefault(owner, rrset)
+            key_sets.setdefault(rrset.owner_key, rrset)
     keys = srv.ApexKeys(key_sets, root)
     notice_ids = set(resolution.transfer_notices)
-    good: Dict[Tuple[str, str], List[SignedRRset]] = {}
-    for owner, rrset in owned:
-        if rrset.rtype == "KEY":
+    good: List[SignedRRset] = []
+    first: Dict[str, Dict[str, SignedRRset]] = {}  # owner -> type -> its first good set
+    for rrset in resolution.evidence:
+        owner, rtype = rrset.owner_key, rrset.rtype
+        if rtype == "KEY":
             why = keys[owner][1] if rrset == key_sets[owner] else "conflicting-key"
         else:
-            sticky = is_irrevocable(rrset) or (rrset.rtype == "DNAME" and rrset in notice_ids)
-            why = srv.signed_set_verdict(
-                rrset, keys.key, root, stamp, sticky, verified_signatures, owner
-            )
-        verdicts.append((owner, rrset.rtype, why))
-        if why == V_STALE:
-            warnings.append(f"{V_STALE} {owner} {rrset.rtype}")
-        if why in (V_OK, V_STALE):
-            good.setdefault((owner, rrset.rtype), []).append(rrset)
+            sticky = is_irrevocable(rrset) or (rtype == "DNAME" and rrset in notice_ids)
+            why = srv.signed_set_verdict(rrset, keys.key, root, stamp, sticky, verified_signatures)
+        verdicts.append((owner, rtype, why))
+        if why == V_OK or why == V_STALE:
+            if why == V_STALE:
+                warnings.append(f"{V_STALE} {owner} {rtype}")
+            good.append(rrset)
+            first.setdefault(owner, {}).setdefault(rtype, rrset)
         else:
-            failures.append(f"{owner} {rrset.rtype}: {why}")
+            failures.append(f"{owner} {rtype}: {why}")
 
     if pinned_key is not None:
         apex_owner = queried.apex().name_key()
@@ -138,17 +138,14 @@ def verify_resolution(
     # sets; update_reference follows notices, so an unchecked one would
     # let a lying server move references wherever it likes.
     for notice in resolution.transfer_notices:
-        owner = name_key(notice.owner)
-        if notice not in good.get((owner, notice.rtype), []):
+        if notice not in good:
+            owner = notice.owner_key
             failures.append(
                 f"{owner} {notice.rtype}: transfer notice not backed by verified evidence"
             )
             verdicts.append((owner, notice.rtype, "unverified-notice"))
 
     # Re-walk from the verified evidence only and compare outcomes.
-    first: Dict[str, Dict[str, SignedRRset]] = {}
-    for (owner, rtype), sets in good.items():
-        first.setdefault(owner, {})[rtype] = sets[0]
     nodes = {owner: (sets, sets.get("DNAME") in notice_ids) for owner, sets in first.items()}
 
     outcome, address = OUTCOME_NOT_FOUND, None
@@ -185,27 +182,21 @@ def verify_resolution(
     )
 
 
-def _nxt_covers(
-    good: Dict[Tuple[str, str], List[SignedRRset]], target: Handle
-) -> Optional[SignedRRset]:
-    """A verified NXT record whose span contains the target name, if any.
-    The sort keys of the target and of each span's owner are made from
-    the name keys already held."""
+def _nxt_covers(good: List[SignedRRset], target: Handle) -> Optional[SignedRRset]:
+    """A verified NXT set whose span contains the target name, if any."""
     tgt = key_sort_key(target.name_key())
-    for (owner_key, rtype), sets in good.items():
-        if rtype != "NXT":
+    for rrset in good:
+        if rrset.span is None:
             continue
-        lo = key_sort_key(owner_key)
-        for rrset in sets:
-            hi = canonical_sort_key(rrset.records[0].rdata.next_owner)
-            if lo == tgt:
+        lo, hi = rrset.span
+        if lo == tgt:
+            return rrset
+        if lo < hi:
+            if lo < tgt < hi:
                 return rrset
-            if lo < hi:
-                if lo < tgt < hi:
-                    return rrset
-            else:  # wraparound span closes the chain
-                if tgt > lo or tgt < hi:
-                    return rrset
+        else:  # wraparound span closes the chain
+            if tgt > lo or tgt < hi:
+                return rrset
     return None
 
 
@@ -306,7 +297,9 @@ class HandleReference:
                 last = Resolution.from_dict(
                     json.loads(base64.b64decode(fields["last_resolution"], validate=True))
                 )
-            except (ValueError, OnhsError) as exc:  # binascii and JSON errors are ValueErrors
+            except (ValueError, OnhsError, RecursionError) as exc:
+                # binascii and JSON errors are ValueErrors, and JSON nested
+                # past the recursion limit raises RecursionError
                 raise VerificationError(
                     f"{path}: last_resolution does not decode: {exc}. Files saved before "
                     "answers carried each set as its canonical octets hold it in an older "

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from . import crypto
 from .crypto import PublicKey, RecordSignature, SignatureParams
-from .errors import OnhsError, ParamsMismatchError, RRsetFormatError
+from .errors import LogFormatError, OnhsError, ParamsMismatchError, RRsetFormatError
 from .handles import CACHE_CAP
 from .records import SignedRRset, parse_rrset
 
@@ -78,14 +78,34 @@ def optional_field(data: object, name: str, kind: type, where: str, default=None
     return body_field(data, name, kind, where)
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _only_fields(data: dict, names: frozenset, where: str) -> None:
+    """Refuses a field of data that names does not hold: a reader that let
+    it pass would give a value that writes back without it."""
+    if not names.issuperset(data):
+        extra = min(key for key in data if key not in names)
+        raise ValueError(f"{where} has unknown field {extra!r}")
+
+
+# The C encoder json.dumps(data, sort_keys=True, separators=(",", ":"))
+# builds on each call, built once: no circular-reference markers (the
+# program's values hold no cycles, and too deep a value raises
+# RecursionError either way), ASCII escapes, NaN and the infinities
+# allowed, as json.dumps writes them.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+)
 
 
 def canonical_json(data: dict) -> bytes:
-    return _CANONICAL.encode(data).encode()
+    """data as json.dumps(data, sort_keys=True, separators=(",", ":")) writes it."""
+    return "".join(_encode(data, 0)).encode()
 
 
 # ---- verdicts and updates --------------------------------------------------
+
+
+_VERDICT_FIELDS = frozenset(("accepted", "reason", "detail"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,11 +122,15 @@ class Verdict:
 
     @staticmethod
     def from_dict(data: dict) -> "Verdict":
-        return Verdict(
+        """The verdict to_dict gave data for; a reason or detail data lacks
+        reads as null. A ValueError names the field at fault."""
+        verdict = Verdict(
             body_field(data, "accepted", bool, "verdict"),
             optional_field(data, "reason", str, "verdict"),
             optional_field(data, "detail", str, "verdict"),
         )
+        _only_fields(data, _VERDICT_FIELDS, "verdict")
+        return verdict
 
     @staticmethod
     def from_tag(tag: str) -> "Verdict":
@@ -159,7 +183,7 @@ class UpdateMessage:
         return UpdateMessage(
             target=body_field(data, "target", str, "update"),
             action=body_field(data, "action", str, "update"),
-            payload=dict(body_field(data, "payload", dict, "update")),
+            payload=_shallow(body_field(data, "payload", dict, "update"), "update field 'payload'"),
             serial=body_field(data, "serial", int, "update"),
             signer_key=public_key_from_dict(
                 body_field(data, "signer_key", dict, "update"), "update field 'signer_key'"
@@ -168,6 +192,28 @@ class UpdateMessage:
                 body_field(data, "signature", dict, "update"), "update field 'signature'"
             ),
         )
+
+
+# The deepest nesting of objects and arrays an update's payload may hold.
+# An update is copied and written out by recursion, which a payload nested
+# as deep as a frame may be would overrun after the update had been merged;
+# the builders write payloads of depth 1, a compromise's of depth 2.
+MAX_PAYLOAD_DEPTH = 16
+
+
+def _shallow(payload: dict, where: str) -> dict:
+    """A copy of payload, which must nest no deeper than MAX_PAYLOAD_DEPTH."""
+    level, depth = [payload], 0
+    while level:
+        depth += 1
+        if depth > MAX_PAYLOAD_DEPTH:
+            raise ValueError(f"{where} nests deeper than {MAX_PAYLOAD_DEPTH} levels")
+        level = [
+            item for value in level
+            for item in (value.values() if isinstance(value, dict) else value)
+            if isinstance(item, (dict, list))
+        ]
+    return dict(payload)
 
 
 # -- the update log's line form --
@@ -181,12 +227,17 @@ def encode_log_line(msg: UpdateMessage, verdict: Verdict, stamp: str) -> str:
 
 def decode_log_line(raw: bytes) -> Tuple[UpdateMessage, Verdict, str]:
     """The update, verdict (without detail) and arrival stamp of one line,
-    whose update must be the one encode_log_line writes for them."""
+    whose update must be the one encode_log_line writes for them. An update
+    nested too deep to read or write raises LogFormatError."""
     blob, _, rest = raw.decode("utf-8").strip().partition(" ")
     tag, _, stamp = rest.rpartition(" ")
     update = base64.b64decode(blob, validate=True)
-    msg = UpdateMessage.from_dict(json.loads(update))
-    if canonical_json(msg.to_dict()) != update:
+    try:
+        msg = UpdateMessage.from_dict(json.loads(update))
+        canonical = canonical_json(msg.to_dict())
+    except RecursionError:
+        raise LogFormatError("update is nested too deep to read") from None
+    if canonical != update:
         # a field the update does not hold; or a space, a key out of order, an escape
         raise ValueError("update is not the canonical JSON of the update it holds")
     return msg, Verdict.from_tag(tag), crypto.check_stamp(stamp)
@@ -242,11 +293,13 @@ def signature_from_dict(data: object, where: str) -> RecordSignature:
 #
 # A set travels as {"octets": base64 of its canonical octets, "signature":
 # base64 of its signature octets, or null for an unsigned set}. The octets
-# carry the records and the signature params; see records.parse_rrset.
+# carry the records and the signature params; see records.parse_rrset. The
+# two strings are the set's wire field, made once per set on either side.
 
 @functools.lru_cache(maxsize=CACHE_CAP)
 def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
-    """The set an answer carries as these two strings.
+    """The set an answer carries as these two strings, which it keeps as
+    its wire strings: each is the one base64 form of its octets.
 
     Kept for the process, because answers repeat the sets of earlier ones
     (zone keys, denial records), and a hit skips base64, parsing and the
@@ -254,23 +307,52 @@ def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
     raises, and lru_cache keeps no exception. Only answers are decoded
     here, so the server never fills it.
     """
-    return parse_rrset(
-        _base64(octets, "field 'octets'"),
-        None if signature is None else _base64(signature, "field 'signature'"),
+    rrset = parse_rrset(
+        _exact_base64(octets, "field 'octets'"),
+        None if signature is None else _exact_base64(signature, "field 'signature'"),
     )
+    object.__setattr__(rrset, "wire", (octets, signature))
+    return rrset
+
+
+def _exact_base64(text: str, what: str) -> bytes:
+    """The octets text encodes, of which it must be the one base64 form: a
+    string with stray bits in its last character decodes, but it is not
+    the string those octets write back as."""
+    data = _base64(text, what)
+    if base64.b64encode(data).decode() != text:
+        raise ValueError(f"{what} is not base64: a character carries stray bits")
+    return data
 
 
 def _set_to_json(rrset: SignedRRset) -> dict:
-    sig = rrset.signature
-    return {
-        "octets": base64.b64encode(rrset.canonical_bytes()).decode(),
-        "signature": None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
-    }
+    octets, signature = rrset.wire_strings()
+    return {"octets": octets, "signature": signature}
 
 
-def _set_from_json(data: object, where: str) -> SignedRRset:
+_SET_FIELDS = frozenset(("octets", "signature"))
+
+
+def _wire_set(data: object) -> Optional[SignedRRset]:
+    """The set data carries, when data is the two strings of one; else
+    None, and _set_at_fault says what is wrong."""
+    if type(data) is dict and len(data) == 2:
+        octets, signature = data.get("octets"), data.get("signature", 0)
+        if type(octets) is str and (signature is None or type(signature) is str):
+            try:
+                return received_sets(octets, signature)
+            except (OnhsError, ValueError):
+                pass
+    return None
+
+
+def _set_at_fault(data: object, where: str) -> SignedRRset:
+    """Read data as _wire_set does, one field at a time, for the error that
+    names the field at fault under where; or the set, when data only lacks
+    its null signature."""
     octets = body_field(data, "octets", str, where)
     signature = optional_field(data, "signature", str, where)
+    _only_fields(data, _SET_FIELDS, where)
     try:
         return received_sets(octets, signature)
     except RRsetFormatError as exc:
@@ -280,10 +362,12 @@ def _set_from_json(data: object, where: str) -> SignedRRset:
 
 
 def _sets_from_json(data: object, name: str, where: str) -> Tuple[SignedRRset, ...]:
-    items = body_field(data, name, list, where)
-    return tuple(
-        _set_from_json(item, f"{where} field {name!r} item {i}") for i, item in enumerate(items)
-    )
+    """The sets of the list data[name]; an item's path is made only for an
+    error."""
+    sets = []
+    for i, item in enumerate(body_field(data, name, list, where)):
+        sets.append(_wire_set(item) or _set_at_fault(item, f"{where} field {name!r} item {i}"))
+    return tuple(sets)
 
 
 # ---- answers and events ----------------------------------------------------
@@ -311,14 +395,14 @@ class Resolution:
     @staticmethod
     def from_dict(data: dict) -> "Resolution":
         """The resolution to_dict gave data for, but with every owner name
-        in lower case. A ValueError or RRsetFormatError names the field at
-        fault."""
+        in lower case; an address data lacks reads as null. A ValueError or
+        RRsetFormatError names the field at fault."""
         where = "resolution"
         warnings = body_field(data, "warnings", list, where)
         for i, warning in enumerate(warnings):
             if type(warning) is not str:
                 raise ValueError(f"{where} field 'warnings' item {i} must be a string")
-        return Resolution(
+        resolution = Resolution(
             queried=body_field(data, "queried", str, where),
             outcome=body_field(data, "outcome", str, where),
             address=optional_field(data, "address", str, where),
@@ -326,6 +410,13 @@ class Resolution:
             transfer_notices=_sets_from_json(data, "transfer_notices", where),
             warnings=tuple(warnings),
         )
+        _only_fields(data, _RESOLUTION_FIELDS, where)
+        return resolution
+
+
+_RESOLUTION_FIELDS = frozenset(
+    ("queried", "outcome", "address", "evidence", "transfer_notices", "warnings")
+)
 
 
 @dataclass(frozen=True)
@@ -347,15 +438,23 @@ class RecordAnswer:
 
     @staticmethod
     def from_dict(data: dict) -> "RecordAnswer":
-        """As Resolution.from_dict, for a query_record answer."""
+        """As Resolution.from_dict, for a query_record answer; an rrset
+        data lacks reads as null."""
         where = "answer"
         rrset = optional_field(data, "rrset", dict, where)
-        return RecordAnswer(
+        answer = RecordAnswer(
             found=body_field(data, "found", bool, where),
-            rrset=None if rrset is None else _set_from_json(rrset, f"{where} field 'rrset'"),
+            rrset=None if rrset is None else (
+                _wire_set(rrset) or _set_at_fault(rrset, f"{where} field 'rrset'")
+            ),
             status_records=_sets_from_json(data, "status_records", where),
             proof=_sets_from_json(data, "proof", where),
         )
+        _only_fields(data, _ANSWER_FIELDS, where)
+        return answer
+
+
+_ANSWER_FIELDS = frozenset(("found", "rrset", "status_records", "proof"))
 
 
 @dataclass(frozen=True)

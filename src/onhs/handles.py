@@ -353,20 +353,23 @@ def parse_handle(text: str, root_suffix: str) -> Handle:
     one pass, and the handle is built from the checked parts.
     """
     stripped = strip_dot(text)
-    root = strip_dot(root_suffix)
-    if name_key(text) == root.lower():
-        raise HandleStructureError(f"{text!r} is the root itself, not a handle")
-    tail = f".{root}".lower()
-    if not stripped.lower().endswith(tail):
+    key = stripped.lower()
+    tail = "." + strip_dot(root_suffix).lower()
+    if not key.endswith(tail):
+        if key == tail[1:]:
+            raise HandleStructureError(f"{text!r} is the root itself, not a handle")
         raise NotUnderRootError(f"{text!r} is not under root {root_suffix!r}")
-    head = stripped[: -len(tail)]
-    if not head:
+    cut = len(stripped) - len(tail)
+    if not cut:
         raise HandleStructureError(f"{text!r} has no handle labels")
-    root_verbatim = text[len(head) + 1:]
-    labels = tuple([parse_label(lab) for lab in reversed(head.split("."))])
+    parts = stripped[:cut].split(".")
+    parts.reverse()
+    labels = tuple([parse_label(part) for part in parts])
     _check_structure(labels)
-    fqdn = _rendered(labels, root_verbatim)
-    return Handle._made(labels, root_verbatim, fqdn, name_key(fqdn))
+    root_verbatim = text[cut + 1:]
+    # Rendering changes only the case of ASCII letters, so the rendered
+    # name's key is the text's.
+    return Handle._made(labels, root_verbatim, _rendered(labels, root_verbatim), key)
 
 
 def parse_handle_guess_root(text: str) -> Handle:

@@ -44,8 +44,10 @@ DEFAULT_TTL = 3600
 
 # ---- names ---------------------------------------------------------------
 
+SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
 
-def canonical_sort_key(name: str) -> Tuple[bytes, ...]:
+
+def canonical_sort_key(name: str) -> SortKey:
     """Sort key for canonical zone order.
 
     Names compare by label sequence from the root side down, each label
@@ -55,9 +57,13 @@ def canonical_sort_key(name: str) -> Tuple[bytes, ...]:
     return key_sort_key(name_key(name))
 
 
-def key_sort_key(key: str) -> Tuple[bytes, ...]:
-    """canonical_sort_key of a name already in name_key form."""
-    return tuple(lab.encode() for lab in reversed(key.split(".")))
+def key_sort_key(key: str) -> SortKey:
+    """canonical_sort_key of a name already in name_key form. A dot is one
+    octet in UTF-8 and inside no other character's, so the name's octets
+    split where its labels do."""
+    labels = key.encode().split(b".")
+    labels.reverse()
+    return tuple(labels)
 
 
 def canonical_order(names: Iterable[str]) -> List[str]:
@@ -66,7 +72,9 @@ def canonical_order(names: Iterable[str]) -> List[str]:
 
 # ---- durations -----------------------------------------------------------
 
-_DURATION_RE = re.compile(r"([0-9]+)([smhdw]?)$", re.IGNORECASE)
+# re.ASCII keeps IGNORECASE from matching a letter that only folds to a
+# unit, such as the long s to s.
+_DURATION_RE = re.compile(r"([0-9]+)([smhdw]?)$", re.IGNORECASE | re.ASCII)
 _UNIT_SECONDS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 _RENDER_UNITS = (("w", 604800), ("d", 86400), ("h", 3600), ("m", 60))
 
@@ -237,16 +245,37 @@ class SignedRRset:
     zone are the one case that legitimately stays unsigned (the label
     hash self-certifies them).
 
-    canonical, when held, is the set's canonical octets, which verifiers
-    check the signature over. Only parse_rrset, with the octets a set
-    arrived as, and encoded() set it; the constructor and
-    dataclasses.replace leave it None. It takes no part in equality,
-    hashing or repr.
+    The fields after signature are what every answer reads off the set
+    the same way, each derived once and kept; none takes part in equality,
+    hashing or repr, and dataclasses.replace derives them afresh.
+
+    - owner and rtype are the first record's, and owner_key is the name
+      key of the owner; the constructor sets them.
+    - span, for an NXT set, is the canonical sort keys of its owner and of
+      its first record's next owner, the interval it denies; the
+      constructor sets it, and leaves it None for any other type.
+    - canonical, when held, is the set's canonical octets, which verifiers
+      check the signature over. Only parse_rrset, with the octets a set
+      arrived as, and encoded() set it.
+    - wire, when held, is the set's canonical octets and signature octets
+      in base64 (None for an unsigned set), the two strings an answer
+      carries it as. codec.received_sets keeps the strings a set arrived
+      as, and wire_strings() keeps them on the first serve of a set that
+      holds canonical.
     """
 
     records: Tuple[ResourceRecord, ...]
     signature: Optional[RecordSignature] = None
+    owner: str = field(init=False, compare=False, repr=False)
+    rtype: str = field(init=False, compare=False, repr=False)
+    owner_key: str = field(init=False, compare=False, repr=False)
+    span: Optional[Tuple[SortKey, SortKey]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
     canonical: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
+    wire: Optional[Tuple[str, Optional[str]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -258,22 +287,38 @@ class SignedRRset:
         ordered = tuple(
             sorted(set(self.records), key=lambda r: r.canonical_rdata_text())
         )
+        first = ordered[0]
+        (key,) = owners
         object.__setattr__(self, "records", ordered)
+        object.__setattr__(self, "owner", first.owner)
+        object.__setattr__(self, "rtype", first.rtype)
+        object.__setattr__(self, "owner_key", key)
+        if first.rtype == "NXT":
+            span = (key_sort_key(key), canonical_sort_key(first.rdata.next_owner))
+            object.__setattr__(self, "span", span)
         if self.signature is not None:
-            expected = crypto.name_labels(self.owner)
+            expected = crypto.name_labels(first.owner)
             if self.signature.params.label_count != expected:
                 raise ParamsMismatchError(
                     f"signature label count {self.signature.params.label_count} "
                     f"!= owner label count {expected}"
                 )
 
-    @property
-    def owner(self) -> str:
-        return self.records[0].owner
-
-    @property
-    def rtype(self) -> str:
-        return self.records[0].rtype
+    def wire_strings(self) -> Tuple[str, Optional[str]]:
+        """wire, made when the set does not hold it. A set that holds
+        canonical, one its holder serves often, keeps what is made; any
+        other set makes it afresh on each call, so a store's memory does
+        not grow with the sets it has served once."""
+        wire = self.wire
+        if wire is None:
+            sig = self.signature
+            wire = (
+                base64.b64encode(self.canonical_bytes()).decode(),
+                None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
+            )
+            if self.canonical is not None:
+                object.__setattr__(self, "wire", wire)
+        return wire
 
     def canonical_bytes(self) -> bytes:
         """The set's canonical octets: its wire form, and what its
@@ -359,7 +404,7 @@ class ZoneSnapshot:
     def owners(self) -> List[str]:
         seen: Dict[str, str] = {}
         for rrset in self.rrsets.values():
-            seen.setdefault(name_key(rrset.owner), rrset.owner)
+            seen.setdefault(rrset.owner_key, rrset.owner)
         return canonical_order(seen.values())
 
     def ordered_rrsets(self) -> List[SignedRRset]:
@@ -370,7 +415,7 @@ class ZoneSnapshot:
 
     def with_rrset(self, rrset: SignedRRset) -> "ZoneSnapshot":
         rrsets = dict(self.rrsets)
-        rrsets[(name_key(rrset.owner), rrset.rtype)] = rrset
+        rrsets[(rrset.owner_key, rrset.rtype)] = rrset
         return ZoneSnapshot(self.apex, rrsets, self.serial, self.default_ttl)
 
 

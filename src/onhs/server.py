@@ -83,11 +83,13 @@ from .records import (
     ResourceRecord,
     SignedRRset,
     SoaData,
+    SortKey,
     ZoneSnapshot,
     build_nxt_chain,
     canonical_sort_key,
     covering_nxt,
     is_irrevocable,
+    key_sort_key,
     name_key,
     strip_dot,
 )
@@ -215,9 +217,11 @@ def walk(queried: Handle, lookup: Callable[[str], NodeSets], budget: int) -> Wal
                 apexes.add(node_key)
                 if "KEY" in sets:
                     emit(sets["KEY"])
-            stuck = {rrset.rtype: rrset for rrset in irrevocable_sets(node_sets)}
-            for rrset in stuck.values():
-                emit(rrset, sticky=True)
+            stuck = {}
+            if transfer or "A" in sets or "TXT" in sets:  # else no set here is sticky
+                stuck = {rrset.rtype: rrset for rrset in irrevocable_sets(node_sets)}
+                for rrset in stuck.values():
+                    emit(rrset, sticky=True)
             if "TXT" in stuck:
                 return done(OUTCOME_COMPROMISED)
             at_target = node_key == current_key
@@ -339,7 +343,6 @@ def signed_set_verdict(
     now: str,
     sticky: bool,
     check: crypto.SignatureCheck = crypto.rsa_check,
-    owner: Optional[str] = None,
 ) -> str:
     """Whether rrset counts at now. Its authority is its owner's apex, or
     the root for an NXT set; its signer field must name that authority,
@@ -348,8 +351,7 @@ def signed_set_verdict(
     counts, as V_STALE, when the signature holds at its inception.
 
     Returns V_OK, V_STALE, or why not: unsigned, V_WRONG_SIGNER, V_NO_KEY
-    or a crypto.verify_rrset reason. owner, when given, is the name key
-    of rrset's owner, which a caller that has it need not derive again.
+    or a crypto.verify_rrset reason.
     """
     sig = rrset.signature
     if sig is None:
@@ -357,7 +359,7 @@ def signed_set_verdict(
     if rrset.rtype == "NXT":
         authority = root
     else:
-        authority = zone_apex(name_key(rrset.owner) if owner is None else owner, root)
+        authority = zone_apex(rrset.owner_key, root)
     if authority is None or name_key(sig.params.signer) != authority:
         return V_WRONG_SIGNER
     key = key_of(authority)
@@ -373,12 +375,9 @@ def signed_set_verdict(
 
 # ---- internal state --------------------------------------------------------
 
-SortKey = Tuple[bytes, ...]  # a name's canonical_sort_key
-
-
 def _sort_key_name(key: SortKey) -> str:
     """The name key a canonical sort key was made from."""
-    return ".".join(label.decode() for label in reversed(key))
+    return b".".join(key[::-1]).decode()
 
 
 def _fresh(cached: Tuple[SignedRRset, str], now: str) -> bool:
@@ -700,6 +699,9 @@ class HandleServer:
         self._nxt_sigs: Dict[Tuple[SortKey, SortKey], Tuple[SignedRRset, str]] = {}
         # keys of cached NXT sets whose record a write may have changed since
         self._nxt_marked: Set[Tuple[SortKey, SortKey]] = set()
+        # the root zone's signed SOA and NS sets, each with its last stamp to
+        # serve it at, and the update count (the SOA serial) they were made at
+        self._root_soa_ns: Tuple[int, List[Tuple[SignedRRset, str]]] = (-1, [])
         # unsigned: verifiers take the server's key as served, for denial records only
         self._root_key_rrset = SignedRRset((ResourceRecord(
             owner=self.root_zone, ttl=DEFAULT_TTL, rtype="KEY", rdata=self.server_key.key_bytes
@@ -1055,18 +1057,18 @@ class HandleServer:
             if found.outcome == OUTCOME_NOT_FOUND:
                 evidence += self._nxt_proof(found.final, stamp)
                 evidence.append(self.root_key_rrset())
+            warnings = [
+                f"stale-irrevocable {rrset.owner} {rrset.rtype}"
+                for rrset in found.irrevocable
+                if rrset.signature is not None and stamp >= rrset.signature.params.expiration
+            ] if found.irrevocable else ()
             return Resolution(
                 queried=handle.fqdn_no_dot(),
                 outcome=found.outcome,
                 address=found.address,
                 evidence=tuple(evidence),
                 transfer_notices=tuple(found.notices),
-                warnings=tuple(
-                    f"stale-irrevocable {rrset.owner} {rrset.rtype}"
-                    for rrset in found.irrevocable
-                    if rrset.signature is not None
-                    and stamp >= rrset.signature.params.expiration
-                ),
+                warnings=tuple(warnings),
             )
 
     def _nxt_proof(self, target: Handle, now: str) -> List[SignedRRset]:
@@ -1076,7 +1078,7 @@ class HandleServer:
         The zone is target's owner zone once anything under its apex was
         stored (every commit leaves a slot there), else the root zone.
         """
-        key = canonical_sort_key(target.fqdn_no_dot())
+        key = key_sort_key(target.name_key())
         zone = key[:self._apex_len]
         if _sort_key_name(zone) not in self._entries:
             zone = self._root_key
@@ -1155,29 +1157,41 @@ class HandleServer:
     # -- zone materialization --
 
     def root_zone_snapshot(self, now: Optional[str] = None) -> ZoneSnapshot:
-        """Root zone: its own SOA/NS/KEY, claimed keys, irrevocable mirrors."""
+        """Root zone: its own SOA/NS/KEY, claimed keys, irrevocable mirrors.
+        The SOA and NS sets are signed once per serial, and again when
+        either is no longer fresh, as an NXT set is (_nxt_at)."""
         with self._lock:
             stamp = now or now_stamp()
-            soa = ResourceRecord(
-                owner=self.root_zone,
-                ttl=DEFAULT_TTL,
-                rtype="SOA",
-                rdata=SoaData(
-                    primary=f"ns.{self.root_zone}",
-                    contact=f"hostmaster.{self.root_zone}",
-                    serial=self._update_count,
-                    refresh=86400,
-                    retry=3600,
-                    expire=604800,
-                    minimum=3600,
-                ),
-            )
-            ns = ResourceRecord(
-                owner=self.root_zone, ttl=DEFAULT_TTL, rtype="NS", rdata=f"ns.{self.root_zone}"
-            )
-            rrsets = [self._server_sign([soa], stamp), self._server_sign([ns], stamp)]
+            count, kept = self._root_soa_ns
+            if count != self._update_count or not all(_fresh(c, stamp) for c in kept):
+                kept = self._sign_root_soa_ns(stamp)
+                self._root_soa_ns = (self._update_count, kept)
+            rrsets = [signed for signed, _ in kept]
             rrsets.append(self.root_key_rrset())
             return self._zone(self.root_zone, rrsets, stamp)
+
+    def _sign_root_soa_ns(self, now: str) -> List[Tuple[SignedRRset, str]]:
+        """The root zone's SOA and NS sets signed at now, each with its last
+        stamp to serve it at."""
+        soa = ResourceRecord(
+            owner=self.root_zone,
+            ttl=DEFAULT_TTL,
+            rtype="SOA",
+            rdata=SoaData(
+                primary=f"ns.{self.root_zone}",
+                contact=f"hostmaster.{self.root_zone}",
+                serial=self._update_count,
+                refresh=86400,
+                retry=3600,
+                expire=604800,
+                minimum=3600,
+            ),
+        )
+        ns = ResourceRecord(
+            owner=self.root_zone, ttl=DEFAULT_TTL, rtype="NS", rdata=f"ns.{self.root_zone}"
+        )
+        until = stamp_add(now, SERVER_SIG_VALIDITY // 2)
+        return [(self._server_sign([rec], now), until) for rec in (soa, ns)]
 
     def owner_zone_snapshot(self, apex: Handle, now: Optional[str] = None) -> ZoneSnapshot:
         """An apex's owner zone: every set stored at or under it."""
@@ -1198,7 +1212,7 @@ class HandleServer:
             rrsets.append(self._nxt_at(zone, index, i, now))
         return ZoneSnapshot(
             apex=apex,
-            rrsets={(name_key(s.owner), s.rtype): s for s in rrsets},
+            rrsets={(s.owner_key, s.rtype): s for s in rrsets},
             serial=self._update_count,
         )
 
@@ -1230,7 +1244,7 @@ class HandleServer:
                 try:
                     handle = parse_handle(rrset.owner, self.root_zone)
                 except OnhsError:
-                    if name_key(rrset.owner) != root:
+                    if rrset.owner_key != root:
                         problems.append(f"{rrset.owner}: not a handle under the root")
                     continue
                 if rrset.rtype in ("NXT", "SOA", "NS"):

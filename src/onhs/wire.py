@@ -72,20 +72,37 @@ def decode_message(data: bytes) -> WireMessage:
     return msg
 
 
+# The C scanner json.loads runs, built once. It reads one JSON value from
+# an offset and returns it with the offset after it, so a payload is one
+# value when that offset is its end; it raises StopIteration where no value
+# starts.
+_scan = json.scanner.c_make_scanner(json.decoder.JSONDecoder())
+
+
 def _decode_payload(payload: bytes) -> WireMessage:
     try:
-        obj = json.loads(payload.decode("utf-8"))
+        text = payload.decode("utf-8")
+        obj, end = _scan(text, 0)
+    except StopIteration:
+        raise MalformedFrameError("frame payload is not valid JSON: no value at its start") from None
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise MalformedFrameError(f"frame payload is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedFrameError("frame payload is nested too deep to read") from None
+    if end != len(text):
+        raise MalformedFrameError(f"frame payload is not valid JSON: extra data at {end}")
     try:
         msg = WireMessage(
             kind=body_field(obj, "kind", str, "frame"),
             correlation_id=body_field(obj, "correlation_id", str, "frame"),
             body=body_field(obj, "body", dict, "frame"),
         )
+        canonical = len(obj) == 3 and canonical_json(obj) == payload
     except ValueError as exc:
         raise MalformedFrameError(str(exc)) from None
-    if len(obj) != 3 or canonical_json(obj) != payload:
+    except RecursionError:
+        raise MalformedFrameError("frame payload is nested too deep to write back") from None
+    if not canonical:
         # a fourth field; or a space, a key out of order or twice, an escape
         raise MalformedFrameError("frame is not kind, correlation_id and body in canonical JSON")
     return msg

@@ -410,14 +410,17 @@ def test_zone_export_signs_through_the_same_cache(corpus, keypool, monkeypatch):
     def same_sets(first, second):
         return first.keys() == second.keys() and all(first[o] is second[o] for o in first)
 
-    # an unchanged zone's second export builds nothing and hands out the
-    # same signed sets; the root zone signs its SOA and NS sets afresh
+    # an unchanged zone's second export builds nothing, signs nothing and
+    # hands out the same signed sets, the root zone's SOA and NS sets too
     assert same_sets(exported(zone), exported(server.owner_zone_snapshot(a, now=NOW)))
     assert calls == {}
-    root = exported(server.root_zone_snapshot(now=NOW))
+    first_root = server.root_zone_snapshot(now=NOW)
     calls.clear()
-    assert same_sets(root, exported(server.root_zone_snapshot(now=NOW)))
-    assert calls == {"sign": 2}
+    second_root = server.root_zone_snapshot(now=NOW)
+    assert same_sets(exported(first_root), exported(second_root))
+    assert calls == {}
+    for rtype in ("SOA", "NS"):
+        assert first_root.get(ROOT, rtype) is second_root.get(ROOT, rtype)
 
     def resigned_by(msg):
         """owner -> whether its record changed, for each set the export re-signed."""
@@ -440,6 +443,33 @@ def test_zone_export_signs_through_the_same_cache(corpus, keypool, monkeypatch):
     a1_upper = Handle(labels=a.child(IA(1)).labels, root_suffix=ROOT.upper())
     k0 = keypool.key(0)[1]
     assert resigned_by(srv.make_assign(k0, a1_upper, "10.0.0.9", 13, now=NOW)) == {}
+
+
+def test_root_soa_and_ns_are_signed_once_per_serial_while_fresh(corpus):
+    server = corpus.server()
+
+    def soa_ns(now):
+        zone = server.root_zone_snapshot(now=now)
+        return [zone.get(ROOT, rtype) for rtype in ("SOA", "NS")]
+
+    def kept(first, second):
+        return all(a is b for a, b in zip(first, second))
+
+    first = soa_ns(NOW)
+    half = SERVER_SIG_VALIDITY // 2
+    assert kept(first, soa_ns(stamp_add(NOW, half)))
+    # a new serial: both signed again, the SOA holding it
+    assert server.apply_update(corpus.create_56, now=NOW).accepted
+    renewed = soa_ns(NOW)
+    assert not any(a is b for a, b in zip(first, renewed))
+    assert renewed[0].records[0].rdata.serial == server.update_count
+    assert renewed[0].records[0].rdata.serial == first[0].records[0].rdata.serial + 1
+    assert kept(renewed, soa_ns(NOW))
+    # past half the window, and before the kept inception: signed again
+    for now in (stamp_add(NOW, half + 1), stamp_add(NOW, -1)):
+        signed = soa_ns(now)
+        assert {rr.signature.params.inception for rr in signed} == {now}
+        assert kept(signed, soa_ns(now))
 
 
 def test_only_an_apex_has_an_owner_zone(corpus, keypool):

@@ -134,6 +134,18 @@ class TestDurations:
             seconds = rng.randint(0, 10 ** 7)
             assert parse_duration(render_duration(seconds)) == seconds
 
+    @pytest.mark.parametrize("text", ["5ſ", "5K", "٥", "5Sſ"])
+    def test_a_letter_that_only_folds_to_a_unit_is_refused(self, text):
+        # the long s folds to s and the Kelvin sign to k; an Arabic-Indic
+        # five is a digit, but not an ASCII one
+        with pytest.raises(RdataFormatError, match="bad duration"):
+            parse_duration(text)
+
+    def test_a_zone_ttl_in_a_long_s_is_refused(self):
+        with pytest.raises(RdataFormatError, match="bad duration"):
+            parse_zone("$TTL 1ſ\n")
+        assert parse_duration("1S") == 1
+
 
 class TestZoneText:
     def test_golden_glue_line_renders_exactly(self, keypool):

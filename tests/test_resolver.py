@@ -1,5 +1,6 @@
 """Client-side verification, handle references, and key upgrade."""
 
+import base64
 import functools
 import sys
 import threading
@@ -535,6 +536,17 @@ class TestHandleReference:
         assert back.superseded_by == parse_handle("h0k1.h1g5kC909CBE59D058406." + ROOT, ROOT)
         assert back.pinned_key is not None
         assert crypto.verify_key_matches_label(back.pinned_key, back.handle.apex_label)
+
+    def test_a_resolution_nested_too_deep_is_a_verification_error(self, tmp_path):
+        fixture = Path(__file__).parent / "data" / "dict-form.ref"
+        nested = base64.b64encode(b"[" * 5000 + b"]" * 5000).decode()
+        copy = tmp_path / "nested.ref"
+        copy.write_text("".join(
+            f"last_resolution {nested}\n" if text.startswith("last_resolution ") else text
+            for text in fixture.read_text().splitlines(keepends=True)
+        ))
+        with pytest.raises(VerificationError, match="last_resolution does not decode"):
+            HandleReference.load(copy)
 
     @pytest.mark.parametrize("line, damaged, named", [
         ("pinned_key ", "pinned_key !!not-base64!!", "pinned_key does not decode"),

@@ -224,6 +224,25 @@ class TestDurability:
         with pytest.raises(LogFormatError, match="line 4"):
             HandleService(cfg)
 
+    @pytest.mark.parametrize("depth, why", [
+        (1000, "nested too deep to read"), (100, "nests deeper than 16 levels"),
+    ])
+    def test_a_line_nested_too_deep_names_its_line(self, tmp_path, keypool, depth, why):
+        cfg = service_config(tmp_path)
+        service = HandleService(cfg)
+        self.populate(service, keypool)
+        service.close()
+        log = tmp_path / "data" / "updates.log"
+        lines = log.read_bytes().split(b"\n")
+        update = json.loads(base64.b64decode(lines[1].split(b" ")[0]))
+        update["payload"]["x"] = "@"
+        text = json.dumps(update, sort_keys=True, separators=(",", ":"))
+        text = text.replace('"@"', "[" * depth + "]" * depth)
+        lines[1] = b" ".join([base64.b64encode(text.encode())] + lines[1].split(b" ")[1:])
+        log.write_bytes(b"\n".join(lines))
+        with pytest.raises(LogFormatError, match=f"line 2: .*{why}"):
+            HandleService(cfg)
+
 
 class TestOneRsaKeyPerApex:
     """Update intake binds the signer key through server.bound_apex_keys,
@@ -363,6 +382,22 @@ class TestMalformedRequests:
     def test_update_body_without_fields(self, logged_service):
         detail = self.detail(logged_service, wire.KIND_UPDATE, {"update": {}})
         assert detail == "update lacks field 'target'"
+
+    def test_update_with_a_payload_nested_too_deep(self, logged_service, keypool):
+        # deep enough to read as a frame, and to overrun the copy made to log it
+        update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
+        update["payload"]["x"] = "@"
+        body = json.dumps({"update": update}, sort_keys=True, separators=(",", ":"))
+        body = body.replace('"@"', "[" * 900 + "]" * 900)
+        payload = ('{"body":' + body + ',"correlation_id":"c","kind":"UPDATE"}').encode()
+        msg = wire.decode_message(struct.pack(">I", len(payload)) + payload)
+        reply = logged_service.handle_request(msg)
+        assert reply.body == {
+            "error": "bad-request",
+            "detail": "update field 'payload' nests deeper than 16 levels",
+        }
+        assert logged_service.server.update_count == 0
+        assert logged_service.log.path.read_bytes() == b""
 
     def test_update_with_a_bare_signer_key(self, logged_service, keypool):
         update = make_claim(keypool.key(0)[1], ROOT, 16, 1).to_dict()
@@ -573,6 +608,15 @@ class TestTcp:
         assert len(frames) == 1
         assert frames[0].kind == wire.KIND_ERROR
         assert frames[0].body["error"] == "malformed-frame"
+
+    def test_a_frame_nested_too_deep_gets_error_then_close(self, tcp_server):
+        _, port = tcp_server
+        handle = b"[" * 1000 + b"]" * 1000
+        payload = b'{"body":{"handle":' + handle + b'},"correlation_id":"c","kind":"QUERY_RESOLVE"}'
+        frames = raw_exchange(port, struct.pack(">I", len(payload)) + payload)
+        assert len(frames) == 1
+        assert frames[0].body["error"] == "malformed-frame"
+        assert "nested too deep" in frames[0].body["detail"]
 
     def test_oversize_frame_gets_error_then_close(self, tcp_server):
         _, port = tcp_server

@@ -234,3 +234,24 @@ class TestDrawnFrames:
     def test_a_mistyped_field_is_named(self):
         with pytest.raises(MalformedFrameError, match="'kind'"):
             decode_message(frame_of(b'{"body":{},"correlation_id":"c","kind":7}'))
+
+
+# ---- nesting deeper than the JSON layer reads ----------------------------------
+
+
+def nested_frame(depth: int) -> bytes:
+    """A resolve request whose handle is depth nested arrays."""
+    handle = b"[" * depth + b"]" * depth
+    return frame_of(b'{"body":{"handle":' + handle + b'},"correlation_id":"c","kind":"QUERY_RESOLVE"}')
+
+
+class TestNesting:
+    def test_a_frame_nested_past_the_recursion_limit_is_malformed(self):
+        frame = nested_frame(1000)
+        assert len(frame) == 2068
+        with pytest.raises(MalformedFrameError, match="nested too deep"):
+            decode_message(frame)
+
+    def test_a_frame_nested_within_it_reads(self):
+        msg = decode_message(nested_frame(100))
+        assert encode_message(msg) == nested_frame(100)
