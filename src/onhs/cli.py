@@ -193,12 +193,24 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _read_only_service(args) -> svc.HandleService:
+    """The store of args.config's data directory, replayed without touching
+    its log; a torn last line is left out and reported."""
+    service = svc.HandleService(svc.ServerConfig.load(args.config), read_only=True)
+    if service.log.dropped_tail:
+        print(
+            f"skipped a torn last line ({service.log.dropped_tail} bytes) of the update log,"
+            " which is left as it is",
+            file=sys.stderr,
+        )
+    return service
+
+
 def cmd_zone_dump(args) -> int:
-    config = svc.ServerConfig.load(args.config)
-    service = svc.HandleService(config)
+    service = _read_only_service(args)
     try:
         if args.owner:
-            apex = parse_handle(args.owner, config.root_zone)
+            apex = parse_handle(args.owner, service.config.root_zone)
             zone = service.server.owner_zone_snapshot(apex)
         else:
             zone = service.server.root_zone_snapshot()
@@ -214,8 +226,7 @@ def cmd_zone_dump(args) -> int:
 
 
 def cmd_zone_load(args) -> int:
-    config = svc.ServerConfig.load(args.config)
-    service = svc.HandleService(config)
+    service = _read_only_service(args)
     try:
         text = Path(args.file).read_text()
         zone = rec.parse_zone(text)

@@ -10,7 +10,6 @@ imports wire, server, service or the client.
 from __future__ import annotations
 
 import base64
-import binascii
 import copy
 import functools
 import json
@@ -67,7 +66,7 @@ def base64_field(data: object, name: str, where: str) -> bytes:
 def _base64(text: str, what: str) -> bytes:
     try:
         return base64.b64decode(text, validate=True)
-    except binascii.Error as exc:
+    except ValueError as exc:  # binascii.Error, or a character past ASCII
         raise ValueError(f"{what} is not base64: {exc}") from None
 
 
@@ -227,13 +226,23 @@ def encode_log_line(msg: UpdateMessage, verdict: Verdict, stamp: str) -> str:
 
 def decode_log_line(raw: bytes) -> Tuple[UpdateMessage, Verdict, str]:
     """The update, verdict (without detail) and arrival stamp of one line,
-    whose update must be the one encode_log_line writes for them. An update
-    nested too deep to read or write raises LogFormatError."""
-    blob, _, rest = raw.decode("utf-8").strip().partition(" ")
-    tag, _, stamp = rest.rpartition(" ")
-    update = base64.b64decode(blob, validate=True)
+    with or without the newline that ends it in the log. The line must be
+    the one encode_log_line writes for them: a ValueError or OnhsError
+    names the part at fault, and an update nested too deep to read or
+    write raises LogFormatError."""
     try:
-        msg = UpdateMessage.from_dict(json.loads(update))
+        line = raw.removesuffix(b"\n").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"log line is not UTF-8: {exc}") from None
+    blob, _, rest = line.partition(" ")
+    tag, _, stamp = rest.rpartition(" ")
+    update = _exact_base64(blob, "update")
+    try:
+        try:
+            data = json.loads(update)
+        except ValueError as exc:  # not JSON, or octets that are not UTF-8
+            raise ValueError(f"update is not JSON: {exc}") from None
+        msg = UpdateMessage.from_dict(data)
         canonical = canonical_json(msg.to_dict())
     except RecursionError:
         raise LogFormatError("update is nested too deep to read") from None

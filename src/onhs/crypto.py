@@ -16,7 +16,6 @@ from __future__ import annotations
 import base64
 import datetime as _dt
 import functools
-import hashlib
 import re
 import struct
 import time
@@ -186,8 +185,12 @@ class PublicKey:
         return self.key_bytes[4:]
 
     def key_hash_hex(self) -> str:
-        """Uppercase 40-digit SHA-1 of the canonical key octets."""
-        return hashlib.sha1(self.key_bytes).hexdigest().upper()
+        """Uppercase 40-digit SHA-1 of the canonical key octets. It hashes
+        with the OpenSSL that signs and verifies, so the process maps no
+        second one for hashlib."""
+        digest = hashes.Hash(hashes.SHA1())
+        digest.update(self.key_bytes)
+        return digest.finalize().hex().upper()
 
     @functools.cached_property
     def _rsa(self) -> rsa.RSAPublicKey:
@@ -281,30 +284,43 @@ def save_secret_key(path, secret: SecretKey) -> None:
     """Write a key file, the one form there is: three lines, the algorithm
     code, the base64 public key payload, and the base64 private key DER.
     load_secret_key rebuilds the public half from the DER and checks line two."""
-    pub = secret.public_key()
-    text = (
+    with open(path, "wb") as fh:
+        fh.write(_key_file_text(secret).encode())
+
+
+def _key_file_text(secret: SecretKey) -> str:
+    return (
         f"{secret.algorithm}\n"
-        f"{base64.b64encode(pub.key_bytes).decode()}\n"
+        f"{base64.b64encode(secret.public_key().key_bytes).decode()}\n"
         f"{base64.b64encode(secret.private_bytes).decode()}\n"
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def load_secret_key(path) -> SecretKey:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if len(lines) != 3:
-        raise KeyFormatError(f"key file {path} has {len(lines)} lines, expected 3")
-    if not lines[0].isdigit():
+    """The key of a key file, which must be the text save_secret_key writes
+    for that key. Anything else raises KeyFormatError: a blank line, a
+    space, a carriage return, a leading zero, a base64 character with stray
+    bits, a missing last newline."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise KeyFormatError(f"key file {path} is not ASCII text") from None
+    lines = text.split("\n")
+    if len(lines) != 4 or lines[3]:
+        raise KeyFormatError(f"key file {path} is not three lines, each ending in a newline")
+    if not lines[0].isdigit() or int(lines[0]) not in ALGORITHMS:
         raise KeyFormatError(f"key file {path} has a bad algorithm line")
     try:
-        public, der = (base64.b64decode(line, validate=True) for line in lines[1:])
-    except Exception as exc:
+        public, der = (base64.b64decode(line, validate=True) for line in lines[1:3])
+    except ValueError as exc:
         raise KeyFormatError(f"bad base64 in {path}: {exc}") from exc
     secret = SecretKey(algorithm=int(lines[0]), private_bytes=der)
     if secret.public_key().key_bytes != public:
         raise KeyFormatError(f"key file {path}: the public key line is not the private key's")
+    if _key_file_text(secret) != text:
+        raise KeyFormatError(f"key file {path} is not in the form save_secret_key writes")
     return secret
 
 

@@ -304,6 +304,23 @@ class SignedRRset:
                     f"!= owner label count {expected}"
                 )
 
+    def sharing(self, owner: str, owner_key: str, signer: str) -> "SignedRRset":
+        """This set, holding each of the strings given in place of an equal
+        one of its own: its owner text, its owner_key, and its signer's name.
+        A store passes the names its entries already hold, so it keeps one
+        copy of each. Returns the set itself."""
+        if self.owner_key == owner_key:
+            object.__setattr__(self, "owner_key", owner_key)
+        if self.owner == owner:
+            object.__setattr__(self, "owner", owner)
+        for record in self.records:
+            if record.owner == owner:
+                object.__setattr__(record, "owner", owner)
+        sig = self.signature
+        if sig is not None and sig.params.signer == signer:
+            object.__setattr__(sig.params, "signer", signer)
+        return self
+
     def wire_strings(self) -> Tuple[str, Optional[str]]:
         """wire, made when the set does not hold it. A set that holds
         canonical, one its holder serves often, keeps what is made; any

@@ -867,19 +867,24 @@ class HandleServer:
         refused = self._gate(target, rrsets[0], transfer)
         if refused is not None:
             return refused
-        entry = self._ensure_entry(target)
-        slots = [Slot(serial, transfer or is_irrevocable(rrset), rrset) for rrset in rrsets]
+        apex, entry = self._ensure_entry(target)
+        names = (entry.handle.fqdn_no_dot(), entry.handle.name_key(), apex.handle.fqdn_no_dot())
+        slots = [
+            Slot(serial, transfer or is_irrevocable(rrset), rrset.sharing(*names))
+            for rrset in rrsets
+        ]
         if any(slot.sticky for slot in slots):
             self._purge_revocable(target)
         for slot in slots:
             self._merge_slot(entry, slot.rrset.rtype, slot)
         return Verdict.ok()
 
-    def _ensure_entry(self, handle: Handle) -> HandleEntry:
-        """handle's entry, made along with any missing ancestor's. A new
-        entry's handle and sort key extend its parent entry's, so the label
-        objects and label bytes of a subtree are stored once."""
-        parent = None
+    def _ensure_entry(self, handle: Handle) -> Tuple[HandleEntry, HandleEntry]:
+        """handle's apex entry and its own, made along with any missing
+        ancestor's. A new entry's handle and sort key extend its parent
+        entry's, so the label objects and label bytes of a subtree are
+        stored once, and the store's key for an entry is its handle's."""
+        apex = parent = None
         for node in handle.ancestry():
             key = node.name_key()
             entry = self._entries.get(key)
@@ -892,9 +897,10 @@ class HandleServer:
                         handle=parent.handle.child(label),
                         sort_key=parent.sort_key + (label.encode().lower().encode(),),
                     )
-                self._entries[key] = entry
+                self._entries[entry.handle.name_key()] = entry
             parent = entry
-        return parent
+            apex = apex or entry
+        return apex, parent
 
     def _purge_revocable(self, target: Handle) -> None:
         for entry in self._subtree(target):

@@ -15,7 +15,6 @@ import itertools
 import os
 import socket
 import threading
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -100,7 +99,7 @@ class UpdateLog:
     def __init__(self, path: Path):
         self.path = Path(path)
         self._fh = None
-        self.dropped_tail = 0  # bytes of a torn last line cut off at replay
+        self.dropped_tail = 0  # bytes of a torn last line left out at replay
 
     def open_for_append(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -129,14 +128,16 @@ class UpdateLog:
             self._fh.close()
             self._fh = None
 
-    def replay_into(self, server: HandleServer) -> int:
+    def replay_into(self, server: HandleServer, *, repair: bool = True) -> int:
         """Re-apply every logged update; returns the number applied.
 
         A last line with no newline is an append a crash cut short. If it
-        does not decode, it is cut off the file and its length kept in
-        dropped_tail; if it does, its newline is restored. Either way the
-        next append starts a line of its own. Any other line that does not
-        decode raises LogFormatError naming its line number.
+        does not decode, it is left out and its length kept in dropped_tail;
+        if it does, it is applied. With repair, the file is then mended so
+        the next append starts a line of its own: a torn line is cut off,
+        a missing newline restored. Without it, the file is only read. Any
+        other line that does not decode raises LogFormatError naming its
+        line number.
         """
         self.dropped_tail = 0
         if not self.path.exists():
@@ -160,10 +161,13 @@ class UpdateLog:
                 server.apply_update(msg, now=stamp, logged_at=start)
                 count += 1
         if torn_at is not None:
+            self.dropped_tail = end - torn_at
+        if not repair:
+            return count
+        if torn_at is not None:
             with open(self.path, "r+b") as fh:
                 fh.truncate(torn_at)
                 os.fsync(fh.fileno())
-            self.dropped_tail = end - torn_at
         elif not raw.endswith(b"\n"):
             with open(self.path, "ab") as fh:
                 fh.write(b"\n")
@@ -175,9 +179,14 @@ class UpdateLog:
 
 
 class HandleService:
-    """Owns a HandleServer plus its durability; answers wire messages."""
+    """Owns a HandleServer plus its durability; answers wire messages.
 
-    def __init__(self, config: ServerConfig):
+    A read_only service replays the log without mending it and never
+    opens it for append, so a command that only reads the store can run
+    beside a live server on the same data directory; it logs no update.
+    """
+
+    def __init__(self, config: ServerConfig, *, read_only: bool = False):
         self.config = config
         data_dir = Path(config.data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
@@ -189,9 +198,10 @@ class HandleService:
             crypto.save_secret_key(key_path, secret)
         self.server = HandleServer(config.root_zone, secret, audit_cap=config.audit_cap)
         self.log = UpdateLog(data_dir / "updates.log")
-        self.replayed = self.log.replay_into(self.server)
-        self.log.open_for_append()
-        self.server.set_log_writer(self.log.append)
+        self.replayed = self.log.replay_into(self.server, repair=not read_only)
+        if not read_only:
+            self.log.open_for_append()
+            self.server.set_log_writer(self.log.append)
 
     def close(self) -> None:
         self.server.set_log_writer(None)
@@ -244,7 +254,7 @@ class HandleService:
             handle = parse_handle(body_field(body, "handle", str, "audit subscription"), root)
             owner = optional_field(body, "owner", bool, "audit subscription", False)
             send_backlog = optional_field(body, "backlog", bool, "audit subscription", True)
-            sub_id = endpoint_id or str(uuid.uuid4())
+            sub_id = endpoint_id or _new_endpoint_id()
             verdict = self.server.subscribe_audit(handle, sub_id, owner=owner)
             backlog = []
             if verdict.accepted and send_backlog:
@@ -271,6 +281,12 @@ def _error(correlation_id: str, code: str, detail: str) -> wire.WireMessage:
     return wire.WireMessage(
         wire.KIND_ERROR, correlation_id, {"error": code, "detail": detail}
     )
+
+
+def _new_endpoint_id() -> str:
+    """32 random hex digits naming one connection's audit subscriptions.
+    The server makes each id and only echoes it in a subscription reply."""
+    return os.urandom(16).hex()
 
 
 # ---- TCP front end -----------------------------------------------------------
@@ -335,7 +351,7 @@ class TcpHandleServer:
         """Answer conn's requests in order. Its first accepted subscription
         starts a writer that sends its audit events; when conn ends, so do
         its subscriptions and the writer."""
-        endpoint_id = str(uuid.uuid4())
+        endpoint_id = _new_endpoint_id()
         write_lock = threading.Lock()
         writer: Optional[threading.Thread] = None
 

@@ -16,6 +16,7 @@ from conftest import ROOT, with_server_key
 import onhs
 from onhs import cli, wire
 from onhs.crypto import load_secret_key
+from onhs.handles import HandleLabel, parse_handle
 from onhs.server import make_assign, make_claim, make_create_child
 from onhs.service import HandleService, RemoteEndpoint, ServerConfig
 
@@ -334,6 +335,56 @@ def test_zone_dump_and_load(tmp_path, keypool):
     broken_file.write_text(broken)
     proc = run_cli("zone", "load", str(broken_file), "--config", dst_conf, expect=1)
     assert "skipped" in proc.stderr
+
+
+def logged_store(tmp_path, keypool):
+    """A config whose data directory logs a claim, a create and an assign
+    of 10.0.0.1, with the claimed apex's name."""
+    conf = write_config(tmp_path)
+    service = HandleService(with_server_key(ServerConfig.load(conf)))
+    _, sec = keypool.key(0)
+    claim = make_claim(sec, ROOT, 16, 1)
+    leaf = parse_handle(claim.target, ROOT).child(HandleLabel.ia("1"))
+    for msg in (claim, make_create_child(sec, leaf, 2), make_assign(sec, leaf, "10.0.0.1", 3)):
+        assert service.server.apply_update(msg).accepted
+    service.close()
+    return conf, claim.target
+
+
+@pytest.mark.parametrize("command", ["dump", "load"])
+@pytest.mark.parametrize("cut, assigned", [(7, False), (1, True)])
+def test_zone_commands_replay_a_log_and_leave_it_as_it_is(
+    tmp_path, keypool, capsys, command, cut, assigned
+):
+    """A torn last line (7 bytes cut) is left out and reported, a complete
+    one missing its newline (1 byte cut) is applied, and either way the
+    file stays byte for byte as it was: a serve beside the command may
+    still be writing that line."""
+    conf, apex = logged_store(tmp_path, keypool)
+    log = tmp_path / "data" / "updates.log"
+    whole = log.read_bytes()
+    last = len(whole) - whole.rindex(b"\n", 0, len(whole) - 1) - 1
+    log.write_bytes(whole[:-cut])
+    zone_file = tmp_path / "owner.zone"
+    if command == "load":
+        zone_file.write_text(f"$ORIGIN {ROOT}.\n")
+    args = ["dump", "--owner", apex] if command == "dump" else ["load", str(zone_file)]
+    assert cli.main(["zone", *args, "--config", str(conf)]) == 0
+    out, err = capsys.readouterr()
+    assert log.read_bytes() == whole[:-cut]
+    if command == "dump":
+        assert ("10.0.0.1" in out) == assigned
+    torn = f"skipped a torn last line ({last - cut} bytes) of the update log"
+    assert (torn in err) == (not assigned)
+
+
+def test_zone_load_makes_no_update_log(tmp_path, capsys):
+    conf = write_config(tmp_path)
+    zone_file = tmp_path / "empty.zone"
+    zone_file.write_text(f"$ORIGIN {ROOT}.\n")
+    assert cli.main(["zone", "load", str(zone_file), "--config", str(conf)]) == 0
+    assert "0 record sets verify" in capsys.readouterr().out
+    assert not (tmp_path / "data" / "updates.log").exists()
 
 
 def test_serve_replays_the_log_on_restart(tmp_path):

@@ -9,12 +9,15 @@ import base64
 import datetime
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import sha1_hex, SHA1_VECTORS
 
 from onhs import crypto, server
+from onhs.codec import decode_log_line
 from onhs.crypto import (
     PublicKey,
     RecordSignature,
@@ -29,6 +32,7 @@ from onhs.crypto import (
 )
 from onhs.errors import (
     KeyFormatError,
+    OnhsError,
     ParamsMismatchError,
     SuffixLengthError,
     UnsupportedAlgorithmError,
@@ -119,9 +123,36 @@ class TestLabelDerivation:
         with pytest.raises(WrongLabelKindError):
             verify_key_matches_label(public, parse_label("h0k2"))
 
+    def test_key_hash_is_hashlib_sha1_of_the_key_octets(self, keypool):
+        fixture = Path(__file__).parent / "data" / "parent-updates.log"
+        claims = [
+            msg.signer_key for msg, _, _ in map(decode_log_line, fixture.read_bytes().splitlines())
+            if msg.action == server.CLAIM
+        ]
+        keys = [keypool.key(i)[0] for i in range(4)] + claims
+        assert len(claims) >= 3
+        for key in keys:
+            want = hashlib.sha1(key.key_bytes).hexdigest().upper()
+            assert key.key_hash_hex() == want
+            assert derive_pk_label(key, 40).key_suffix == want
+            assert derive_pk_label(key, 16).key_suffix == want[-16:]
+
     def test_distinct_keys_distinct_hashes(self, keypool):
         hashes = {keypool.key(i)[0].key_hash_hex() for i in range(20)}
         assert len(hashes) == 20
+
+
+BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def stray_bits(text: bytes) -> bytes:
+    """A key file with the lowest bit flipped in the character before its
+    first "==": a 1024-bit key's 136 payload octets end their base64 so,
+    and that character holds four bits past the octets, so the line still
+    decodes to the same octets."""
+    i = text.index(b"==\n") - 1
+    flipped = BASE64_ALPHABET[BASE64_ALPHABET.index(text[i]) ^ 1]
+    return text[:i] + bytes([flipped]) + text[i + 1:]
 
 
 class TestKeyMaterial:
@@ -200,6 +231,26 @@ class TestKeyMaterial:
         with pytest.raises(KeyFormatError, match="public key line"):
             crypto.load_secret_key(path)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda text: b"0" + text,  # a leading zero on the algorithm
+            lambda text: text.replace(b"\n", b"\n\n", 1),  # a blank line
+            lambda text: text.replace(b"\n", b" \n", 1),
+            lambda text: text.replace(b"\n", b"\r\n"),
+            lambda text: text[:-1],  # no last newline
+            lambda text: b"\x80" + text,  # not text at all
+            lambda text: b"300" + text[1:],  # an algorithm past one octet
+            stray_bits,
+        ],
+    )
+    def test_key_file_the_writer_never_writes_is_refused(self, keypool, tmp_path, change):
+        path = tmp_path / "k.key"
+        crypto.save_secret_key(path, keypool.key(2)[1])
+        path.write_bytes(change(path.read_bytes()))
+        with pytest.raises(KeyFormatError):
+            crypto.load_secret_key(path)
+
     def test_secret_key_file_with_garbage_der_rejected_at_load(self, tmp_path):
         # valid base64 over bytes that are no DER key
         junk = base64.b64encode(b"not a DER private key").decode()
@@ -207,6 +258,64 @@ class TestKeyMaterial:
         path.write_text(f"5\n{junk}\n{junk}\n")
         with pytest.raises(KeyFormatError):
             crypto.load_secret_key(path)
+
+
+# ---- the key file form's properties -------------------------------------------
+
+ALGORITHM_LINES = ["05", "+5", "\u0665", " 5", "5 ", "8", "0", "300", "9" * 30, "-5", "5.0", ""]
+
+
+@st.composite
+def altered_key_files(draw, written: bytes) -> bytes:
+    """written, a key file, with one change: a byte changed, put in or
+    taken out, a line added or dropped, or the algorithm line rewritten."""
+    how = draw(st.sampled_from(["change", "insert", "delete", "add", "drop", "algorithm"]))
+    if how in ("change", "insert", "delete"):
+        i = draw(st.integers(0, len(written) - 1))
+        byte = bytes([draw(st.integers(0, 255))])
+        if how == "change":
+            return written[:i] + byte + written[i + 1:]
+        return written[:i] + byte + written[i:] if how == "insert" else written[:i] + written[i + 1:]
+    lines = written.split(b"\n")
+    if how == "add":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=4)).encode())
+    elif how == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    else:
+        lines[0] = draw(st.sampled_from(ALGORITHM_LINES) | st.text(max_size=4)).encode()
+    return b"\n".join(lines)
+
+
+class TestKeyFileForm:
+    """save_secret_key writes one form, and load_secret_key reads only it."""
+
+    @pytest.mark.parametrize("algorithm", [crypto.RSA_SHA1, crypto.RSA_SHA256])
+    def test_a_written_key_file_reads_back_and_writes_the_same_bytes(
+        self, keypool, tmp_path, algorithm
+    ):
+        path = tmp_path / "k.key"
+        for index in range(3):
+            secret = SecretKey(algorithm, keypool.key(index)[1].private_bytes)
+            crypto.save_secret_key(path, secret)
+            written = path.read_bytes()
+            loaded = crypto.load_secret_key(path)
+            assert loaded == secret and loaded.public_key() == secret.public_key()
+            crypto.save_secret_key(path, loaded)
+            assert path.read_bytes() == written
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_refused_or_read_as_written(self, keypool, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("keys") / "k.key"
+        crypto.save_secret_key(path, keypool.key(data.draw(st.integers(0, 2)))[1])
+        altered = data.draw(altered_key_files(path.read_bytes()))
+        path.write_bytes(altered)
+        try:
+            loaded = crypto.load_secret_key(path)
+        except OnhsError:
+            return
+        crypto.save_secret_key(path, loaded)
+        assert path.read_bytes() == altered
 
 
 class TestSecretKeyCache:

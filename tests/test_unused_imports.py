@@ -4,9 +4,16 @@ every function and class it defines is used somewhere in the package.
 No linter runs on this code, so this reads each module with the standard
 library's ast. A name counts as used when it appears as a name anywhere
 in the module (quoted annotations included) or is listed in __all__.
+
+The served program also imports no module it can do without that maps
+memory of its own: hashlib maps a second OpenSSL beside the one
+cryptography signs with, and uuid imports platform.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "onhs"
@@ -139,3 +146,23 @@ def test_codec_sits_below_wire_and_holds_every_dict_codec():
         if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "from_dict")
     ]
     assert elsewhere == []
+
+
+def modules_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after running statement."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    ))
+    code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_served_program_imports_neither_hashlib_nor_uuid():
+    # against a bare interpreter, so a module the environment loads at start does not count
+    added = modules_after("import onhs.__main__, onhs.service") - modules_after("pass")
+    assert "onhs.service" in added
+    assert not added & {"hashlib", "_hashlib", "uuid"}
