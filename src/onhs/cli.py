@@ -27,7 +27,7 @@ def _split_hostport(text: str) -> tuple:
     host, _, port = text.rpartition(":")
     if not port.isdigit():
         raise argparse.ArgumentTypeError(f"{text!r} is not HOST:PORT")
-    return (host or "127.0.0.1", int(port))
+    return (host or svc.DEFAULT_HOST, int(port))
 
 
 def _endpoint(args) -> svc.RemoteEndpoint:
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--server",
             type=_split_hostport,
-            default=("127.0.0.1", svc.DEFAULT_PORT),
+            default=(svc.DEFAULT_HOST, svc.DEFAULT_PORT),
             help="server address as HOST:PORT",
         )
         p.add_argument("--root", help="root zone (inferred from the name if omitted)")
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ttl", type=int, default=rec.DEFAULT_TTL)
 
     p = sub.add_parser("keygen", help="generate a keypair file")
-    p.add_argument("--alg", type=int, default=crypto.RSA_SHA1,
+    p.add_argument("--alg", type=int, default=crypto.DEFAULT_ALGORITHM,
                    choices=sorted(crypto.ALGORITHMS))
-    p.add_argument("--bits", type=int, default=2048)
+    p.add_argument("--bits", type=int, default=crypto.DEFAULT_RSA_BITS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_keygen)
 

@@ -4,13 +4,14 @@ The client never trusts a resolution outcome as served. verify_resolution
 checks each evidence set by the server's own rule: an apex key counts
 only from a KEY set at an apex whose label its hash matches
 (server.apex_key), and any other set only under the key of its owner's
-apex with that apex named as signer (server.signed_set_verdict). It then
-runs server.walk, which holds the resolution rules, over the sets that
-counted. A served answer whose evidence does not reproduce the same
-outcome and address is reported unverified. NXT sets count only under
-the served root key with the root as signer; that key only authenticates
-the root server itself, and the weaker trust is surfaced as a warning,
-not hidden.
+apex with that apex named as signer (server.signed_set_verdict), a stale
+one only when records.is_sticky calls it sticky. It then runs
+server.walk, which holds the resolution rules, over the sets that
+counted, each with the sticky flag decided in that one check. A served
+answer whose evidence does not reproduce the same outcome and address is
+reported unverified. NXT sets count only under the served root key with
+the root as signer; that key only authenticates the root server itself,
+and the weaker trust is surfaced as a warning, not hidden.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .handles import CACHE_CAP, Handle, parse_handle
-from .records import SignedRRset, is_irrevocable, key_sort_key, name_key
+from .records import SignedRRset, is_sticky, key_sort_key, name_key
 from .server import DEFAULT_DEPTH_BUDGET, OUTCOME_ADDRESS, OUTCOME_NOT_FOUND, V_OK, V_STALE
 
 
@@ -100,8 +101,10 @@ def verify_resolution(
     # One pass over the evidence. A KEY set counts when apex_key binds its
     # owner's first one; keys are bound on first use, since the root's
     # follows the denial records it signs. Any other set counts when
-    # signed_set_verdict accepts it, a stale one only if irrevocable or a
-    # transfer notice. Each set brings its owner's name key and its type.
+    # signed_set_verdict accepts it, a stale one only if records.is_sticky
+    # calls it sticky, a DNAME set as a transfer when it is a notice. Each
+    # set brings its owner's name key and its type; the first that counts
+    # for each goes to the walk with the sticky flag decided here.
     key_sets: Dict[str, SignedRRset] = {}
     for rrset in resolution.evidence:
         if rrset.rtype == "KEY":
@@ -109,20 +112,21 @@ def verify_resolution(
     keys = srv.ApexKeys(key_sets, root)
     notice_ids = set(resolution.transfer_notices)
     good: List[SignedRRset] = []
-    first: Dict[str, Dict[str, SignedRRset]] = {}  # owner -> type -> its first good set
+    first: Dict[str, Dict[str, srv.Slot]] = {}  # owner -> type -> its first good set
     for rrset in resolution.evidence:
         owner, rtype = rrset.owner_key, rrset.rtype
+        # a set's hash is worked out afresh, so only where there are notices
+        sticky = is_sticky(rrset, bool(notice_ids) and rrset in notice_ids)
         if rtype == "KEY":
             why = keys[owner][1] if rrset == key_sets[owner] else "conflicting-key"
         else:
-            sticky = is_irrevocable(rrset) or (rtype == "DNAME" and rrset in notice_ids)
             why = srv.signed_set_verdict(rrset, keys.key, root, stamp, sticky, verified_signatures)
         verdicts.append((owner, rtype, why))
         if why == V_OK or why == V_STALE:
             if why == V_STALE:
                 warnings.append(f"{V_STALE} {owner} {rtype}")
             good.append(rrset)
-            first.setdefault(owner, {}).setdefault(rtype, rrset)
+            first.setdefault(owner, {}).setdefault(rtype, srv.Slot(rrset, sticky))
         else:
             failures.append(f"{owner} {rtype}: {why}")
 
@@ -146,11 +150,9 @@ def verify_resolution(
             verdicts.append((owner, notice.rtype, "unverified-notice"))
 
     # Re-walk from the verified evidence only and compare outcomes.
-    nodes = {owner: (sets, sets.get("DNAME") in notice_ids) for owner, sets in first.items()}
-
     outcome, address = OUTCOME_NOT_FOUND, None
     try:
-        found = srv.walk(queried, lambda key: nodes.get(key, srv.NO_SETS), depth_budget)
+        found = srv.walk(queried, lambda key: first.get(key, {}), depth_budget)
     except DepthExceededError:
         failures.append(f"rewrite budget of {depth_budget} exhausted")
     except DelegationLoopError as exc:
@@ -360,19 +362,28 @@ def _enumerate_owner_zone(
     """Walk the owner zone's denial chain to list every name with records.
 
     Returns the names and None, or the names met and why the list is not
-    whole: a hop's NXT query came back not found, or the chain did not
-    close within limit names.
+    whole: a hop's NXT query came back not found, or with a set that is
+    not an NXT set at the name asked for, or naming an owner or a next
+    owner that is not a handle under the root; or the chain did not close
+    within limit names.
     """
     out: List[Handle] = []
-    answer = endpoint.query_record(apex, "NXT")
+    asked = apex
     for _ in range(limit):
-        if not answer.found or answer.rrset is None:
+        answer = endpoint.query_record(asked, "NXT")
+        got = answer.rrset
+        if not answer.found or got is None:
             return out, f"no NXT record found after {len(out)} names"
-        rec = answer.rrset.records[0]
-        out.append(parse_handle(rec.owner, root_zone))
-        if name_key(rec.rdata.next_owner) == out[0].name_key():
+        if got.rtype != "NXT" or got.owner_key != asked.name_key():
+            return out, f"not-the-set-asked-for at {asked.fqdn_no_dot()}"
+        rec = got.records[0]
+        try:
+            out.append(parse_handle(rec.owner, root_zone))
+            asked = parse_handle(rec.rdata.next_owner, root_zone)
+        except OnhsError as exc:
+            return out, f"NXT record at {asked.fqdn_no_dot()} names no handle: {exc}"
+        if asked.name_key() == out[0].name_key():
             return out, None
-        answer = endpoint.query_record(parse_handle(rec.rdata.next_owner, root_zone), "NXT")
     return out, f"the NXT chain did not close within {limit} names"
 
 
@@ -381,22 +392,21 @@ def _served_set(
     now: str,
 ) -> Tuple[Optional[SignedRRset], str, bool]:
     """The set endpoint serves for owner's rtype; why it does not count
-    under apex's key, or V_OK or V_STALE; and whether the answer's
+    under apex's key, or V_OK or V_STALE; and whether records.is_sticky
+    calls it sticky, a DNAME set as a transfer when the answer's
     status_records list it. A KEY set counts when it holds key; any other
-    when signed_set_verdict accepts it, a cancel, a compromise or a listed
-    DNAME as sticky."""
+    when signed_set_verdict accepts it."""
     answer = endpoint.query_record(owner, rtype)
     got = answer.rrset
     if not answer.found:
         return None, "not found", False
     if got is None or got.rtype != rtype or name_key(got.owner) != owner.name_key():
         return None, "not-the-set-asked-for", False
-    listed = got in answer.status_records
+    sticky = is_sticky(got, got in answer.status_records)
     if rtype == "KEY":
-        return got, V_OK if got.records[0].rdata == key.key_bytes else "not the old key", listed
-    sticky = is_irrevocable(got) or (rtype == "DNAME" and listed)
+        return got, V_OK if got.records[0].rdata == key.key_bytes else "not the old key", sticky
     root = name_key(apex.root_suffix_no_dot())
-    return got, srv.signed_set_verdict(got, {apex.name_key(): key}.get, root, now, sticky), listed
+    return got, srv.signed_set_verdict(got, {apex.name_key(): key}.get, root, now, sticky), sticky
 
 
 def key_upgrade(
@@ -457,15 +467,17 @@ def key_upgrade(
         if owner.name_key() == old_apex.name_key():
             continue
         sets: Dict[str, SignedRRset] = {}
+        cancelled = False  # a sticky A or TXT set; a transfer is copied as a delegation
         for rtype in ("A", "TXT", "DNAME"):
-            got, why, _ = _served_set(endpoint, owner, rtype, old_apex, old_key, stamp)
+            got, why, sticky = _served_set(endpoint, owner, rtype, old_apex, old_key, stamp)
             if why == "not found":
                 continue
             if why not in (V_OK, V_STALE):
                 report.warnings.append(f"{owner.fqdn_no_dot()} {rtype}: {why}")
                 return report
             sets[rtype] = got
-        if any(is_irrevocable(got) for got in sets.values()):
+            cancelled = cancelled or (sticky and rtype != "DNAME")
+        if cancelled:
             report.warnings.append(
                 f"skipping {owner.fqdn_no_dot()}: cancelled in the old hierarchy"
             )
@@ -525,10 +537,10 @@ def cancel_old_key(
     warnings: List[str] = []
     verdicts: List[Verdict] = []
     stamp = now or now_stamp()
-    _, why, listed = _served_set(
+    _, why, transferred = _served_set(
         endpoint, old_apex, "DNAME", old_apex, old_secret.public_key(), stamp
     )
-    if not (listed and why in (V_OK, V_STALE)):
+    if not (transferred and why in (V_OK, V_STALE)):
         warnings.append(
             "cancelling an apex that was never transferred strands its children"
         )

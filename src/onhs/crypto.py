@@ -20,7 +20,7 @@ import re
 import struct
 import time
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -47,6 +47,11 @@ KEY_PROTOCOL = 3
 
 RSA_SHA1 = 5
 RSA_SHA256 = 8
+
+# A new key's algorithm and size where none is asked for: the server's own
+# key's, and onhs keygen's defaults.
+DEFAULT_ALGORITHM = RSA_SHA1
+DEFAULT_RSA_BITS = 2048
 
 # The largest RSA modulus OpenSSL works with (OPENSSL_RSA_MAX_MODULUS_BITS).
 # A key payload holding one is at most its 4 octets of flags, protocol and
@@ -246,7 +251,7 @@ class SecretKey:
         return self._key.sign(message, padding.PKCS1v15(), _digest_for(self.algorithm))
 
 
-def generate_keypair(algorithm: int, bits: int = 2048) -> Tuple[PublicKey, SecretKey]:
+def generate_keypair(algorithm: int, bits: int = DEFAULT_RSA_BITS) -> Tuple[PublicKey, SecretKey]:
     if algorithm not in ALGORITHMS:
         raise UnsupportedAlgorithmError(f"algorithm code {algorithm} not registered")
     priv = rsa.generate_private_key(public_exponent=65537, key_size=bits)
@@ -341,6 +346,8 @@ class SignedSetLike(Protocol):
 
     records: Sequence[RecordLike]
     signature: Optional["RecordSignature"]
+
+    def canonical_bytes(self) -> bytes: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -502,19 +509,6 @@ def _field_number(text: str, what: str) -> int:
         raise RRsetFormatError(f"{what}: {exc}") from None
 
 
-def _check_set_shape(records: Sequence[RecordLike], params: SignatureParams) -> Optional[str]:
-    if not records:
-        return "empty record set"
-    owners = {r.owner.rstrip(".").lower() for r in records}
-    rtypes = {r.rtype for r in records}
-    if len(owners) != 1 or len(rtypes) != 1:
-        return "records span more than one owner or type"
-    expected = name_labels(records[0].owner)
-    if params.label_count != expected:
-        return f"label count {params.label_count} != owner label count {expected}"
-    return None
-
-
 def sign_rrset(
     records: Sequence[RecordLike], secret: SecretKey, params: SignatureParams
 ) -> RecordSignature:
@@ -524,9 +518,15 @@ def sign_rrset(
         raise ParamsMismatchError(
             f"params algorithm {params.algorithm} != key algorithm {secret.algorithm}"
         )
-    shape_problem = _check_set_shape(records, params)
-    if shape_problem:
-        raise ParamsMismatchError(shape_problem)
+    if not records:
+        raise ParamsMismatchError("empty record set")
+    if len({(r.owner.rstrip(".").lower(), r.rtype) for r in records}) != 1:
+        raise ParamsMismatchError("records span more than one owner or type")
+    expected = name_labels(records[0].owner)
+    if params.label_count != expected:
+        raise ParamsMismatchError(
+            f"label count {params.label_count} != owner label count {expected}"
+        )
     message = canonical_rrset_bytes(records, params)
     return RecordSignature(params=params, signature_bytes=secret.sign(message))
 
@@ -538,15 +538,6 @@ REJECT_NOT_YET_VALID = "not-yet-valid"
 REJECT_PARAMS_MISMATCH = "params-mismatch"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 # (key, signature bytes, message) -> whether the signature holds.
 SignatureCheck = Callable[[PublicKey, bytes, bytes], bool]
 
@@ -556,43 +547,27 @@ def rsa_check(key: PublicKey, signature: bytes, message: bytes) -> bool:
 
 
 def verify_rrset(
-    records: Union[Sequence[RecordLike], SignedSetLike],
-    signature: RecordSignature,
-    key: PublicKey,
-    now: str,
-    check: SignatureCheck = rsa_check,
-    message: Optional[bytes] = None,
-) -> VerifyResult:
-    """Check one signed record set against key at time now.
+    rrset: SignedSetLike, key: PublicKey, now: str, check: SignatureCheck = rsa_check
+) -> str:
+    """Check one signed set, a records.SignedRRset, against key at time
+    now; returns ACCEPT or why not.
 
     The window test is inception <= now < expiration; param inconsistencies
     report params-mismatch rather than a crypto failure so callers can tell
-    tampering from clock problems. Every rule runs here on every call; only
-    the last step, whether the signature holds over the canonical octets,
-    is left to check, so a caller may pass one that remembers its answers.
-    message, when given, must be canonical_rrset_bytes(records,
-    signature.params), as a set parsed from those octets holds them.
-
-    records is a list of records, or a records.SignedRRset; the shape
-    check (one owner and type, the owner's label count) is skipped for a
-    set that carries this very signature, as its constructor made it.
+    tampering from clock problems. The set's shape (one owner and type,
+    the owner's label count) is its constructor's check. Every other rule
+    runs here on every call; only the last step, whether the signature
+    holds over the set's canonical octets, is left to check, so a caller
+    may pass one that remembers its answers.
     """
-    params = signature.params
+    params = rrset.signature.params
     check_stamp(now)
     if params.algorithm not in ALGORITHMS or params.algorithm != key.algorithm:
-        return VerifyResult(False, REJECT_PARAMS_MISMATCH)
-    held = getattr(records, "records", None)
-    shape_checked = held is not None and records.signature is signature
-    if held is not None:
-        records = held
-    if not shape_checked and _check_set_shape(records, params):
-        return VerifyResult(False, REJECT_PARAMS_MISMATCH)
+        return REJECT_PARAMS_MISMATCH
     if now < params.inception:
-        return VerifyResult(False, REJECT_NOT_YET_VALID)
+        return REJECT_NOT_YET_VALID
     if now >= params.expiration:
-        return VerifyResult(False, REJECT_EXPIRED)
-    if message is None:
-        message = canonical_rrset_bytes(records, params)
-    if check(key, signature.signature_bytes, message):
-        return VerifyResult(True, ACCEPT)
-    return VerifyResult(False, REJECT_BAD_SIGNATURE)
+        return REJECT_EXPIRED
+    if check(key, rrset.signature.signature_bytes, rrset.canonical_bytes()):
+        return ACCEPT
+    return REJECT_BAD_SIGNATURE

@@ -390,6 +390,16 @@ def is_irrevocable(rrset: SignedRRset) -> bool:
     return rrset.rtype == "TXT" and isinstance(rdata, str) and rdata.startswith("Compromised ")
 
 
+def is_sticky(rrset: SignedRRset, transfer: bool) -> bool:
+    """Whether rrset holds a sticky slot, one no revocable update displaces:
+    a DNAME set when it is a transfer, an A or TXT set when is_irrevocable
+    calls it a cancel or a compromise. The one copy of this rule: the
+    store's gate and merge, zone loads and the verifier all ask it."""
+    if rrset.rtype == "DNAME":
+        return transfer
+    return is_irrevocable(rrset)
+
+
 # ---- zone snapshots ------------------------------------------------------
 
 

@@ -5,9 +5,9 @@ accepted updates, never on their arrival order or multiplicity:
 
   * per-(handle, rtype) slots keep the record set with the highest serial,
     ties broken by canonical payload text, then signature octets;
-  * a transfer's DNAME set and the sets records.is_irrevocable calls a
-    cancel or a compromise occupy sticky slots that revocable updates
-    cannot displace; a name's status is read from them;
+  * the sets records.is_sticky calls sticky, a transfer's DNAME set and
+    a cancel's or a compromise's content, occupy sticky slots that
+    revocable updates cannot displace; a name's status is read from them;
   * a sticky set purges revocable slots in the subtree it kills, the
     mirror image of the rule that rejects revocable updates arriving after
     it (KEY slots survive: verifiers always need the key);
@@ -22,10 +22,12 @@ accepted updates, never on their arrival order or multiplicity:
 
 _action_records holds what each update action writes: the make_* builders
 sign its records, and HandleServer verifies an update against them. walk
-holds the resolution rules; HandleServer.resolve and
-client.verify_resolution both run it. apex_key and signed_set_verdict hold
-the rule for which key vouches for a signed set, which updates, zone
-loads, audit_store and client.verify_resolution all apply. The JSON forms
+holds the resolution rules; HandleServer.resolve runs it over its slots
+and client.verify_resolution over the evidence that verified, each set
+with the sticky flag its holder decided once. apex_key and
+signed_set_verdict hold the rule for which key vouches for a signed set,
+which updates, zone loads, audit_store and client.verify_resolution all
+apply. The JSON forms
 of updates, answers and events, and the update log's line, are in codec.
 """
 
@@ -88,7 +90,7 @@ from .records import (
     build_nxt_chain,
     canonical_sort_key,
     covering_nxt,
-    is_irrevocable,
+    is_sticky,
     key_sort_key,
     name_key,
     strip_dot,
@@ -132,9 +134,22 @@ OUTCOME_NOT_FOUND = "NOT_FOUND"
 
 # ---- the resolution walk ---------------------------------------------------
 
-# One name's record sets by type, and whether its DNAME set is a transfer.
-NodeSets = Tuple[Mapping[str, SignedRRset], bool]
-NO_SETS: NodeSets = ({}, False)
+@dataclass(frozen=True, slots=True)
+class Slot:
+    """A held set and whether it is sticky (records.is_sticky), decided
+    when it was taken in; the store's slots also keep its serial."""
+
+    rrset: SignedRRset
+    sticky: bool
+    serial: int = 0
+
+    def merge_key(self):
+        sig = self.rrset.signature
+        return (
+            self.serial,
+            tuple(r.canonical_rdata_text() for r in self.rrset.records),
+            sig.signature_bytes if sig else b"",
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,34 +166,33 @@ class Walk:
     irrevocable: List[SignedRRset]
 
 
-def irrevocable_sets(node: NodeSets) -> List[SignedRRset]:
-    """A name's cancel, transfer and compromise sets, in type order."""
-    sets, transfer = node
-    out = []
-    for rtype in ("A", "DNAME", "TXT"):
-        rrset = sets.get(rtype)
-        if rrset is not None and (transfer if rtype == "DNAME" else is_irrevocable(rrset)):
-            out.append(rrset)
-    return out
+def irrevocable_sets(held: Mapping[str, Slot]) -> List[SignedRRset]:
+    """A name's sticky sets, its cancel, transfer and compromise, in type order."""
+    return [
+        slot.rrset for slot in map(held.get, ("A", "DNAME", "TXT"))
+        if slot is not None and slot.sticky
+    ]
 
 
-def walk(queried: Handle, lookup: Callable[[str], NodeSets], budget: int) -> Walk:
-    """Resolve queried over the record sets lookup gives for each name key.
+def walk(queried: Handle, lookup: Callable[[str], Mapping[str, Slot]], budget: int) -> Walk:
+    """Resolve queried over the slots lookup gives for each name key: the
+    sets held there by type, each with the sticky flag its holder decided
+    once, through records.is_sticky, when it took the set in.
 
     These are the resolution rules, in their one copy: HandleServer.resolve
-    walks its store, client.verify_resolution the evidence that verified.
-    Each pass goes from the apex toward the current name and restarts
-    whenever a DNAME set rewrites it, so every name on the path is seen
-    from its apex down. records.is_irrevocable tells a cancel and a
-    compromise from other content; a transfer is a DNAME set lookup marks
-    as one. A compromise anywhere on the path is terminal. A cancel is
-    terminal at the current name itself, but a transfer record at a
-    cancelled ancestor still redirects names below it, which is what lets
-    a retired key hierarchy keep forwarding to its successor. An address
-    is served only from the current name's own A set, and a transfer
-    followed on the way makes it TRANSFERRED_AND_ADDRESS. A walk that
-    finds neither ends NOT_FOUND at the current name, which the caller
-    must back with a denial proof.
+    walks its store's slots, client.verify_resolution the evidence that
+    verified. Each pass goes from the apex toward the current name and
+    restarts whenever a DNAME set rewrites it, so every name on the path
+    is seen from its apex down. A sticky A set is a cancel, a sticky TXT
+    set a compromise and a sticky DNAME set a transfer; walk reads the
+    flags and never works them out again. A compromise anywhere on the
+    path is terminal. A cancel is terminal at the current name itself, but
+    a transfer record at a cancelled ancestor still redirects names below
+    it, which is what lets a retired key hierarchy keep forwarding to its
+    successor. An address is served only from the current name's own A
+    set, and a transfer followed on the way makes it
+    TRANSFERRED_AND_ADDRESS. A walk that finds neither ends NOT_FOUND at
+    the current name, which the caller must back with a denial proof.
 
     Irrevocable sets outlive their signatures: they are served and
     accepted past their expiration, with a stale-irrevocable warning, so
@@ -211,30 +225,28 @@ def walk(queried: Handle, lookup: Callable[[str], NodeSets], budget: int) -> Wal
         current_key = current.name_key()
         for node in current.ancestry():
             node_key = node.name_key()
-            node_sets = lookup(node_key)
-            sets, transfer = node_sets
+            held = lookup(node_key)
             if node_key not in apexes and node.is_apex():
                 apexes.add(node_key)
-                if "KEY" in sets:
-                    emit(sets["KEY"])
-            stuck = {}
-            if transfer or "A" in sets or "TXT" in sets:  # else no set here is sticky
-                stuck = {rrset.rtype: rrset for rrset in irrevocable_sets(node_sets)}
-                for rrset in stuck.values():
-                    emit(rrset, sticky=True)
+                if "KEY" in held:
+                    emit(held["KEY"].rrset)
+            stuck = {rrset.rtype: rrset for rrset in irrevocable_sets(held)}
+            for rrset in stuck.values():
+                emit(rrset, sticky=True)
             if "TXT" in stuck:
                 return done(OUTCOME_COMPROMISED)
             at_target = node_key == current_key
             if at_target and "A" in stuck:
                 return done(OUTCOME_CANCELLED)
-            dname = sets.get("DNAME")
-            if dname is not None:
+            dname_slot = held.get("DNAME")
+            if dname_slot is not None:
+                dname = dname_slot.rrset
                 try:
                     dest = parse_handle(dname.records[0].rdata, queried.root_suffix)
                 except OnhsError as exc:
                     raise ResolutionError(f"{node_key} DNAME target unusable: {exc}") from exc
                 emit(dname)
-                if transfer and dname not in notices:
+                if dname_slot.sticky and dname not in notices:
                     notices.append(dname)
                 rewrites += 1
                 if rewrites > budget:
@@ -249,8 +261,9 @@ def walk(queried: Handle, lookup: Callable[[str], NodeSets], budget: int) -> Wal
                     )
                 visited.add(current.name_key())
                 break
-            address_set = sets.get("A")
-            if at_target and address_set is not None:
+            address_slot = held.get("A")
+            if at_target and address_slot is not None:
+                address_set = address_slot.rrset
                 emit(address_set)
                 address = address_set.records[0].rdata
                 assert isinstance(address, str)
@@ -367,9 +380,9 @@ def signed_set_verdict(
         return V_NO_KEY
     stale = sticky and crypto.check_stamp(now) >= sig.params.expiration
     at = sig.params.inception if stale else now
-    result = verify_rrset(rrset, sig, key, at, check, rrset.canonical)
-    if not result.ok:
-        return result.reason
+    why = verify_rrset(rrset, key, at, check)
+    if why != crypto.ACCEPT:
+        return why
     return V_STALE if stale else V_OK
 
 
@@ -385,21 +398,6 @@ def _fresh(cached: Tuple[SignedRRset, str], now: str) -> bool:
     inception, and with at least half its validity left."""
     signed, fresh_until = cached
     return signed.signature.params.inception <= now <= fresh_until
-
-
-@dataclass(frozen=True, slots=True)
-class Slot:
-    serial: int
-    sticky: bool
-    rrset: SignedRRset
-
-    def merge_key(self):
-        sig = self.rrset.signature
-        return (
-            self.serial,
-            tuple(r.canonical_rdata_text() for r in self.rrset.records),
-            sig.signature_bytes if sig else b"",
-        )
 
 
 @dataclass(slots=True)
@@ -829,14 +827,18 @@ class HandleServer:
 
     def _gate(self, target: Handle, rrset: SignedRRset, transfer: bool) -> Optional[Verdict]:
         """Why rrset, a transfer's DNAME when transfer, may not go into
-        target's slots, read from what the set is: a KEY set is a claim, and
-        records.is_irrevocable tells a cancel and a compromise, which are
-        always applicable, from revocable content."""
+        target's slots, read from what the set is: a KEY set is a claim,
+        and records.is_sticky tells a transfer, a cancel and a compromise,
+        which are always applicable, from revocable content."""
         if rrset.rtype == "KEY":
             if not target.is_apex():
                 return Verdict.rejected(R_MALFORMED, "claim target must be an apex handle")
             return None
-        if transfer:
+        if not is_sticky(rrset, transfer):
+            if rrset.rtype == "TXT" and target.is_apex():
+                return Verdict.rejected(R_UNKNOWN_PARENT, "an apex handle has no parent")
+            return self._sticky_block(target)
+        if rrset.rtype == "DNAME":
             entry = self._entries.get(target.name_key())
             if entry is not None:
                 if entry.cancelled:
@@ -847,12 +849,7 @@ class HandleServer:
                     return Verdict.rejected(
                         R_HANDLE_TRANSFERRED, "already transferred to a different target"
                     )
-            return None
-        if is_irrevocable(rrset):
-            return None
-        if rrset.rtype == "TXT" and target.is_apex():
-            return Verdict.rejected(R_UNKNOWN_PARENT, "an apex handle has no parent")
-        return self._sticky_block(target)
+        return None
 
     # -- commit --
 
@@ -860,17 +857,16 @@ class HandleServer:
         self, target: Handle, rrsets: List[SignedRRset], serial: int, transfer: bool
     ) -> Verdict:
         """The one way into the store, for updates, replay and zone loads:
-        the gate, then a merge of rrsets into target's slots. A transfer's
-        DNAME and the sets records.is_irrevocable calls a cancel or a
-        compromise are sticky, and admitting one first purges the revocable
-        subtree."""
+        the gate, then a merge of rrsets into target's slots. Each slot
+        keeps whether records.is_sticky calls its set sticky, and admitting
+        a sticky set first purges the revocable subtree."""
         refused = self._gate(target, rrsets[0], transfer)
         if refused is not None:
             return refused
         apex, entry = self._ensure_entry(target)
         names = (entry.handle.fqdn_no_dot(), entry.handle.name_key(), apex.handle.fqdn_no_dot())
         slots = [
-            Slot(serial, transfer or is_irrevocable(rrset), rrset.sharing(*names))
+            Slot(rrset.sharing(*names), is_sticky(rrset, transfer), serial)
             for rrset in rrsets
         ]
         if any(slot.sticky for slot in slots):
@@ -1029,14 +1025,10 @@ class HandleServer:
 
     # -- queries --
 
-    def _node_sets(self, key: str) -> NodeSets:
-        """walk's view of one entry: its slot sets, and a sticky DNAME as a transfer."""
+    def _node_sets(self, key: str) -> Mapping[str, Slot]:
+        """walk's view of one entry: its slots as they are."""
         entry = self._entries.get(key)
-        if entry is None:
-            return NO_SETS
-        return {rtype: slot.rrset for rtype, slot in entry.slots.items()}, (
-            entry.sticky("DNAME") is not None
-        )
+        return {} if entry is None else entry.slots
 
     def _server_sign(self, records: Sequence[ResourceRecord], now: str) -> SignedRRset:
         signature = _sign(records, self.server_secret, self.root_zone, now, SERVER_SIG_VALIDITY)
@@ -1231,8 +1223,8 @@ class HandleServer:
 
         An apex KEY set counts when apex_key binds it, and every other set
         when signed_set_verdict accepts it under the key of its owner's
-        apex, an expired signature only on content records.is_irrevocable
-        calls a cancel or a compromise, which takes a sticky slot. A set
+        apex, an expired signature only on a set records.is_sticky calls
+        sticky, a cancel or a compromise, which takes a sticky slot. A set
         that counts is admitted as an update's sets are, at serial 0, so
         the update gate may still refuse it: a revocable set at or under a
         cancelled name is refused handle-cancelled, and a cancel purges the
@@ -1258,7 +1250,8 @@ class HandleServer:
                 if rrset.rtype == "KEY":
                     why = keys[handle.name_key()][1]
                 else:
-                    why = signed_set_verdict(rrset, keys.key, root, stamp, is_irrevocable(rrset))
+                    sticky = is_sticky(rrset, transfer=False)
+                    why = signed_set_verdict(rrset, keys.key, root, stamp, sticky)
                 if why in (V_OK, V_STALE):
                     why = self._admit(handle, [rrset], 0, transfer=False).reason
                 if why is None:

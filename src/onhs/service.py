@@ -40,6 +40,7 @@ from .errors import (
 from .handles import Handle, parse_handle
 from .server import DEFAULT_AUDIT_CAP, AuditSubscriber, HandleServer
 
+DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 4431
 
 
@@ -49,7 +50,7 @@ DEFAULT_PORT = 4431
 @dataclass
 class ServerConfig:
     root_zone: str
-    listen_host: str = "127.0.0.1"
+    listen_host: str = DEFAULT_HOST
     listen_port: int = DEFAULT_PORT
     data_dir: str = "./onhs-data"
     audit_cap: int = DEFAULT_AUDIT_CAP
@@ -70,7 +71,7 @@ class ServerConfig:
         cfg = ServerConfig(root_zone=values["root_zone"])
         if "listen" in values:
             host, _, port = values["listen"].rpartition(":")
-            cfg.listen_host = host or "127.0.0.1"
+            cfg.listen_host = host or DEFAULT_HOST
             cfg.listen_port = int(port)
         if "data_dir" in values:
             cfg.data_dir = values["data_dir"]
@@ -136,8 +137,9 @@ class UpdateLog:
         if it does, it is applied. With repair, the file is then mended so
         the next append starts a line of its own: a torn line is cut off,
         a missing newline restored. Without it, the file is only read. Any
-        other line that does not decode raises LogFormatError naming its
-        line number.
+        other line that does not decode, a blank one as well, since the
+        writer never writes one, raises LogFormatError naming its line
+        number.
         """
         self.dropped_tail = 0
         if not self.path.exists():
@@ -149,8 +151,6 @@ class UpdateLog:
         with open(self.path, "rb") as fh:
             for number, raw in enumerate(fh, start=1):
                 start, end = end, end + len(raw)
-                if not raw.strip():
-                    continue
                 try:
                     msg, _, stamp = decode_log_line(raw)
                 except (ValueError, KeyError, TypeError, OnhsError) as exc:
@@ -194,7 +194,7 @@ class HandleService:
         if key_path.exists():
             secret = crypto.load_secret_key(key_path)
         else:
-            _, secret = crypto.generate_keypair(crypto.RSA_SHA1)
+            _, secret = crypto.generate_keypair(crypto.DEFAULT_ALGORITHM)
             crypto.save_secret_key(key_path, secret)
         self.server = HandleServer(config.root_zone, secret, audit_cap=config.audit_cap)
         self.log = UpdateLog(data_dir / "updates.log")

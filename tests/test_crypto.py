@@ -34,6 +34,7 @@ from onhs.errors import (
     KeyFormatError,
     OnhsError,
     ParamsMismatchError,
+    RecordError,
     SuffixLengthError,
     UnsupportedAlgorithmError,
     WrongLabelKindError,
@@ -483,22 +484,26 @@ class TestTimestamps:
         assert before <= stamp <= after
 
 
+def verify(records, sig, key, now):
+    """verify_rrset over the set of records that sig signs."""
+    return verify_rrset(SignedRRset(tuple(records), sig), key, now)
+
+
 class TestSignatures:
     def test_sign_verify_closure(self, keypool):
         public, secret = keypool.key(0)
         record = make_record()
         params = make_params(secret, record.owner)
         sig = sign_rrset([record], secret, params)
-        assert verify_rrset([record], sig, public, NOW).ok
+        assert verify([record], sig, public, NOW) == crypto.ACCEPT
 
     def test_verify_fails_with_other_key(self, keypool):
         public_b, _ = keypool.key(1)
         _, secret = keypool.key(0)
         record = make_record()
         sig = sign_rrset([record], secret, make_params(secret, record.owner))
-        result = verify_rrset([record], sig, public_b, NOW)
-        assert not result.ok
-        assert result.reason == crypto.REJECT_BAD_SIGNATURE
+        result = verify([record], sig, public_b, NOW)
+        assert result == crypto.REJECT_BAD_SIGNATURE
 
     def test_expiration_boundary_is_exclusive(self, keypool):
         public, secret = keypool.key(0)
@@ -508,9 +513,9 @@ class TestSignatures:
             inception="20050401223412", expiration="20050415223412",
         )
         sig = sign_rrset([record], secret, params)
-        assert verify_rrset([record], sig, public, "20050415223411").ok
-        at_edge = verify_rrset([record], sig, public, "20050415223412")
-        assert not at_edge.ok and at_edge.reason == crypto.REJECT_EXPIRED
+        assert verify([record], sig, public, "20050415223411") == crypto.ACCEPT
+        at_edge = verify([record], sig, public, "20050415223412")
+        assert at_edge == crypto.REJECT_EXPIRED
 
     def test_inception_boundary_is_inclusive(self, keypool):
         public, secret = keypool.key(0)
@@ -520,9 +525,9 @@ class TestSignatures:
             inception="20050401223412", expiration="20050415223412",
         )
         sig = sign_rrset([record], secret, params)
-        assert verify_rrset([record], sig, public, "20050401223412").ok
-        early = verify_rrset([record], sig, public, "20050401223411")
-        assert not early.ok and early.reason == crypto.REJECT_NOT_YET_VALID
+        assert verify([record], sig, public, "20050401223412") == crypto.ACCEPT
+        early = verify([record], sig, public, "20050401223411")
+        assert early == crypto.REJECT_NOT_YET_VALID
 
     def test_inception_after_expiration_rejected(self, keypool):
         _, secret = keypool.key(0)
@@ -538,8 +543,8 @@ class TestSignatures:
         record = make_record(ttl=3600)
         sig = sign_rrset([record], secret, make_params(secret, record.owner))
         slower = make_record(ttl=60)
-        result = verify_rrset([slower], sig, public, NOW)
-        assert not result.ok
+        result = verify([slower], sig, public, NOW)
+        assert result != crypto.ACCEPT
 
     def test_record_order_does_not_matter(self, keypool):
         public, secret = keypool.key(0)
@@ -550,7 +555,7 @@ class TestSignatures:
             [rec_b, rec_a], params
         )
         sig = sign_rrset([rec_a, rec_b], secret, params)
-        assert verify_rrset([rec_b, rec_a], sig, public, NOW).ok
+        assert verify([rec_b, rec_a], sig, public, NOW) == crypto.ACCEPT
 
     def test_label_count_must_match_owner(self, keypool):
         _, secret = keypool.key(0)
@@ -564,30 +569,26 @@ class TestSignatures:
         with pytest.raises(ParamsMismatchError):
             sign_rrset([record], secret, wrong)
 
-    def test_a_record_list_still_gets_the_shape_check(self, keypool):
-        """verify_rrset skips the shape check only for a SignedRRset that
-        carries the signature; a list of records, or a set given another
-        signature, is checked as before."""
+    def test_the_set_constructor_makes_the_shape_check(self, keypool):
+        """verify_rrset takes a SignedRRset alone, whose constructor refuses
+        what the shape check did: records of more than one owner, and a
+        signature whose label count is not the owner's."""
         public, secret = keypool.key(0)
         record = make_record()
         params = make_params(secret, record.owner)
         sig = sign_rrset([record], secret, params)
         elsewhere = make_record(owner="h0k2.h1g5kAABBCCDDEEFF0011.example.org")
-        mixed = verify_rrset([record, elsewhere], sig, public, NOW)
-        assert (mixed.ok, mixed.reason) == (False, crypto.REJECT_PARAMS_MISMATCH)
+        with pytest.raises(RecordError):
+            SignedRRset((record, elsewhere), sig)
         wrong = SignatureParams(
             algorithm=params.algorithm, label_count=params.label_count + 1,
             original_ttl=params.original_ttl, expiration=params.expiration,
             inception=params.inception, signer=params.signer,
         )
         miscounted = RecordSignature(params=wrong, signature_bytes=sig.signature_bytes)
-        result = verify_rrset([record], miscounted, public, NOW)
-        assert (result.ok, result.reason) == (False, crypto.REJECT_PARAMS_MISMATCH)
-        rrset = SignedRRset((record,), sig)
-        assert verify_rrset(rrset, sig, public, NOW).ok
-        result = verify_rrset(rrset, miscounted, public, NOW)
-        assert (result.ok, result.reason) == (False, crypto.REJECT_PARAMS_MISMATCH)
-        assert verify_rrset([record], sig, public, NOW) == verify_rrset(rrset, sig, public, NOW)
+        with pytest.raises(ParamsMismatchError):
+            SignedRRset((record,), miscounted)
+        assert verify_rrset(SignedRRset((record,), sig), public, NOW) == crypto.ACCEPT
 
     def test_params_mutation_detected(self, keypool):
         public, secret = keypool.key(0)
@@ -600,8 +601,8 @@ class TestSignatures:
             inception=params.inception, signer=params.signer,
         )
         forged = RecordSignature(params=bumped, signature_bytes=sig.signature_bytes)
-        result = verify_rrset([record], forged, public, NOW)
-        assert not result.ok
+        result = verify([record], forged, public, NOW)
+        assert result != crypto.ACCEPT
 
     def test_signer_mutation_detected(self, keypool):
         public, secret = keypool.key(0)
@@ -614,7 +615,7 @@ class TestSignatures:
             inception=params.inception, signer="h1g5kAABBCCDDEEFF0012.example.org",
         )
         forged = RecordSignature(params=moved, signature_bytes=sig.signature_bytes)
-        assert not verify_rrset([record], forged, public, NOW).ok
+        assert verify([record], forged, public, NOW) != crypto.ACCEPT
 
     def test_every_single_octet_flip_in_signature_fails(self, keypool):
         public, secret = keypool.key(0)
@@ -627,14 +628,14 @@ class TestSignatures:
             flipped = bytearray(raw)
             flipped[pos] ^= 1 + rng.randrange(255)
             forged = RecordSignature(params=sig.params, signature_bytes=bytes(flipped))
-            assert not verify_rrset([record], forged, public, NOW).ok
+            assert verify([record], forged, public, NOW) != crypto.ACCEPT
 
     def test_rdata_mutation_fails(self, keypool):
         public, secret = keypool.key(0)
         record = make_record(rdata="10.0.0.1")
         sig = sign_rrset([record], secret, make_params(secret, record.owner))
         swapped = make_record(rdata="10.0.0.2")
-        assert not verify_rrset([swapped], sig, public, NOW).ok
+        assert verify([swapped], sig, public, NOW) != crypto.ACCEPT
 
     def test_signing_is_deterministic(self, keypool):
         _, secret = keypool.key(0)

@@ -331,19 +331,20 @@ class TestVerifiedSignatureCache:
         sig, key = msg.signature, msg.signer_key
         record = ResourceRecord(leaf.fqdn_no_dot(), 3600, "A", "10.0.0.1")
         cache = functools.lru_cache(maxsize=16)(crypto.rsa_check)
-        assert crypto.verify_rrset([record], sig, key, self.SOON, cache).ok
+        signed = SignedRRset((record,), sig)
+        assert crypto.verify_rrset(signed, key, self.SOON, cache) == crypto.ACCEPT
         assert cache.cache_info().currsize == 1
         flipped = bytearray(sig.signature_bytes)
         flipped[10] ^= 1
         for records, signature, signer in (
-            ([replace(record, rdata="10.0.0.2")], sig, key),
-            ([record], replace(sig, signature_bytes=bytes(flipped)), key),
-            ([record], sig, keypool.key(4)[0]),
+            ((replace(record, rdata="10.0.0.2"),), sig, key),
+            ((record,), replace(sig, signature_bytes=bytes(flipped)), key),
+            ((record,), sig, keypool.key(4)[0]),
         ):
-            result = crypto.verify_rrset(records, signature, signer, self.SOON, cache)
-            assert result.reason == crypto.REJECT_BAD_SIGNATURE
+            result = crypto.verify_rrset(SignedRRset(records, signature), signer, self.SOON, cache)
+            assert result == crypto.REJECT_BAD_SIGNATURE
         assert cache.cache_info()[:2] == (0, 4)  # no hit: each altered check ran
-        assert crypto.verify_rrset([record], sig, key, self.SOON, cache).ok
+        assert crypto.verify_rrset(signed, key, self.SOON, cache) == crypto.ACCEPT
         assert cache.cache_info().hits == 1
 
     def test_a_flipped_signature_is_refused_cold_and_warm(self, keypool):
@@ -766,6 +767,46 @@ class TestKeyUpgrade:
         report = key_upgrade(old_sec, apex, new_sec, BrokenChain(), ROOT, now=NOW)
         assert not report.ok
         assert any("no NXT record" in w for w in report.warnings)
+        actions = [m.action for m, _ in logged_service.entry_log(apex)]
+        assert "TRANSFER" not in actions
+
+    @pytest.mark.parametrize("lie", ["an A set", "another name's NXT set", "a foreign next owner"])
+    def test_a_lying_nxt_answer_aborts_before_transfer(self, keypool, logged_service, lie):
+        server = logged_service.server
+        old_sec, new_sec, apex = self.flat_zone(keypool, server, 4)
+        leaf = apex.child(IA(1))
+
+        class LyingChain:
+            """Forwards everything but answers the apex's NXT query with a
+            set that is not its NXT set, or one whose next owner is not a
+            handle under the root."""
+
+            def resolve(self, handle, depth_budget=None, now=None):
+                return server.resolve(handle, depth_budget, now)
+
+            def query_record(self, handle, rtype, now=None):
+                if rtype != "NXT" or handle != apex:
+                    return server.query_record(handle, rtype, now)
+                if lie == "an A set":
+                    return replace(server.query_record(leaf, "A", now), status_records=())
+                if lie == "another name's NXT set":
+                    return server.query_record(leaf, "NXT", now)
+                answer = server.query_record(apex, "NXT", now)
+                rec = answer.rrset.records[0]
+                foreign = replace(rec, rdata=replace(rec.rdata, next_owner="h0k1.example.net"))
+                return replace(answer, rrset=SignedRRset((foreign,)))
+
+            def apply_update(self, msg, now=None):
+                return server.apply_update(msg, now)
+
+        report = key_upgrade(old_sec, apex, new_sec, LyingChain(), ROOT, now=NOW)
+        assert not report.ok
+        why = {
+            "an A set": f"not-the-set-asked-for at {apex.fqdn_no_dot()}",
+            "another name's NXT set": f"not-the-set-asked-for at {apex.fqdn_no_dot()}",
+            "a foreign next owner": f"NXT record at {apex.fqdn_no_dot()} names no handle",
+        }[lie]
+        assert len(report.warnings) == 1 and why in report.warnings[0], report.warnings
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
 

@@ -106,6 +106,17 @@ def test_a_replayed_log_with_a_non_canonical_line_names_it(tmp_path):
         log.replay_into(new_server())
 
 
+def test_a_replayed_log_with_a_blank_line_names_it(tmp_path):
+    lines = FIXTURE.read_bytes().splitlines(keepends=True)
+    log = UpdateLog(tmp_path / "updates.log")
+    log.path.write_bytes(b"".join(lines[:1] + [b" \t\n", b"\n"] + lines[1:]))
+    with pytest.raises(LogFormatError, match="line 2: update is not JSON"):
+        log.replay_into(new_server())
+    log.path.write_bytes(b"".join(lines[:1] + [b"\n"] + lines[1:]))
+    with pytest.raises(LogFormatError, match="line 2: update is not JSON"):
+        log.replay_into(new_server())
+
+
 @pytest.mark.parametrize(
     "change",
     [
