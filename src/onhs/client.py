@@ -115,8 +115,7 @@ def verify_resolution(
     first: Dict[str, Dict[str, srv.Slot]] = {}  # owner -> type -> its first good set
     for rrset in resolution.evidence:
         owner, rtype = rrset.owner_key, rrset.rtype
-        # a set's hash is worked out afresh, so only where there are notices
-        sticky = is_sticky(rrset, bool(notice_ids) and rrset in notice_ids)
+        sticky = is_sticky(rrset, rrset in notice_ids)
         if rtype == "KEY":
             why = keys[owner][1] if rrset == key_sets[owner] else "conflicting-key"
         else:

@@ -5,6 +5,11 @@ one is needed, its from_dict or *_from_dict, which takes every field
 through body_field, optional_field or base64_field. canonical_json is the
 one serialisation, of wire frames and update log lines. Nothing here
 imports wire, server, service or the client.
+
+An answer's writer and reader may each take a connection's slot table
+(WriterSlots, ReaderSlots; see "record sets in answers" below): over one
+connection each KEY and NXT set then travels in full once and is named by
+its slot after that. Without a table, answers carry every set in full.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import copy
 import functools
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import crypto
 from .crypto import PublicKey, RecordSignature, SignatureParams
@@ -302,13 +307,37 @@ def signature_from_dict(data: object, where: str) -> RecordSignature:
 #
 # A set travels as {"octets": base64 of its canonical octets, "signature":
 # base64 of its signature octets, or null for an unsigned set}. The octets
-# carry the records and the signature params; see records.parse_rrset. The
-# two strings are the set's wire field, made once per set on either side.
+# carry the records and the signature params; see records.parse_rrset.
+#
+# Over one connection both ends keep a table of the KEY and NXT sets its
+# answers have carried: the writer maps each set to its slot, the reader
+# each slot to its set. The first time a connection carries such a set,
+# its item also holds "slot": n, the writer's next free slot; each later
+# time, the item is the bare integer n. A content set (A, TXT, DNAME, ...)
+# takes no slot, nor does any set once SET_SLOTS slots are filled, and
+# nothing leaves a table, so no message manages it. Only KEY and NXT sets
+# repeat across the answers of one client; a table that took every set
+# would keep each superseded content set alive while its connection lasts.
+#
+# The reader takes a carried set into the slot the item names, any that
+# is free, so an answer it never reads (a reply its endpoint skipped)
+# shifts no later slot: a later item naming that answer's slot is refused
+# as naming an empty one. A KEY or NXT set carried in full without a slot
+# while slots are free is refused too, as is a slot on any other set. An
+# answer written without a table carries every set in full, and a reader
+# without a table refuses a slot or an integer as any field the shape lacks.
+
+SET_SLOTS = 1024
+SLOTTED_TYPES = frozenset(("KEY", "NXT"))
+
+WriterSlots = Dict[SignedRRset, int]
+ReaderSlots = Dict[int, SignedRRset]
+
 
 @functools.lru_cache(maxsize=CACHE_CAP)
 def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
-    """The set an answer carries as these two strings, which it keeps as
-    its wire strings: each is the one base64 form of its octets.
+    """The set an answer carries as these two strings, each of which must
+    be the one base64 form of its octets.
 
     Kept for the process, because answers repeat the sets of earlier ones
     (zone keys, denial records), and a hit skips base64, parsing and the
@@ -316,12 +345,10 @@ def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
     raises, and lru_cache keeps no exception. Only answers are decoded
     here, so the server never fills it.
     """
-    rrset = parse_rrset(
+    return parse_rrset(
         _exact_base64(octets, "field 'octets'"),
         None if signature is None else _exact_base64(signature, "field 'signature'"),
     )
-    object.__setattr__(rrset, "wire", (octets, signature))
-    return rrset
 
 
 def _exact_base64(text: str, what: str) -> bytes:
@@ -334,48 +361,100 @@ def _exact_base64(text: str, what: str) -> bytes:
     return data
 
 
-def _set_to_json(rrset: SignedRRset) -> dict:
-    octets, signature = rrset.wire_strings()
-    return {"octets": octets, "signature": signature}
+def _set_to_json(rrset: SignedRRset, slots: Optional[WriterSlots]):
+    """rrset's item: its slot when slots holds it, else the set in full,
+    with the slot it takes when it is a KEY or NXT set and one is free."""
+    slot = None
+    if slots is not None and rrset.rtype in SLOTTED_TYPES:
+        slot = slots.get(rrset)
+        if slot is not None:
+            return slot
+        if len(slots) < SET_SLOTS:
+            slot = slots[rrset] = len(slots)
+    sig = rrset.signature
+    item = {
+        "octets": base64.b64encode(rrset.canonical_bytes()).decode(),
+        "signature": None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
+    }
+    if slot is not None:
+        item["slot"] = slot
+    return item
 
 
 _SET_FIELDS = frozenset(("octets", "signature"))
+_SLOTTED_SET_FIELDS = _SET_FIELDS | {"slot"}
 
 
-def _wire_set(data: object) -> Optional[SignedRRset]:
-    """The set data carries, when data is the two strings of one; else
-    None, and _set_at_fault says what is wrong."""
+def _wire_set(data: object, slots: Optional[ReaderSlots]) -> Optional[SignedRRset]:
+    """The set data carries in full or names by its slot, for the two
+    items most answers are made of; else None, and _read_set reads data."""
     if type(data) is dict and len(data) == 2:
         octets, signature = data.get("octets"), data.get("signature", 0)
         if type(octets) is str and (signature is None or type(signature) is str):
             try:
-                return received_sets(octets, signature)
+                rrset = received_sets(octets, signature)
             except (OnhsError, ValueError):
-                pass
+                return None
+            if slots is None or not _takes_slot(rrset, slots):
+                return rrset
+    elif slots is not None and type(data) is int:
+        return slots.get(data)
     return None
 
 
-def _set_at_fault(data: object, where: str) -> SignedRRset:
-    """Read data as _wire_set does, one field at a time, for the error that
-    names the field at fault under where; or the set, when data only lacks
-    its null signature."""
+def _takes_slot(rrset: SignedRRset, slots: ReaderSlots) -> bool:
+    """Whether the writer gives rrset a slot the first time it carries it."""
+    return rrset.rtype in SLOTTED_TYPES and len(slots) < SET_SLOTS
+
+
+def _read_set(data: object, where: str, slots: Optional[ReaderSlots]) -> SignedRRset:
+    """Read data one field at a time: the set it carries, which enters
+    slots when it comes with its slot; or the error that names the field
+    at fault under where. A set that only lacks its null signature reads."""
+    if slots is not None and type(data) is not dict:
+        if type(data) is not int:
+            raise ValueError(f"{where} must be an object or a slot, not {_json_type(data)}")
+        if 0 <= data < SET_SLOTS:
+            raise ValueError(f"{where} names slot {data}, which holds no set")
+        raise ValueError(f"{where} names slot {data}, outside 0 to {SET_SLOTS - 1}")
     octets = body_field(data, "octets", str, where)
     signature = optional_field(data, "signature", str, where)
-    _only_fields(data, _SET_FIELDS, where)
+    slot = None
+    if slots is not None and "slot" in data:
+        slot = body_field(data, "slot", int, where)
+        if not 0 <= slot < SET_SLOTS:
+            raise ValueError(f"{where} field 'slot' {slot} is outside 0 to {SET_SLOTS - 1}")
+        if slot in slots:
+            raise ValueError(f"{where} field 'slot' {slot} is already filled")
+        _only_fields(data, _SLOTTED_SET_FIELDS, where)
+    else:
+        _only_fields(data, _SET_FIELDS, where)
     try:
-        return received_sets(octets, signature)
+        rrset = received_sets(octets, signature)
     except RRsetFormatError as exc:
         raise RRsetFormatError(f"{where}: {exc}") from None
     except ValueError as exc:  # a field that is not base64
         raise ValueError(f"{where} {exc}") from None
+    if slot is not None:
+        if rrset.rtype not in SLOTTED_TYPES:
+            raise ValueError(f"{where} field 'slot': {rrset.rtype} sets take no slot")
+        slots[slot] = rrset
+    elif slots is not None and _takes_slot(rrset, slots):
+        raise ValueError(f"{where} lacks field 'slot': a {rrset.rtype} set takes a free slot")
+    return rrset
 
 
-def _sets_from_json(data: object, name: str, where: str) -> Tuple[SignedRRset, ...]:
-    """The sets of the list data[name]; an item's path is made only for an
-    error."""
+def _sets_from_json(
+    data: object, name: str, where: str, slots: Optional[ReaderSlots]
+) -> Tuple[SignedRRset, ...]:
+    """The sets of the list data[name], read in order; an item's path is
+    made only for an error."""
     sets = []
     for i, item in enumerate(body_field(data, name, list, where)):
-        sets.append(_wire_set(item) or _set_at_fault(item, f"{where} field {name!r} item {i}"))
+        sets.append(
+            _wire_set(item, slots)
+            or _read_set(item, f"{where} field {name!r} item {i}", slots)
+        )
     return tuple(sets)
 
 
@@ -391,21 +470,25 @@ class Resolution:
     transfer_notices: Tuple[SignedRRset, ...]
     warnings: Tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
+    def to_dict(self, slots: Optional[WriterSlots] = None) -> dict:
+        """The resolution's JSON form; with slots, a connection's writer
+        table, each KEY and NXT set it holds travels by its slot."""
         return {
             "queried": self.queried,
             "outcome": self.outcome,
             "address": self.address,
-            "evidence": [_set_to_json(s) for s in self.evidence],
-            "transfer_notices": [_set_to_json(s) for s in self.transfer_notices],
+            "evidence": [_set_to_json(s, slots) for s in self.evidence],
+            "transfer_notices": [_set_to_json(s, slots) for s in self.transfer_notices],
             "warnings": list(self.warnings),
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "Resolution":
+    def from_dict(data: dict, slots: Optional[ReaderSlots] = None) -> "Resolution":
         """The resolution to_dict gave data for, but with every owner name
-        in lower case; an address data lacks reads as null. A ValueError or
-        RRsetFormatError names the field at fault."""
+        in lower case; an address data lacks reads as null. With slots, the
+        connection's reader table, sets travel as to_dict writes them with
+        the writer's. A ValueError or RRsetFormatError names the field at
+        fault."""
         where = "resolution"
         warnings = body_field(data, "warnings", list, where)
         for i, warning in enumerate(warnings):
@@ -415,8 +498,8 @@ class Resolution:
             queried=body_field(data, "queried", str, where),
             outcome=body_field(data, "outcome", str, where),
             address=optional_field(data, "address", str, where),
-            evidence=_sets_from_json(data, "evidence", where),
-            transfer_notices=_sets_from_json(data, "transfer_notices", where),
+            evidence=_sets_from_json(data, "evidence", where, slots),
+            transfer_notices=_sets_from_json(data, "transfer_notices", where, slots),
             warnings=tuple(warnings),
         )
         _only_fields(data, _RESOLUTION_FIELDS, where)
@@ -437,27 +520,31 @@ class RecordAnswer:
     status_records: Tuple[SignedRRset, ...]
     proof: Tuple[SignedRRset, ...]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, slots: Optional[WriterSlots] = None) -> dict:
+        """As Resolution.to_dict, for a query_record answer."""
         return {
             "found": self.found,
-            "rrset": None if self.rrset is None else _set_to_json(self.rrset),
-            "status_records": [_set_to_json(s) for s in self.status_records],
-            "proof": [_set_to_json(s) for s in self.proof],
+            "rrset": None if self.rrset is None else _set_to_json(self.rrset, slots),
+            "status_records": [_set_to_json(s, slots) for s in self.status_records],
+            "proof": [_set_to_json(s, slots) for s in self.proof],
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "RecordAnswer":
+    def from_dict(data: dict, slots: Optional[ReaderSlots] = None) -> "RecordAnswer":
         """As Resolution.from_dict, for a query_record answer; an rrset
         data lacks reads as null."""
         where = "answer"
-        rrset = optional_field(data, "rrset", dict, where)
+        found = body_field(data, "found", bool, where)
+        rrset = data.get("rrset")
+        if rrset is not None:
+            rrset = _wire_set(rrset, slots) or _read_set(
+                rrset, f"{where} field 'rrset'", slots
+            )
         answer = RecordAnswer(
-            found=body_field(data, "found", bool, where),
-            rrset=None if rrset is None else (
-                _wire_set(rrset) or _set_at_fault(rrset, f"{where} field 'rrset'")
-            ),
-            status_records=_sets_from_json(data, "status_records", where),
-            proof=_sets_from_json(data, "proof", where),
+            found=found,
+            rrset=rrset,
+            status_records=_sets_from_json(data, "status_records", where, slots),
+            proof=_sets_from_json(data, "proof", where, slots),
         )
         _only_fields(data, _ANSWER_FIELDS, where)
         return answer

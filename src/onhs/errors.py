@@ -137,3 +137,7 @@ class MalformedFrameError(WireError):
 
 class LogFormatError(OnhsError):
     """A complete line of the update log does not decode."""
+
+
+class DataDirInUseError(OnhsError):
+    """Another server holds the lock of the data directory."""

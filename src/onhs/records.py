@@ -257,11 +257,10 @@ class SignedRRset:
     - canonical, when held, is the set's canonical octets, which verifiers
       check the signature over. Only parse_rrset, with the octets a set
       arrived as, and encoded() set it.
-    - wire, when held, is the set's canonical octets and signature octets
-      in base64 (None for an unsigned set), the two strings an answer
-      carries it as. codec.received_sets keeps the strings a set arrived
-      as, and wire_strings() keeps them on the first serve of a set that
-      holds canonical.
+    - hashed, when held, is the set's hash, the hash of its records and
+      signature; __hash__ sets it on first use. A set is hashed wherever
+      it keys a table, such as the slots of the sets a connection has
+      carried (codec.SET_SLOTS), and its records need not be hashed again.
     """
 
     records: Tuple[ResourceRecord, ...]
@@ -273,9 +272,7 @@ class SignedRRset:
         default=None, init=False, compare=False, repr=False
     )
     canonical: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
-    wire: Optional[Tuple[str, Optional[str]]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    hashed: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -321,21 +318,12 @@ class SignedRRset:
             object.__setattr__(sig.params, "signer", signer)
         return self
 
-    def wire_strings(self) -> Tuple[str, Optional[str]]:
-        """wire, made when the set does not hold it. A set that holds
-        canonical, one its holder serves often, keeps what is made; any
-        other set makes it afresh on each call, so a store's memory does
-        not grow with the sets it has served once."""
-        wire = self.wire
-        if wire is None:
-            sig = self.signature
-            wire = (
-                base64.b64encode(self.canonical_bytes()).decode(),
-                None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
-            )
-            if self.canonical is not None:
-                object.__setattr__(self, "wire", wire)
-        return wire
+    def __hash__(self) -> int:
+        hashed = self.hashed
+        if hashed is None:
+            hashed = hash((self.records, self.signature))
+            object.__setattr__(self, "hashed", hashed)
+        return hashed
 
     def canonical_bytes(self) -> bytes:
         """The set's canonical octets: its wire form, and what its

@@ -5,12 +5,18 @@ and fsynced before the verdict leaves the process, so a killed server
 replays to exactly the state its clients observed. Replay feeds each
 logged update back through the normal path using the logged arrival
 timestamp as the clock, which keeps signature-window decisions stable
-across restarts.
+across restarts. A server that logs updates holds its data directory's
+lock (serve.lock) while it runs, so no two append to one log.
+
+Each TCP connection keeps, at both ends, the slot table of the KEY and
+NXT sets its answers have carried (codec.SET_SLOTS); it lives and ends
+with the connection.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import itertools
 import os
 import socket
@@ -21,15 +27,18 @@ from typing import Dict, List, Optional, Tuple
 
 from . import crypto, wire
 from .codec import (
+    ReaderSlots,
     RecordAnswer,
     Resolution,
     UpdateMessage,
     Verdict,
+    WriterSlots,
     body_field,
     decode_log_line,
     optional_field,
 )
 from .errors import (
+    DataDirInUseError,
     DelegationLoopError,
     DepthExceededError,
     FrameTooLargeError,
@@ -175,37 +184,69 @@ class UpdateLog:
         return count
 
 
+LOCK_FILE = "serve.lock"
+
+
+def _lock_data_dir(data_dir: Path):
+    """The open lock file of data_dir, holding an exclusive flock on it
+    until it is closed; DataDirInUseError when another holds the lock."""
+    fh = open(data_dir / LOCK_FILE, "ab")
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        fh.close()
+        raise DataDirInUseError(
+            f"data directory {data_dir} is in use by another server"
+        ) from None
+    return fh
+
+
 # ---- request dispatch (shared by sockets and in-process use) ----------------
 
 
 class HandleService:
     """Owns a HandleServer plus its durability; answers wire messages.
 
-    A read_only service replays the log without mending it and never
-    opens it for append, so a command that only reads the store can run
-    beside a live server on the same data directory; it logs no update.
+    A service that logs updates owns its data directory: it holds an
+    exclusive lock on the directory's serve.lock from before replay until
+    close(), so two servers never append to one log. A read_only service
+    replays the log without mending it, never opens it for append and
+    takes no lock, so a command that only reads the store can run beside
+    a live server on the same data directory; it logs no update.
     """
 
     def __init__(self, config: ServerConfig, *, read_only: bool = False):
         self.config = config
         data_dir = Path(config.data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
-        key_path = data_dir / "server.key"
-        if key_path.exists():
-            secret = crypto.load_secret_key(key_path)
-        else:
-            _, secret = crypto.generate_keypair(crypto.DEFAULT_ALGORITHM)
-            crypto.save_secret_key(key_path, secret)
-        self.server = HandleServer(config.root_zone, secret, audit_cap=config.audit_cap)
+        self._lock_file = None if read_only else _lock_data_dir(data_dir)
         self.log = UpdateLog(data_dir / "updates.log")
-        self.replayed = self.log.replay_into(self.server, repair=not read_only)
-        if not read_only:
-            self.log.open_for_append()
-            self.server.set_log_writer(self.log.append)
+        try:
+            key_path = data_dir / "server.key"
+            if key_path.exists():
+                secret = crypto.load_secret_key(key_path)
+            else:
+                _, secret = crypto.generate_keypair(crypto.DEFAULT_ALGORITHM)
+                crypto.save_secret_key(key_path, secret)
+            self.server = HandleServer(config.root_zone, secret, audit_cap=config.audit_cap)
+            self.replayed = self.log.replay_into(self.server, repair=not read_only)
+            if not read_only:
+                self.log.open_for_append()
+                self.server.set_log_writer(self.log.append)
+        except BaseException:
+            self.log.close()
+            self._unlock()
+            raise
 
     def close(self) -> None:
         self.server.set_log_writer(None)
         self.log.close()
+        self._unlock()
+
+    def _unlock(self) -> None:
+        if self._lock_file is not None:
+            self._lock_file.close()  # which releases the flock
+            self._lock_file = None
 
     def entry_log(self, handle: Handle) -> List[Tuple[UpdateMessage, Verdict]]:
         """The updates to handle with their verdicts, oldest first, read back
@@ -216,10 +257,16 @@ class HandleService:
     # -- dispatch --
 
     def handle_request(
-        self, msg: wire.WireMessage, endpoint_id: Optional[str] = None
+        self,
+        msg: wire.WireMessage,
+        endpoint_id: Optional[str] = None,
+        slots: Optional[WriterSlots] = None,
     ) -> wire.WireMessage:
+        """The reply to msg. slots is the writer table of the connection
+        msg came on, if any: the answer names each KEY and NXT set that
+        connection has carried by its slot (codec.SET_SLOTS)."""
         try:
-            return self._dispatch(msg, endpoint_id)
+            return self._dispatch(msg, endpoint_id, slots)
         except (DelegationLoopError, DepthExceededError) as exc:
             code = (
                 "delegation-loop"
@@ -231,7 +278,7 @@ class HandleService:
             return _error(msg.correlation_id, "bad-request", str(exc))
 
     def _dispatch(
-        self, msg: wire.WireMessage, endpoint_id: Optional[str]
+        self, msg: wire.WireMessage, endpoint_id: Optional[str], slots: Optional[WriterSlots]
     ) -> wire.WireMessage:
         body = msg.body
         root = self.config.root_zone
@@ -239,13 +286,13 @@ class HandleService:
             handle = parse_handle(body_field(body, "handle", str, "resolve request"), root)
             budget = optional_field(body, "depth_budget", int, "resolve request")
             resolution = self.server.resolve(handle, budget)
-            return _response(msg.correlation_id, {"resolution": resolution.to_dict()})
+            return _response(msg.correlation_id, {"resolution": resolution.to_dict(slots)})
         if msg.kind == wire.KIND_QUERY_RECORD:
             handle = parse_handle(body_field(body, "handle", str, "record query"), root)
             answer = self.server.query_record(
                 handle, body_field(body, "rtype", str, "record query")
             )
-            return _response(msg.correlation_id, {"answer": answer.to_dict()})
+            return _response(msg.correlation_id, {"answer": answer.to_dict(slots)})
         if msg.kind == wire.KIND_UPDATE:
             update = UpdateMessage.from_dict(body_field(body, "update", dict, "update request"))
             verdict = self.server.apply_update(update)
@@ -350,8 +397,10 @@ class TcpHandleServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         """Answer conn's requests in order. Its first accepted subscription
         starts a writer that sends its audit events; when conn ends, so do
-        its subscriptions and the writer."""
+        its subscriptions and the writer. Its answers share one writer
+        table of the sets they carry, which ends with conn."""
         endpoint_id = _new_endpoint_id()
+        slots: WriterSlots = {}
         write_lock = threading.Lock()
         writer: Optional[threading.Thread] = None
 
@@ -379,7 +428,7 @@ class TcpHandleServer:
                         return
                     if msg is None:
                         return
-                    send(self.service.handle_request(msg, endpoint_id=endpoint_id))
+                    send(self.service.handle_request(msg, endpoint_id=endpoint_id, slots=slots))
                     if writer is None and msg.kind == wire.KIND_AUDIT_SUBSCRIBE:
                         sub = self.service.server.audit_subscriber(endpoint_id)
                         if sub is not None:
@@ -406,6 +455,12 @@ class RemoteEndpoint:
     Audit events that arrive interleaved with responses are buffered on
     .events; request() skips past them while waiting for its answer.
     Correlation ids are this endpoint's request numbers: "1", "2", ...
+
+    Each connection keeps the reader table of the sets its answers carry
+    (codec.SET_SLOTS), in step with the server's writer table: connect()
+    starts a fresh one, and answers are read in the order they arrive. A
+    request that fails on the way, by a timeout or a reply that does not
+    read, closes the connection, so the two tables start over together.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
@@ -414,7 +469,9 @@ class RemoteEndpoint:
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
         self._stream = None
-        self._lock = threading.Lock()
+        self._slots: ReaderSlots = {}
+        # an RLock: _call holds it from the request until its answer is read
+        self._lock = threading.RLock()
         self.events: List[dict] = []
         self._ids = itertools.count(1)
 
@@ -422,6 +479,7 @@ class RemoteEndpoint:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         self._sock = sock
         self._stream = sock.makefile("rb")
+        self._slots = {}
 
     def close(self) -> None:
         if self._stream is not None:
@@ -445,17 +503,21 @@ class RemoteEndpoint:
             if self._sock is None:
                 self.connect()
             assert self._sock is not None and self._stream is not None
-            self._sock.sendall(wire.encode_message(msg))
-            while True:
-                reply = wire.read_message(self._stream)
-                if reply is None:
-                    raise MalformedFrameError("connection closed awaiting a response")
-                if reply.kind == wire.KIND_AUDIT_EVENT:
-                    self.events.append(reply.body)
-                    continue
-                if reply.correlation_id != msg.correlation_id:
-                    continue
-                return reply
+            try:
+                self._sock.sendall(wire.encode_message(msg))
+                while True:
+                    reply = wire.read_message(self._stream)
+                    if reply is None:
+                        raise MalformedFrameError("connection closed awaiting a response")
+                    if reply.kind == wire.KIND_AUDIT_EVENT:
+                        self.events.append(reply.body)
+                        continue
+                    if reply.correlation_id != msg.correlation_id:
+                        continue
+                    return reply
+            except BaseException:
+                self.close()
+                raise
 
     def read_event(self, timeout: float = 5.0) -> Optional[dict]:
         """Block for one pushed audit event (outside of a request)."""
@@ -475,17 +537,26 @@ class RemoteEndpoint:
 
     # -- ResolverEndpoint protocol --
 
-    def _call(self, kind: str, body: dict) -> dict:
-        reply = self.request(wire.WireMessage(kind, str(next(self._ids)), body))
-        if reply.kind == wire.KIND_ERROR:
-            code = body_field(reply.body, "error", str, "error reply")
-            detail = body_field(reply.body, "detail", str, "error reply")
-            if code == "delegation-loop":
-                raise DelegationLoopError(detail)
-            if code == "depth-exceeded":
-                raise DepthExceededError(detail)
-            raise OnhsError(f"{code}: {detail}")
-        return reply.body
+    def _call(self, kind: str, body: dict, read=None):
+        """The body of the reply to a request of kind, or what read(body,
+        slots) gives for it, read before the next request is sent."""
+        with self._lock:
+            reply = self.request(wire.WireMessage(kind, str(next(self._ids)), body))
+            if reply.kind == wire.KIND_ERROR:
+                code = body_field(reply.body, "error", str, "error reply")
+                detail = body_field(reply.body, "detail", str, "error reply")
+                if code == "delegation-loop":
+                    raise DelegationLoopError(detail)
+                if code == "depth-exceeded":
+                    raise DepthExceededError(detail)
+                raise OnhsError(f"{code}: {detail}")
+            if read is None:
+                return reply.body
+            try:
+                return read(reply.body, self._slots)
+            except BaseException:
+                self.close()
+                raise
 
     def resolve(
         self,
@@ -496,16 +567,15 @@ class RemoteEndpoint:
         body: dict = {"handle": handle.fqdn_no_dot()}
         if depth_budget is not None:
             body["depth_budget"] = depth_budget
-        data = self._call(wire.KIND_QUERY_RESOLVE, body)
-        return Resolution.from_dict(body_field(data, "resolution", dict, "resolve reply"))
+        return self._call(wire.KIND_QUERY_RESOLVE, body, _read_resolution)
 
     def query_record(
         self, handle: Handle, rtype: str, now: Optional[str] = None
     ) -> RecordAnswer:
-        data = self._call(
-            wire.KIND_QUERY_RECORD, {"handle": handle.fqdn_no_dot(), "rtype": rtype}
+        return self._call(
+            wire.KIND_QUERY_RECORD, {"handle": handle.fqdn_no_dot(), "rtype": rtype},
+            _read_record_answer,
         )
-        return RecordAnswer.from_dict(body_field(data, "answer", dict, "record reply"))
 
     def apply_update(self, msg: UpdateMessage, now: Optional[str] = None) -> Verdict:
         data = self._call(wire.KIND_UPDATE, {"update": msg.to_dict()})
@@ -520,3 +590,11 @@ class RemoteEndpoint:
         )
         verdict = Verdict.from_dict(body_field(data, "verdict", dict, "audit reply"))
         return verdict, body_field(data, "backlog", list, "audit reply")
+
+
+def _read_resolution(data: dict, slots: ReaderSlots) -> Resolution:
+    return Resolution.from_dict(body_field(data, "resolution", dict, "resolve reply"), slots)
+
+
+def _read_record_answer(data: dict, slots: ReaderSlots) -> RecordAnswer:
+    return RecordAnswer.from_dict(body_field(data, "answer", dict, "record reply"), slots)

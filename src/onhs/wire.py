@@ -6,6 +6,12 @@ other field. Frames are capped at 1 MiB. Decoding is total: anything that
 is not a well-formed frame raises a structured error rather than
 propagating whatever the JSON layer happened to throw, and a frame that
 decodes encodes back to the same bytes.
+
+Framing keeps no state between frames. The answers in frame bodies do,
+per connection: an answer may name a KEY or NXT set that an earlier
+answer on the same connection carried in full by its slot
+(codec.SET_SLOTS), so a connection's answers are read in the order they
+arrive, and a frame lifted out of its connection need not read alone.
 """
 
 from __future__ import annotations

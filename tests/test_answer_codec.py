@@ -9,9 +9,9 @@ takes a nullable field it lacks as null, so such an input writes back
 with that field null. These hold the set strings the reader keeps and the
 field paths it builds only for an error to one account.
 
-A SignedRRset derives its owner, type, name key, NXT span and wire
-strings once; built any way, it holds what a fresh derivation gives, and
-none of them reaches equality, hashing or repr.
+A SignedRRset derives its owner, type, name key, NXT span and hash
+once; built any way, it holds what a fresh derivation gives, and none of
+them reaches equality, hashing or repr.
 """
 
 import base64
@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import ROOT, new_server
 from test_set_codec import octets_of, sig_of, signed_sets
 
-from onhs import crypto
 from onhs.codec import RecordAnswer, Resolution, Verdict, canonical_json, decode_log_line
 from onhs.errors import OnhsError
 from onhs.handles import HandleLabel, name_key, parse_handle
@@ -165,9 +164,9 @@ class TestAlteredValues:
             s for s in (
                 SignedRRset((ResourceRecord("h0k1.example.org", 60, "A", f"10.0.0.{i}"),))
                 for i in range(10, 20)
-            ) if s.wire_strings()[0].endswith("=")
+            ) if base64.b64encode(octets_of(s)).decode().endswith("=")
         )
-        octets = rrset.wire_strings()[0]
+        octets = base64.b64encode(octets_of(rrset)).decode()
         # the last character before the padding: its lowest bit is past the octets
         last = len(octets.rstrip("=")) - 1
         alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -186,25 +185,20 @@ class TestAlteredValues:
 def fresh_derivation(rrset: SignedRRset) -> dict:
     first = rrset.records[0]
     key = name_key(first.owner)
-    sig = rrset.signature
-    octets = crypto.canonical_rrset_bytes(rrset.records, None if sig is None else sig.params)
     return {
         "owner": first.owner,
         "rtype": first.rtype,
         "owner_key": key,
         "span": (canonical_sort_key(key), canonical_sort_key(first.rdata.next_owner))
         if first.rtype == "NXT" else None,
-        "wire_strings": (
-            base64.b64encode(octets).decode(),
-            None if sig is None else base64.b64encode(sig.signature_bytes).decode(),
-        ),
+        "hash": hash((rrset.records, rrset.signature)),
     }
 
 
 def derived(rrset: SignedRRset) -> dict:
     return {
         "owner": rrset.owner, "rtype": rrset.rtype, "owner_key": rrset.owner_key,
-        "span": rrset.span, "wire_strings": rrset.wire_strings(),
+        "span": rrset.span, "hash": hash(rrset),
     }
 
 
@@ -221,9 +215,9 @@ class TestDerivedValues:
             assert derived(each) == fresh_derivation(each)
         # replace derives afresh: nothing of the old set's is carried over
         old = SignedRRset(rrset.records, rrset.signature).encoded()
-        old.wire_strings()
+        hash(old)
         new = replace(old, records=other.records, signature=other.signature)
-        assert new.canonical is None and new.wire is None
+        assert new.canonical is None and new.hashed is None
         assert derived(new) == fresh_derivation(new)
 
     @settings(max_examples=40, deadline=None)
@@ -231,10 +225,10 @@ class TestDerivedValues:
     def test_derived_values_stay_out_of_equality_hashing_and_repr(self, rrset):
         plain = SignedRRset(rrset.records, rrset.signature)
         held = SignedRRset(rrset.records, rrset.signature).encoded()
-        held.wire_strings()
-        assert held.canonical is not None and held.wire is not None
+        hash(held)
+        assert held.canonical is not None and held.hashed is not None and plain.hashed is None
         assert plain == held and hash(plain) == hash(held) and repr(plain) == repr(held)
-        for name in ("owner_key", "span", "canonical", "wire"):
+        for name in ("owner_key", "span", "canonical", "hashed"):
             assert f"{name}=" not in repr(held)
 
     def test_an_nxt_span_is_its_owner_and_next_owner(self):
@@ -244,15 +238,23 @@ class TestDerivedValues:
         assert rrset.owner_key == "h0k2.example.org"
         assert SignedRRset((ResourceRecord("a.org", 60, "TXT", "x"),)).span is None
 
-    def test_a_set_keeps_its_strings_only_when_it_holds_its_octets(self):
+    def test_a_set_works_out_its_hash_once(self, monkeypatch):
+        rrset = SignedRRset((ResourceRecord("h0k1.example.org", 60, "A", "10.0.0.1"),))
+        assert rrset.hashed is None
+        made = hash(rrset)
+        assert rrset.hashed == made == hash((rrset.records, rrset.signature))
+
+        def unhashable(record):
+            raise AssertionError("a record was hashed again")
+
+        monkeypatch.setattr(ResourceRecord, "__hash__", unhashable)
+        assert hash(rrset) == made and {rrset: 1}[rrset] == 1
+        monkeypatch.undo()
+        assert hash(SignedRRset(rrset.records)) == made  # an equal set hashes equal
+
+    def test_each_answer_gets_items_of_its_own(self):
         rrset = SignedRRset((ResourceRecord("h0k1.example.org", 60, "A", "10.0.0.1"),))
         answer = Resolution("q", "NOT_FOUND", None, (rrset,), (), ()).to_dict()
-        assert rrset.wire is None  # a stored set served once
-        got = Resolution.from_dict(over_json(answer)).evidence[0]
-        assert got.wire == rrset.wire_strings() == (answer["evidence"][0]["octets"], None)
-        assert rrset.encoded().wire is None
-        assert rrset.wire_strings() is rrset.wire is rrset.wire_strings()
-        # each answer gets dicts of its own
         again = Resolution("q", "NOT_FOUND", None, (rrset,), (), ()).to_dict()
         assert again == answer and again["evidence"][0] is not answer["evidence"][0]
 

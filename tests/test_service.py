@@ -16,7 +16,7 @@ from conftest import FIXED_NOW, ROOT, new_service, with_server_key
 
 from onhs import crypto, server as srv, wire
 from onhs.client import verify_resolution
-from onhs.errors import DelegationLoopError, LogFormatError, OnhsError
+from onhs.errors import DataDirInUseError, DelegationLoopError, LogFormatError, OnhsError
 from onhs.handles import HandleLabel, parse_handle
 from onhs.server import (
     OUTCOME_ADDRESS,
@@ -242,6 +242,33 @@ class TestDurability:
         log.write_bytes(b"\n".join(lines))
         with pytest.raises(LogFormatError, match=f"line 2: .*{why}"):
             HandleService(cfg)
+
+
+class TestOneServerPerDataDir:
+    """A service that logs updates holds its data directory's lock from
+    before replay until close(); a read-only one takes no lock."""
+
+    def test_a_second_service_is_refused_until_the_first_closes(self, tmp_path):
+        cfg = service_config(tmp_path)
+        first = HandleService(cfg)
+        try:
+            with pytest.raises(DataDirInUseError, match=f"data directory {tmp_path / 'data'} "):
+                HandleService(cfg)
+            HandleService(cfg, read_only=True).close()  # as zone dump and zone load run
+        finally:
+            first.close()
+        third = HandleService(cfg)
+        third.close()
+
+    def test_a_constructor_that_raises_lets_the_lock_go(self, tmp_path):
+        cfg = service_config(tmp_path)
+        log = tmp_path / "data" / "updates.log"
+        log.write_bytes(b"not an update 20260816120000\n")
+        with pytest.raises(LogFormatError, match="line 1") as caught:
+            HandleService(cfg)
+        log.unlink()
+        HandleService(cfg).close()  # while the failed service is still referenced
+        assert caught.traceback
 
 
 class TestOneRsaKeyPerApex:
