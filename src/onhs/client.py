@@ -123,7 +123,7 @@ def verify_resolution(
         verdicts.append((owner, rtype, why))
         if why == V_OK or why == V_STALE:
             if why == V_STALE:
-                warnings.append(f"{V_STALE} {owner} {rtype}")
+                warnings.append(srv.stale_warning(rrset))
             good.append(rrset)
             first.setdefault(owner, {}).setdefault(rtype, srv.Slot(rrset, sticky))
         else:
@@ -427,8 +427,9 @@ def key_upgrade(
     hierarchy are rewritten to the new one), verifies that the copies
     resolve under the new key, and only then transfers the old apex. Each
     KEY, A, TXT and DNAME set it reads must count under old_secret's key
-    (_served_set). Any failure before the transfer aborts with the old
-    hierarchy intact, and says why in the report's warnings.
+    (_served_set). It reads them all before it writes: a failed read aborts
+    with nothing written, a failed write or replica before the transfer,
+    with the old hierarchy intact. The report's warnings say why.
     """
     report = UpgradeReport(ok=False, new_apex=None)
     stamp = now or now_stamp()
@@ -440,28 +441,11 @@ def key_upgrade(
     if why not in (V_OK, V_STALE):
         report.warnings.append(f"{old_apex.fqdn_no_dot()} KEY: {why}; nothing was changed")
         return report
-
-    def submit(step: str, msg: UpdateMessage) -> bool:
-        """Send one update and record it as step; say why on a refusal."""
-        nonlocal serial
-        verdict = endpoint.apply_update(msg, stamp)
-        report.step(step, verdict.accepted)
-        serial += 1
-        if not verdict.accepted:
-            report.warnings.append(f"{step} rejected: {verdict.reason}")
-        return verdict.accepted
-
-    claim = srv.make_claim(new_secret, root_zone, suffix_len, serial, now=stamp)
-    new_apex = parse_handle(claim.target, root_zone)
-    if not submit(f"claim {new_apex.fqdn_no_dot()}", claim):
-        return report
-    report.new_apex = new_apex
-
     owners, gap = _enumerate_owner_zone(endpoint, old_apex, root_zone)
     if gap is not None:
         report.warnings.append(f"cannot list {old_apex.fqdn_no_dot()}: {gap}")
         return report
-    replicated: List[Tuple[Handle, str]] = []  # (new handle, address)
+    copies: List[Tuple[Handle, Dict[str, SignedRRset]]] = []  # (old name, its sets)
     for owner in owners:
         if owner.name_key() == old_apex.name_key():
             continue
@@ -480,7 +464,27 @@ def key_upgrade(
             report.warnings.append(
                 f"skipping {owner.fqdn_no_dot()}: cancelled in the old hierarchy"
             )
-            continue
+        else:
+            copies.append((owner, sets))
+
+    def submit(step: str, msg: UpdateMessage) -> bool:
+        """Send one update and record it as step; say why on a refusal."""
+        nonlocal serial
+        verdict = endpoint.apply_update(msg, stamp)
+        report.step(step, verdict.accepted)
+        serial += 1
+        if not verdict.accepted:
+            report.warnings.append(f"{step} rejected: {verdict.reason}")
+        return verdict.accepted
+
+    claim = srv.make_claim(new_secret, root_zone, suffix_len, serial, now=stamp)
+    new_apex = parse_handle(claim.target, root_zone)
+    if not submit(f"claim {new_apex.fqdn_no_dot()}", claim):
+        return report
+    report.new_apex = new_apex
+
+    replicated: List[Tuple[Handle, str]] = []  # (new handle, address)
+    for owner, sets in copies:
         new_name = owner.replace_prefix(old_apex, new_apex)
         step = f"create {new_name.fqdn_no_dot()}"
         if not submit(step, srv.make_create_child(new_secret, new_name, serial, now=stamp)):

@@ -77,8 +77,12 @@ def _base64(text: str, what: str) -> bytes:
 
 def optional_field(data: object, name: str, kind: type, where: str, default=None):
     """data[name] as body_field gives it, or default when it is null or absent."""
-    if isinstance(data, dict) and data.get(name) is None:
-        return default
+    if isinstance(data, dict):
+        value = data.get(name)
+        if value is None:
+            return default
+        if type(value) is kind:
+            return value
     return body_field(data, name, kind, where)
 
 
@@ -326,6 +330,7 @@ def signature_from_dict(data: object, where: str) -> RecordSignature:
 # while slots are free is refused too, as is a slot on any other set. An
 # answer written without a table carries every set in full, and a reader
 # without a table refuses a slot or an integer as any field the shape lacks.
+# One reader, _read_set, reads every item, a slot number first.
 
 SET_SLOTS = 1024
 SLOTTED_TYPES = frozenset(("KEY", "NXT"))
@@ -339,11 +344,11 @@ def received_sets(octets: str, signature: Optional[str]) -> SignedRRset:
     """The set an answer carries as these two strings, each of which must
     be the one base64 form of its octets.
 
-    Kept for the process, because answers repeat the sets of earlier ones
-    (zone keys, denial records), and a hit skips base64, parsing and the
-    check that the octets encode back to themselves. A string that fails
-    raises, and lru_cache keeps no exception. Only answers are decoded
-    here, so the server never fills it.
+    Kept for the process, because answers repeat sets no slot names (every
+    content set, and every set on a one-request connection), and a hit
+    skips base64, parsing and the check that the octets encode back to
+    themselves. A string that fails raises, and lru_cache keeps no
+    exception. Only _read_set calls it, so the server never fills it.
     """
     return parse_rrset(
         _exact_base64(octets, "field 'octets'"),
@@ -385,76 +390,58 @@ _SET_FIELDS = frozenset(("octets", "signature"))
 _SLOTTED_SET_FIELDS = _SET_FIELDS | {"slot"}
 
 
-def _wire_set(data: object, slots: Optional[ReaderSlots]) -> Optional[SignedRRset]:
-    """The set data carries in full or names by its slot, for the two
-    items most answers are made of; else None, and _read_set reads data."""
-    if type(data) is dict and len(data) == 2:
-        octets, signature = data.get("octets"), data.get("signature", 0)
-        if type(octets) is str and (signature is None or type(signature) is str):
-            try:
-                rrset = received_sets(octets, signature)
-            except (OnhsError, ValueError):
-                return None
-            if slots is None or not _takes_slot(rrset, slots):
-                return rrset
-    elif slots is not None and type(data) is int:
-        return slots.get(data)
-    return None
-
-
-def _takes_slot(rrset: SignedRRset, slots: ReaderSlots) -> bool:
-    """Whether the writer gives rrset a slot the first time it carries it."""
-    return rrset.rtype in SLOTTED_TYPES and len(slots) < SET_SLOTS
-
-
-def _read_set(data: object, where: str, slots: Optional[ReaderSlots]) -> SignedRRset:
-    """Read data one field at a time: the set it carries, which enters
-    slots when it comes with its slot; or the error that names the field
-    at fault under where. A set that only lacks its null signature reads."""
-    if slots is not None and type(data) is not dict:
-        if type(data) is not int:
-            raise ValueError(f"{where} must be an object or a slot, not {_json_type(data)}")
+def _read_set(data: object, slots: Optional[ReaderSlots]) -> SignedRRset:
+    """The set data names by its slot or carries in full, which enters
+    slots when it comes with its slot. A set that only lacks its null
+    signature reads. A ValueError or RRsetFormatError names the field at
+    fault from the item on, and its caller puts the item's path in front:
+    the path is built only for an error."""
+    if type(data) is int and slots is not None:
+        rrset = slots.get(data)
+        if rrset is not None:
+            return rrset
         if 0 <= data < SET_SLOTS:
-            raise ValueError(f"{where} names slot {data}, which holds no set")
-        raise ValueError(f"{where} names slot {data}, outside 0 to {SET_SLOTS - 1}")
-    octets = body_field(data, "octets", str, where)
-    signature = optional_field(data, "signature", str, where)
+            raise ValueError(f" names slot {data}, which holds no set")
+        raise ValueError(f" names slot {data}, outside 0 to {SET_SLOTS - 1}")
+    if slots is not None and type(data) is not dict:
+        raise ValueError(f" must be an object or a slot, not {_json_type(data)}")
+    octets = body_field(data, "octets", str, "")
+    signature = optional_field(data, "signature", str, "")
     slot = None
     if slots is not None and "slot" in data:
-        slot = body_field(data, "slot", int, where)
+        slot = body_field(data, "slot", int, "")
         if not 0 <= slot < SET_SLOTS:
-            raise ValueError(f"{where} field 'slot' {slot} is outside 0 to {SET_SLOTS - 1}")
+            raise ValueError(f" field 'slot' {slot} is outside 0 to {SET_SLOTS - 1}")
         if slot in slots:
-            raise ValueError(f"{where} field 'slot' {slot} is already filled")
-        _only_fields(data, _SLOTTED_SET_FIELDS, where)
+            raise ValueError(f" field 'slot' {slot} is already filled")
+        _only_fields(data, _SLOTTED_SET_FIELDS, "")
     else:
-        _only_fields(data, _SET_FIELDS, where)
+        _only_fields(data, _SET_FIELDS, "")
     try:
         rrset = received_sets(octets, signature)
     except RRsetFormatError as exc:
-        raise RRsetFormatError(f"{where}: {exc}") from None
+        raise RRsetFormatError(f": {exc}") from None
     except ValueError as exc:  # a field that is not base64
-        raise ValueError(f"{where} {exc}") from None
+        raise ValueError(f" {exc}") from None
     if slot is not None:
         if rrset.rtype not in SLOTTED_TYPES:
-            raise ValueError(f"{where} field 'slot': {rrset.rtype} sets take no slot")
+            raise ValueError(f" field 'slot': {rrset.rtype} sets take no slot")
         slots[slot] = rrset
-    elif slots is not None and _takes_slot(rrset, slots):
-        raise ValueError(f"{where} lacks field 'slot': a {rrset.rtype} set takes a free slot")
+    elif slots is not None and rrset.rtype in SLOTTED_TYPES and len(slots) < SET_SLOTS:
+        raise ValueError(f" lacks field 'slot': a {rrset.rtype} set takes a free slot")
     return rrset
 
 
 def _sets_from_json(
     data: object, name: str, where: str, slots: Optional[ReaderSlots]
 ) -> Tuple[SignedRRset, ...]:
-    """The sets of the list data[name], read in order; an item's path is
-    made only for an error."""
+    """The sets of the list data[name], read in order."""
     sets = []
     for i, item in enumerate(body_field(data, name, list, where)):
-        sets.append(
-            _wire_set(item, slots)
-            or _read_set(item, f"{where} field {name!r} item {i}", slots)
-        )
+        try:
+            sets.append(_read_set(item, slots))
+        except (ValueError, RRsetFormatError) as exc:
+            raise type(exc)(f"{where} field {name!r} item {i}{exc}") from None
     return tuple(sets)
 
 
@@ -537,9 +524,10 @@ class RecordAnswer:
         found = body_field(data, "found", bool, where)
         rrset = data.get("rrset")
         if rrset is not None:
-            rrset = _wire_set(rrset, slots) or _read_set(
-                rrset, f"{where} field 'rrset'", slots
-            )
+            try:
+                rrset = _read_set(rrset, slots)
+            except (ValueError, RRsetFormatError) as exc:
+                raise type(exc)(f"{where} field 'rrset'{exc}") from None
         answer = RecordAnswer(
             found=found,
             rrset=rrset,

@@ -289,6 +289,11 @@ V_WRONG_SIGNER = "wrong-signer"
 V_NO_KEY = "no-signer-key"
 
 
+def stale_warning(rrset: SignedRRset) -> str:
+    """The one text of the warning for rrset, a set counted as V_STALE."""
+    return f"{V_STALE} {rrset.owner_key} {rrset.rtype}"
+
+
 def zone_apex(owner: str, root: str) -> Optional[str]:
     """The apex at or above owner, or None when owner is not below root."""
     if not owner.endswith("." + root):
@@ -1056,7 +1061,7 @@ class HandleServer:
                 evidence += self._nxt_proof(found.final, stamp)
                 evidence.append(self.root_key_rrset())
             warnings = [
-                f"stale-irrevocable {rrset.owner} {rrset.rtype}"
+                stale_warning(rrset)
                 for rrset in found.irrevocable
                 if rrset.signature is not None and stamp >= rrset.signature.params.expiration
             ] if found.irrevocable else ()

@@ -17,7 +17,7 @@ import pkgutil
 import struct
 
 import onhs
-from onhs import client, codec, server
+from onhs import client, codec, handles, server
 from onhs.codec import SET_SLOTS, Resolution, canonical_json
 from onhs.handles import CACHE_CAP
 from onhs.records import ResourceRecord, SignedRRset
@@ -42,10 +42,12 @@ def test_every_module_memo_is_capped():
         assert memo.cache_info().maxsize == CACHE_CAP, name
 
 
-def test_the_three_memos_are_found():
-    found = {id(memo) for _, memo in module_memos()}
-    for memo in (codec.received_sets, server.bound_apex_keys, client.verified_signatures):
-        assert id(memo) in found
+def test_the_memos_found_are_the_four_the_cap_names():
+    named = (
+        handles._check_root, codec.received_sets, server.bound_apex_keys,
+        client.verified_signatures,
+    )
+    assert sorted(id(memo) for _, memo in module_memos()) == sorted(map(id, named))
 
 
 def test_a_connection_table_holds_at_most_set_slots_sets():

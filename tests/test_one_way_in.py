@@ -9,6 +9,9 @@ A set's standing, sticky or not, is decided by one predicate,
 records.is_sticky, and travels with the set into the one resolution walk:
 the store's sticky flag, the verifier's and the key upgrade's reading of a
 served set must agree on every kind of set.
+
+An answer's set items are read one way too: codec._read_set, whether an
+item names a set by its slot or carries it in full.
 """
 
 import ast
@@ -105,6 +108,10 @@ def test_only_resolve_and_the_verifier_walk():
     assert uses("walk", calls_only=True) == [
         ("client", "verify_resolution"), ("server", "resolve")
     ]
+
+
+def test_only_the_set_reader_parses_an_answers_set():
+    assert uses("received_sets", calls_only=True) == [("codec", "_read_set")]
 
 
 IA = HandleLabel.ia

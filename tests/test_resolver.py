@@ -251,9 +251,12 @@ class TestVerifyResolution:
         got = verify_resolution(res, apex, ROOT, now=NOW)
         assert got.verified, got.failures
         assert got.outcome == OUTCOME_COMPROMISED
-        assert any(w.startswith(V_STALE) for w in got.warnings)
-        stale = [v for _, _, v in got.record_verdicts if v == V_STALE]
-        assert stale
+        # one warning per stale set, though the owner as stored has upper case
+        assert apex.fqdn_no_dot() != apex.name_key()
+        stale = [f"{V_STALE} {o} {t}" for o, t, v in got.record_verdicts if v == V_STALE]
+        assert len(stale) == 2
+        assert list(res.warnings) == stale
+        assert [w for w in got.warnings if w.startswith(V_STALE)] == stale
 
     def test_expired_signature_on_plain_address_fails(self, keypool):
         then = "20250101000000"
@@ -739,8 +742,11 @@ class TestKeyUpgrade:
         server = logged_service.server
         old_sec, new_sec, apex = self.flat_zone(keypool, server, 8)
         monkeypatch.setattr(_enumerate_owner_zone, "__defaults__", (5,))
+        count = server.update_count
         report = key_upgrade(old_sec, apex, new_sec, server, ROOT, now=NOW)
         assert not report.ok
+        assert report.new_apex is None
+        assert server.update_count == count
         assert any("did not close within 5" in w for w in report.warnings)
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
@@ -764,8 +770,11 @@ class TestKeyUpgrade:
             def apply_update(self, msg, now=None):
                 return server.apply_update(msg, now)
 
+        count = server.update_count
         report = key_upgrade(old_sec, apex, new_sec, BrokenChain(), ROOT, now=NOW)
         assert not report.ok
+        assert report.new_apex is None
+        assert server.update_count == count
         assert any("no NXT record" in w for w in report.warnings)
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
@@ -799,8 +808,11 @@ class TestKeyUpgrade:
             def apply_update(self, msg, now=None):
                 return server.apply_update(msg, now)
 
+        count = server.update_count
         report = key_upgrade(old_sec, apex, new_sec, LyingChain(), ROOT, now=NOW)
         assert not report.ok
+        assert report.new_apex is None
+        assert server.update_count == count
         why = {
             "an A set": f"not-the-set-asked-for at {apex.fqdn_no_dot()}",
             "another name's NXT set": f"not-the-set-asked-for at {apex.fqdn_no_dot()}",
@@ -843,11 +855,29 @@ class TestKeyUpgrade:
             def apply_update(self, msg, now=None):
                 return server.apply_update(msg, now)
 
+        count = server.update_count
         report = key_upgrade(old_sec, apex, new_sec, ForgedAnswer(), ROOT, now=NOW)
         assert not report.ok
+        assert report.new_apex is None
+        assert server.update_count == count
         assert f"{victim.fqdn_no_dot()} {rtype}: bad-signature" in report.warnings
         actions = [m.action for m, _ in logged_service.entry_log(apex)]
         assert "TRANSFER" not in actions
+
+    def test_an_expired_set_aborts_before_any_write(self, keypool, logged_service):
+        server = logged_service.server
+        old_sec, new_sec, apex = self.flat_zone(keypool, server, 3)
+        stale = apex.child(IA(1))
+        msg = make_assign(old_sec, stale, "10.0.0.9", 9, now=NOW, validity=3600)
+        assert server.apply_update(msg, now=NOW).accepted
+        later = crypto.stamp_add(NOW, 2 * 3600)
+        count = server.update_count
+        report = key_upgrade(old_sec, apex, new_sec, server, ROOT, now=later)
+        assert not report.ok
+        assert report.warnings == [f"{stale.fqdn_no_dot()} A: expired"]
+        assert report.new_apex is None
+        assert report.steps == []
+        assert server.update_count == count
 
     def test_a_refused_assign_says_why_it_stopped(self, keypool, logged_service):
         server = logged_service.server
