@@ -106,13 +106,12 @@ def cmd_resolve(args) -> int:
     for notice in resolution.transfer_notices:
         record = notice.records[0]
         print(f"transferred {record.owner} -> {record.rdata}")
-    for warning in resolution.warnings:
-        print(f"warning {warning}")
     if result is not None:
         print(f"verified {'yes' if result.verified else 'NO'}")
-        for warning in result.warnings:
-            if warning not in resolution.warnings:
-                print(f"warning {warning}")
+    # verified, only the warnings the verifier found itself
+    for warning in (result or resolution).warnings:
+        print(f"warning {warning}")
+    if result is not None:
         for failure in result.failures:
             print(f"failure {failure}", file=sys.stderr)
         if not result.verified:

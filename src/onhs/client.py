@@ -9,9 +9,11 @@ one only when records.is_sticky calls it sticky. It then runs
 server.walk, which holds the resolution rules, over the sets that
 counted, each with the sticky flag decided in that one check. A served
 answer whose evidence does not reproduce the same outcome and address is
-reported unverified. NXT sets count only under the served root key with
-the root as signer; that key only authenticates the root server itself,
-and the weaker trust is surfaced as a warning, not hidden.
+reported unverified. The warnings are the verifier's own, never the
+served ones: server.stale_warnings of that walk, and for a denial the
+note that NXT sets count only under the served root key with the root as
+signer; that key only authenticates the root server itself, and the
+weaker trust is surfaced as a warning, not hidden.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def verify_resolution(
     stamp = now or now_stamp()
     root = name_key(root_zone)
     failures: List[str] = []
-    warnings: List[str] = list(resolution.warnings)
+    warnings: List[str] = []
     verdicts: List[Tuple[str, str, str]] = []
 
     # One pass over the evidence. A KEY set counts when apex_key binds its
@@ -122,8 +124,6 @@ def verify_resolution(
             why = srv.signed_set_verdict(rrset, keys.key, root, stamp, sticky, verified_signatures)
         verdicts.append((owner, rtype, why))
         if why == V_OK or why == V_STALE:
-            if why == V_STALE:
-                warnings.append(srv.stale_warning(rrset))
             good.append(rrset)
             first.setdefault(owner, {}).setdefault(rtype, srv.Slot(rrset, sticky))
         else:
@@ -160,6 +160,7 @@ def verify_resolution(
         failures.append(str(exc))
     else:
         outcome, address = found.outcome, found.address
+        warnings += srv.stale_warnings(found, stamp)
         if outcome == OUTCOME_NOT_FOUND:
             if _nxt_covers(good, found.final) is None:
                 failures.append(f"no denial proof covers {found.final.fqdn_no_dot()}")
@@ -179,7 +180,7 @@ def verify_resolution(
         verified=not failures,
         record_verdicts=tuple(verdicts),
         failures=tuple(failures),
-        warnings=tuple(dict.fromkeys(warnings)),
+        warnings=tuple(warnings),
     )
 
 
@@ -445,12 +446,11 @@ def key_upgrade(
     if gap is not None:
         report.warnings.append(f"cannot list {old_apex.fqdn_no_dot()}: {gap}")
         return report
-    copies: List[Tuple[Handle, Dict[str, SignedRRset]]] = []  # (old name, its sets)
+    copies: List[Tuple[Handle, Dict[str, srv.Slot]]] = []  # (old name, its sets)
     for owner in owners:
         if owner.name_key() == old_apex.name_key():
             continue
-        sets: Dict[str, SignedRRset] = {}
-        cancelled = False  # a sticky A or TXT set; a transfer is copied as a delegation
+        sets: Dict[str, srv.Slot] = {}  # a transfer is copied as a delegation
         for rtype in ("A", "TXT", "DNAME"):
             got, why, sticky = _served_set(endpoint, owner, rtype, old_apex, old_key, stamp)
             if why == "not found":
@@ -458,9 +458,8 @@ def key_upgrade(
             if why not in (V_OK, V_STALE):
                 report.warnings.append(f"{owner.fqdn_no_dot()} {rtype}: {why}")
                 return report
-            sets[rtype] = got
-            cancelled = cancelled or (sticky and rtype != "DNAME")
-        if cancelled:
+            sets[rtype] = srv.Slot(got, sticky)
+        if srv.cancelled(srv.sticky_sets(sets)):
             report.warnings.append(
                 f"skipping {owner.fqdn_no_dot()}: cancelled in the old hierarchy"
             )
@@ -490,13 +489,13 @@ def key_upgrade(
         if not submit(step, srv.make_create_child(new_secret, new_name, serial, now=stamp)):
             return report
         if "A" in sets:
-            address = sets["A"].records[0].rdata
+            address = sets["A"].rrset.records[0].rdata
             msg = srv.make_assign(new_secret, new_name, address, serial, now=stamp)
             if not submit(f"assign {new_name.fqdn_no_dot()} {address}", msg):
                 return report
             replicated.append((new_name, address))
         if "DNAME" in sets:
-            dest = parse_handle(sets["DNAME"].records[0].rdata, root_zone)
+            dest = parse_handle(sets["DNAME"].rrset.records[0].rdata, root_zone)
             if dest.name_key() == old_apex.name_key() or dest.is_under(old_apex):
                 dest = dest.replace_prefix(old_apex, new_apex)
             msg = srv.make_delegate(new_secret, new_name, dest, serial, now=stamp)

@@ -86,7 +86,7 @@ def optional_field(data: object, name: str, kind: type, where: str, default=None
     return body_field(data, name, kind, where)
 
 
-def _only_fields(data: dict, names: frozenset, where: str) -> None:
+def only_fields(data: dict, names: frozenset, where: str) -> None:
     """Refuses a field of data that names does not hold: a reader that let
     it pass would give a value that writes back without it."""
     if not names.issuperset(data):
@@ -137,7 +137,7 @@ class Verdict:
             optional_field(data, "reason", str, "verdict"),
             optional_field(data, "detail", str, "verdict"),
         )
-        _only_fields(data, _VERDICT_FIELDS, "verdict")
+        only_fields(data, _VERDICT_FIELDS, "verdict")
         return verdict
 
     @staticmethod
@@ -414,9 +414,9 @@ def _read_set(data: object, slots: Optional[ReaderSlots]) -> SignedRRset:
             raise ValueError(f" field 'slot' {slot} is outside 0 to {SET_SLOTS - 1}")
         if slot in slots:
             raise ValueError(f" field 'slot' {slot} is already filled")
-        _only_fields(data, _SLOTTED_SET_FIELDS, "")
+        only_fields(data, _SLOTTED_SET_FIELDS, "")
     else:
-        _only_fields(data, _SET_FIELDS, "")
+        only_fields(data, _SET_FIELDS, "")
     try:
         rrset = received_sets(octets, signature)
     except RRsetFormatError as exc:
@@ -489,7 +489,7 @@ class Resolution:
             transfer_notices=_sets_from_json(data, "transfer_notices", where, slots),
             warnings=tuple(warnings),
         )
-        _only_fields(data, _RESOLUTION_FIELDS, where)
+        only_fields(data, _RESOLUTION_FIELDS, where)
         return resolution
 
 
@@ -534,7 +534,7 @@ class RecordAnswer:
             status_records=_sets_from_json(data, "status_records", where, slots),
             proof=_sets_from_json(data, "proof", where, slots),
         )
-        _only_fields(data, _ANSWER_FIELDS, where)
+        only_fields(data, _ANSWER_FIELDS, where)
         return answer
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import datetime as _dt
 import functools
+import os
 import re
 import struct
 import time
@@ -288,8 +289,10 @@ def verify_key_matches_label(key: PublicKey, label: HandleLabel) -> bool:
 def save_secret_key(path, secret: SecretKey) -> None:
     """Write a key file, the one form there is: three lines, the algorithm
     code, the base64 public key payload, and the base64 private key DER.
-    load_secret_key rebuilds the public half from the DER and checks line two."""
-    with open(path, "wb") as fh:
+    load_secret_key rebuilds the public half from the DER and checks line two.
+    The file is readable by its owner alone (0600), a file it overwrites too."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "wb") as fh:
+        os.fchmod(fh.fileno(), 0o600)
         fh.write(_key_file_text(secret).encode())
 
 

@@ -664,7 +664,6 @@ def parse_zone(text: str, apex: Optional[str] = None) -> ZoneSnapshot:
     serial: Optional[int] = None
     default_ttl = DEFAULT_TTL
     grouped: Dict[Tuple[str, str], List[ResourceRecord]] = {}
-    owner_text: Dict[Tuple[str, str], str] = {}
     sigs: Dict[Tuple[str, str], RecordSignature] = {}
     soa_owner: Optional[str] = None
 
@@ -733,7 +732,6 @@ def parse_zone(text: str, apex: Optional[str] = None) -> ZoneSnapshot:
         if rtype == "SOA":
             soa_owner = owner
         grouped.setdefault((name_key(owner), rtype), []).append(record)
-        owner_text.setdefault((name_key(owner), rtype), owner)
 
     zone_apex = apex or soa_owner or origin
     if zone_apex is None:

@@ -7,7 +7,8 @@ accepted updates, never on their arrival order or multiplicity:
     ties broken by canonical payload text, then signature octets;
   * the sets records.is_sticky calls sticky, a transfer's DNAME set and
     a cancel's or a compromise's content, occupy sticky slots that
-    revocable updates cannot displace; a name's status is read from them;
+    revocable updates cannot displace; a name's standing is read from
+    them by sticky_sets alone, and cancelled says what cancels a name;
   * a sticky set purges revocable slots in the subtree it kills, the
     mirror image of the rule that rejects revocable updates arriving after
     it (KEY slots survive: verifiers always need the key);
@@ -20,15 +21,17 @@ accepted updates, never on their arrival order or multiplicity:
     cancel or compromise, a transfer, revocable content), never the name
     of the action that carried it, so one merge law holds for all three.
 
-_action_records holds what each update action writes: the make_* builders
+_action_records holds what each update action writes, from the payload
+fields ACTION_FIELDS gives the action and no other: the make_* builders
 sign its records, and HandleServer verifies an update against them. walk
 holds the resolution rules; HandleServer.resolve runs it over its slots
 and client.verify_resolution over the evidence that verified, each set
-with the sticky flag its holder decided once. apex_key and
+with the sticky flag its holder decided once, and each warns of the
+stale sets its own walk relied on through stale_warnings. apex_key and
 signed_set_verdict hold the rule for which key vouches for a signed set,
 which updates, zone loads, audit_store and client.verify_resolution all
-apply. The JSON forms
-of updates, answers and events, and the update log's line, are in codec.
+apply. The JSON forms of updates, answers and events, and the update
+log's line, are in codec.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .codec import (
     base64_field,
     body_field,
     encode_log_line,
+    only_fields,
     signature_from_dict,
     signature_to_dict,
 )
@@ -106,7 +110,17 @@ CANCEL = "CANCEL"
 TRANSFER = "TRANSFER"
 COMPROMISE = "COMPROMISE"
 
-ACTIONS = (CLAIM, CREATE_CHILD, ASSIGN, DELEGATE, CANCEL, TRANSFER, COMPROMISE)
+# The fields each action's payload holds; _action_records refuses any other.
+ACTION_FIELDS = {
+    CLAIM: frozenset({"key", "algorithm", "ttl"}),
+    CREATE_CHILD: frozenset({"ttl"}),
+    ASSIGN: frozenset({"address", "ttl"}),
+    DELEGATE: frozenset({"target", "ttl"}),
+    CANCEL: frozenset({"ttl"}),
+    TRANSFER: frozenset({"target", "ttl"}),
+    COMPROMISE: frozenset({"note", "ttl", "cancel_signature"}),
+}
+ACTIONS = tuple(ACTION_FIELDS)
 
 R_BAD_SIGNATURE = "bad-signature"
 R_EXPIRED_SIGNATURE = "expired-signature"
@@ -166,12 +180,22 @@ class Walk:
     irrevocable: List[SignedRRset]
 
 
-def irrevocable_sets(held: Mapping[str, Slot]) -> List[SignedRRset]:
-    """A name's sticky sets, its cancel, transfer and compromise, in type order."""
-    return [
-        slot.rrset for slot in map(held.get, ("A", "DNAME", "TXT"))
-        if slot is not None and slot.sticky
-    ]
+def sticky_sets(held: Mapping[str, Slot]) -> Dict[str, SignedRRset]:
+    """One name's standing: the sets of its slots held that are sticky,
+    by type in type order, its cancel (A), transfer (DNAME) and
+    compromise (TXT). The store, walk and key_upgrade all read it here."""
+    stuck = {}  # a loop, not a comprehension: half the time on Python 3.11
+    for rtype in ("A", "DNAME", "TXT"):
+        slot = held.get(rtype)
+        if slot is not None and slot.sticky:
+            stuck[rtype] = slot.rrset
+    return stuck
+
+
+def cancelled(stuck: Mapping[str, SignedRRset]) -> bool:
+    """Whether a name whose sticky_sets are stuck is cancelled: a cancel
+    or a compromise, which also cancels."""
+    return "A" in stuck or "TXT" in stuck
 
 
 def walk(queried: Handle, lookup: Callable[[str], Mapping[str, Slot]], budget: int) -> Walk:
@@ -195,8 +219,9 @@ def walk(queried: Handle, lookup: Callable[[str], Mapping[str, Slot]], budget: i
     the current name, which the caller must back with a denial proof.
 
     Irrevocable sets outlive their signatures: they are served and
-    accepted past their expiration, with a stale-irrevocable warning, so
-    a revocation never lapses because nobody re-signed it.
+    accepted past their expiration, with a stale-irrevocable warning
+    (stale_warnings), so a revocation never lapses because nobody
+    re-signed it.
 
     Raises DepthExceededError after more than budget rewrites,
     DelegationLoopError on a rewrite to a name already visited, and
@@ -230,7 +255,7 @@ def walk(queried: Handle, lookup: Callable[[str], Mapping[str, Slot]], budget: i
                 apexes.add(node_key)
                 if "KEY" in held:
                     emit(held["KEY"].rrset)
-            stuck = {rrset.rtype: rrset for rrset in irrevocable_sets(held)}
+            stuck = sticky_sets(held)
             for rrset in stuck.values():
                 emit(rrset, sticky=True)
             if "TXT" in stuck:
@@ -289,9 +314,15 @@ V_WRONG_SIGNER = "wrong-signer"
 V_NO_KEY = "no-signer-key"
 
 
-def stale_warning(rrset: SignedRRset) -> str:
-    """The one text of the warning for rrset, a set counted as V_STALE."""
-    return f"{V_STALE} {rrset.owner_key} {rrset.rtype}"
+def stale_warnings(found: Walk, now: str) -> Tuple[str, ...]:
+    """The one text of the warning for each irrevocable set found relied
+    on whose signature has expired at now, in walk order: the server's
+    for the sets it serves, the verifier's for the sets that verified."""
+    return tuple(
+        f"{V_STALE} {rrset.owner_key} {rrset.rtype}"
+        for rrset in found.irrevocable
+        if rrset.signature is not None and now >= rrset.signature.params.expiration
+    )
 
 
 def zone_apex(owner: str, root: str) -> Optional[str]:
@@ -412,17 +443,6 @@ class HandleEntry:
     slots: Dict[str, Slot] = field(default_factory=dict)
     log: array = field(default_factory=lambda: array("q"))  # offsets of its log lines
 
-    def sticky(self, rtype: str) -> Optional[SignedRRset]:
-        """The set in rtype's slot when that slot is sticky: a cancel (A),
-        transfer (DNAME) or compromise (TXT)."""
-        slot = self.slots.get(rtype)
-        return slot.rrset if slot is not None and slot.sticky else None
-
-    @property
-    def cancelled(self) -> bool:
-        """Cancelled or compromised."""
-        return self.sticky("A") is not None or self.sticky("TXT") is not None
-
 
 class AuditSubscriber:
     """One subscribing endpoint: the handles it watches, each with whether
@@ -490,10 +510,14 @@ def _action_records(
     This is the one copy of what each action writes: the make_* builders
     sign these records, and HandleServer verifies an update's signatures
     over them. Raises an OnhsError or a ValueError, naming the payload field
-    at fault, when payload cannot make them.
+    at fault, when payload cannot make them or holds a field that
+    ACTION_FIELDS does not give the action.
     """
+    if action not in ACTION_FIELDS:
+        raise ValueError(f"unknown action {action!r}")
     where = f"{action.lower()} payload"
     ttl = body_field(payload, "ttl", int, where, DEFAULT_TTL)
+    only_fields(payload, ACTION_FIELDS[action], where)
 
     def one(rtype: str, rdata) -> Tuple[ResourceRecord, ...]:
         return (ResourceRecord(owner=owner, ttl=ttl, rtype=rtype, rdata=rdata),)
@@ -513,10 +537,9 @@ def _action_records(
         return [one("DNAME", dest.fqdn_no_dot())]
     if action == CANCEL:
         return [one("A", IMPOSSIBLE_ADDRESS)]
-    if action == COMPROMISE:
-        iso = normalize_compromise_note(body_field(payload, "note", str, where))
-        return [one("TXT", f"Compromised {iso}"), one("A", IMPOSSIBLE_ADDRESS)]
-    raise ValueError(f"unknown action {action!r}")
+    # COMPROMISE
+    iso = normalize_compromise_note(body_field(payload, "note", str, where))
+    return [one("TXT", f"Compromised {iso}"), one("A", IMPOSSIBLE_ADDRESS)]
 
 
 def _sign(
@@ -819,12 +842,10 @@ class HandleServer:
 
     def _sticky_block(self, target: Handle) -> Optional[Verdict]:
         for node in target.ancestry():
-            entry = self._entries.get(node.name_key())
-            if entry is None:
-                continue
-            if entry.cancelled:
+            stuck = sticky_sets(self._node_sets(node.name_key()))
+            if cancelled(stuck):
                 return Verdict.rejected(R_HANDLE_CANCELLED, f"{node.fqdn_no_dot()} is cancelled")
-            if entry.sticky("DNAME") is not None:
+            if "DNAME" in stuck:
                 return Verdict.rejected(
                     R_HANDLE_TRANSFERRED, f"{node.fqdn_no_dot()} was transferred"
                 )
@@ -844,16 +865,15 @@ class HandleServer:
                 return Verdict.rejected(R_UNKNOWN_PARENT, "an apex handle has no parent")
             return self._sticky_block(target)
         if rrset.rtype == "DNAME":
-            entry = self._entries.get(target.name_key())
-            if entry is not None:
-                if entry.cancelled:
-                    return Verdict.rejected(R_HANDLE_CANCELLED)
-                dest = name_key(rrset.records[0].rdata)
-                moved = entry.sticky("DNAME")
-                if moved is not None and name_key(moved.records[0].rdata) != dest:
-                    return Verdict.rejected(
-                        R_HANDLE_TRANSFERRED, "already transferred to a different target"
-                    )
+            stuck = sticky_sets(self._node_sets(target.name_key()))
+            if cancelled(stuck):
+                return Verdict.rejected(R_HANDLE_CANCELLED)
+            dest = name_key(rrset.records[0].rdata)
+            moved = stuck.get("DNAME")
+            if moved is not None and name_key(moved.records[0].rdata) != dest:
+                return Verdict.rejected(
+                    R_HANDLE_TRANSFERRED, "already transferred to a different target"
+                )
         return None
 
     # -- commit --
@@ -1060,18 +1080,13 @@ class HandleServer:
             if found.outcome == OUTCOME_NOT_FOUND:
                 evidence += self._nxt_proof(found.final, stamp)
                 evidence.append(self.root_key_rrset())
-            warnings = [
-                stale_warning(rrset)
-                for rrset in found.irrevocable
-                if rrset.signature is not None and stamp >= rrset.signature.params.expiration
-            ] if found.irrevocable else ()
             return Resolution(
                 queried=handle.fqdn_no_dot(),
                 outcome=found.outcome,
                 address=found.address,
                 evidence=tuple(evidence),
                 transfer_notices=tuple(found.notices),
-                warnings=tuple(warnings),
+                warnings=stale_warnings(found, stamp),
             )
 
     def _nxt_proof(self, target: Handle, now: str) -> List[SignedRRset]:
@@ -1145,7 +1160,7 @@ class HandleServer:
             stamp = now or now_stamp()
             status_records = tuple(
                 rrset for node in handle.ancestry()
-                for rrset in irrevocable_sets(self._node_sets(node.name_key()))
+                for rrset in sticky_sets(self._node_sets(node.name_key())).values()
             )
             entry = self._entries.get(handle.name_key())
             slot = entry.slots.get(rtype) if entry is not None else None
@@ -1277,10 +1292,11 @@ class HandleServer:
                     # an ancestor shell left by vivification or purging;
                     # no query can distinguish it from absence
                     continue
-                moved = entry.sticky("DNAME")
+                stuck = sticky_sets(entry.slots)
+                moved = stuck.get("DNAME")
                 lines.append(
-                    f"entry {key} cancelled={int(entry.cancelled)} "
-                    f"compromised={int(entry.sticky('TXT') is not None)} "
+                    f"entry {key} cancelled={int(cancelled(stuck))} "
+                    f"compromised={int('TXT' in stuck)} "
                     f"transferred_to={name_key(moved.records[0].rdata) if moved else '-'}"
                 )
                 for rtype in sorted(entry.slots):

@@ -212,14 +212,18 @@ class HandleService:
     close(), so two servers never append to one log. A read_only service
     replays the log without mending it, never opens it for append and
     takes no lock, so a command that only reads the store can run beside
-    a live server on the same data directory; it logs no update.
+    a live server on the same data directory; it logs no update. It
+    writes nothing at all: it makes no directory, and where no server.key
+    is kept it signs with a key made for that run only.
     """
 
     def __init__(self, config: ServerConfig, *, read_only: bool = False):
         self.config = config
         data_dir = Path(config.data_dir)
-        data_dir.mkdir(parents=True, exist_ok=True)
-        self._lock_file = None if read_only else _lock_data_dir(data_dir)
+        self._lock_file = None
+        if not read_only:
+            data_dir.mkdir(parents=True, exist_ok=True)
+            self._lock_file = _lock_data_dir(data_dir)
         self.log = UpdateLog(data_dir / "updates.log")
         try:
             key_path = data_dir / "server.key"
@@ -227,7 +231,8 @@ class HandleService:
                 secret = crypto.load_secret_key(key_path)
             else:
                 _, secret = crypto.generate_keypair(crypto.DEFAULT_ALGORITHM)
-                crypto.save_secret_key(key_path, secret)
+                if not read_only:  # else a key for this run only
+                    crypto.save_secret_key(key_path, secret)
             self.server = HandleServer(config.root_zone, secret, audit_cap=config.audit_cap)
             self.replayed = self.log.replay_into(self.server, repair=not read_only)
             if not read_only:

@@ -7,11 +7,12 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import ROOT, with_server_key
+from conftest import ROOT, new_server, with_server_key
 
 import onhs
 from onhs import cli, wire
@@ -440,3 +441,37 @@ def test_an_audit_item_is_read_through_the_codec(monkeypatch, capsys, keypool):
     apex = make_claim(keypool.key(0)[1], ROOT, 16, 1).target
     assert cli.main(["audit", apex]) == 1
     assert capsys.readouterr().err == "error: update lacks field 'target'\n"
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_resolve_verify_prints_only_the_warnings_it_found(monkeypatch, capsys, keypool, verify):
+    """An honest answer with a forged served warning, as a connection's first
+    answer: --verify prints only the verifier's own warnings, after its
+    verdict; a plain resolve prints the served ones."""
+    server = new_server()
+    _, sec = keypool.key(0)
+    claim = make_claim(sec, ROOT, 16, 1)
+    leaf = parse_handle(claim.target, ROOT).child(HandleLabel.ia("1"))
+    for msg in (claim, make_create_child(sec, leaf, 2), make_assign(sec, leaf, "10.0.0.1", 3)):
+        assert server.apply_update(msg).accepted
+    forged = f"stale-irrevocable {leaf.name_key()} A"
+    answer = replace(server.resolve(leaf), warnings=(forged,))
+    stub_reply(monkeypatch, {"resolution": answer.to_dict({})})
+    args = ["resolve", *(["--verify"] if verify else []), leaf.fqdn_no_dot()]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    if verify:
+        assert out == ["outcome ADDRESS", "address 10.0.0.1", "verified yes"]
+    else:
+        assert out == ["outcome ADDRESS", "address 10.0.0.1", f"warning {forged}"]
+
+
+@pytest.mark.parametrize("command", ["dump", "load"])
+def test_zone_commands_on_a_missing_data_dir_write_nothing(tmp_path, capsys, command):
+    conf = write_config(tmp_path)
+    zone_file = tmp_path / "empty.zone"
+    zone_file.write_text(f"$ORIGIN {ROOT}.\n")
+    args = ["dump"] if command == "dump" else ["load", str(zone_file)]
+    assert cli.main(["zone", *args, "--config", str(conf)]) == 0
+    capsys.readouterr()
+    assert not (tmp_path / "data").exists()

@@ -8,7 +8,9 @@ a disagreement rather than a shared blind spot.
 import base64
 import datetime
 import hashlib
+import os
 import random
+import stat
 from pathlib import Path
 
 import pytest
@@ -204,6 +206,23 @@ class TestKeyMaterial:
         lines = path.read_text().splitlines()
         assert lines == [str(secret.algorithm), base64.b64encode(public.key_bytes).decode(),
                          base64.b64encode(secret.private_bytes).decode()]
+
+    def test_key_files_are_readable_by_their_owner_alone(self, keypool, tmp_path):
+        """A new key file is 0600, and so is one written over a readable
+        file, under a umask that would leave either readable by all."""
+        secret = keypool.key(2)[1]
+        fresh, old = tmp_path / "fresh.key", tmp_path / "old.key"
+        old.write_text("an earlier file\n")
+        old.chmod(0o644)
+        umask = os.umask(0o022)
+        try:
+            crypto.save_secret_key(fresh, secret)
+            crypto.save_secret_key(old, secret)
+        finally:
+            os.umask(umask)
+        for path in (fresh, old):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
+            assert crypto.load_secret_key(path) == secret
 
     def test_key_file_garbage_rejected(self, keypool, tmp_path):
         public, secret = keypool.key(2)

@@ -258,6 +258,18 @@ class TestVerifyResolution:
         assert list(res.warnings) == stale
         assert [w for w in got.warnings if w.startswith(V_STALE)] == stale
 
+    def test_a_served_warning_is_not_taken_on_trust(self, example_zones):
+        """The verifier's warnings come from its own walk: a warning a
+        server adds to an honest answer is not reported."""
+        z = example_zones
+        res = z.server.resolve(z.leaf_2_3, now=NOW)
+        assert res.warnings == ()
+        forged = replace(res, warnings=(f"{V_STALE} {z.leaf_2_3.name_key()} A",))
+        got = verify_resolution(forged, z.leaf_2_3, ROOT, now=NOW)
+        assert got.verified, got.failures
+        assert (got.outcome, got.address) == (OUTCOME_ADDRESS, "192.253.254.63")
+        assert got.warnings == ()
+
     def test_expired_signature_on_plain_address_fails(self, keypool):
         then = "20250101000000"
         server = new_server()

@@ -235,6 +235,31 @@ class TestVerdicts:
         assert got.outcome == OUTCOME_NOT_FOUND
         assert verify_resolution(got, leaf, ROOT, now=NOW).verified
 
+    @pytest.mark.parametrize("action", srv.ACTIONS)
+    def test_a_payload_field_the_action_does_not_define_is_refused(self, keypool, action):
+        """Any field but the action's own is refused, another action's too."""
+        server, (apex1,) = claimed_server(keypool, 0)
+        _, sec1 = keypool.key(0)
+        leaf, other = apex1.child(IA("1")), apex1.child(IA("2"))
+        msg = {
+            srv.CLAIM: lambda: make_claim(keypool.key(1)[1], ROOT, 16, 1, now=NOW),
+            srv.CREATE_CHILD: lambda: make_create_child(sec1, leaf, 2, now=NOW),
+            srv.ASSIGN: lambda: make_assign(sec1, leaf, "10.0.0.1", 2, now=NOW),
+            srv.DELEGATE: lambda: make_delegate(sec1, leaf, other, 2, now=NOW),
+            srv.CANCEL: lambda: make_cancel(sec1, leaf, 2, now=NOW),
+            srv.TRANSFER: lambda: make_transfer(sec1, leaf, other, 2, now=NOW),
+            srv.COMPROMISE: lambda: make_compromise(sec1, leaf, "2003-04-01", 2, now=NOW),
+        }[action]()
+        others = set().union(*srv.ACTION_FIELDS.values()) - srv.ACTION_FIELDS[action]
+        before = server.dump_state()
+        for extra in ["junk", *sorted(others)]:
+            padded = replace(msg, payload={**msg.payload, extra: "x" * 1000})
+            verdict = server.apply_update(padded, now=NOW)
+            assert verdict.reason == R_MALFORMED, extra
+            assert verdict.detail == f"{action.lower()} payload has unknown field {extra!r}"
+        assert server.dump_state() == before
+        assert server.apply_update(msg, now=NOW).accepted
+
     def test_create_child_on_apex_rejected(self, keypool):
         server, (apex1,) = claimed_server(keypool, 0)
         _, sec1 = keypool.key(0)
