@@ -188,7 +188,7 @@ def _nxt_covers(good: List[SignedRRset], target: Handle) -> Optional[SignedRRset
     """A verified NXT set whose span contains the target name, if any."""
     tgt = key_sort_key(target.name_key())
     for rrset in good:
-        if rrset.span is None:
+        if rrset.rtype != "NXT":
             continue
         lo, hi = rrset.span
         if lo == tgt:

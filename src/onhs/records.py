@@ -19,7 +19,7 @@ import re
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import crypto
 from .crypto import RecordSignature, SignatureParams, check_stamp
@@ -251,9 +251,9 @@ class SignedRRset:
 
     - owner and rtype are the first record's, and owner_key is the name
       key of the owner; the constructor sets them.
-    - span, for an NXT set, is the canonical sort keys of its owner and of
-      its first record's next owner, the interval it denies; the
-      constructor sets it, and leaves it None for any other type.
+    - spanned, once the span property has been read on an NXT set, is the
+      span it gave; a holder that never reads it, as the server does not,
+      keeps no copy of the two sort keys.
     - canonical, when held, is the set's canonical octets, which verifiers
       check the signature over. Only parse_rrset, with the octets a set
       arrived as, and encoded() set it.
@@ -268,7 +268,7 @@ class SignedRRset:
     owner: str = field(init=False, compare=False, repr=False)
     rtype: str = field(init=False, compare=False, repr=False)
     owner_key: str = field(init=False, compare=False, repr=False)
-    span: Optional[Tuple[SortKey, SortKey]] = field(
+    spanned: Optional[Tuple[SortKey, SortKey]] = field(
         default=None, init=False, compare=False, repr=False
     )
     canonical: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
@@ -290,9 +290,6 @@ class SignedRRset:
         object.__setattr__(self, "owner", first.owner)
         object.__setattr__(self, "rtype", first.rtype)
         object.__setattr__(self, "owner_key", key)
-        if first.rtype == "NXT":
-            span = (key_sort_key(key), canonical_sort_key(first.rdata.next_owner))
-            object.__setattr__(self, "span", span)
         if self.signature is not None:
             expected = crypto.name_labels(first.owner)
             if self.signature.params.label_count != expected:
@@ -301,21 +298,48 @@ class SignedRRset:
                     f"!= owner label count {expected}"
                 )
 
-    def sharing(self, owner: str, owner_key: str, signer: str) -> "SignedRRset":
-        """This set, holding each of the strings given in place of an equal
-        one of its own: its owner text, its owner_key, and its signer's name.
-        A store passes the names its entries already hold, so it keeps one
-        copy of each. Returns the set itself."""
+    @property
+    def span(self) -> Optional[Tuple[SortKey, SortKey]]:
+        """For an NXT set, the canonical sort keys of its owner and of its
+        first record's next owner, the interval it denies, worked out on
+        first read and kept in spanned; None for any other type."""
+        span = self.spanned
+        if span is None and self.rtype == "NXT":
+            next_owner = self.records[0].rdata.next_owner
+            span = (key_sort_key(self.owner_key), canonical_sort_key(next_owner))
+            object.__setattr__(self, "spanned", span)
+        return span
+
+    def sharing(
+        self,
+        owner: str,
+        owner_key: str,
+        signer: str,
+        shared_params: Callable[[SignatureParams], SignatureParams],
+    ) -> "SignedRRset":
+        """This set, holding each of the values given in place of an equal
+        one of its own: its owner text, its owner_key, its signer's name,
+        and the params shared_params hands out for its signature's, whose
+        original TTL each record takes in place of an equal TTL. A store
+        passes the names its entries already hold and its table of the
+        params it holds, so it keeps one copy of each. Returns the set
+        itself."""
         if self.owner_key == owner_key:
             object.__setattr__(self, "owner_key", owner_key)
         if self.owner == owner:
             object.__setattr__(self, "owner", owner)
+        sig = self.signature
+        ttl = None
+        if sig is not None:
+            if sig.params.signer == signer:
+                object.__setattr__(sig.params, "signer", signer)
+            object.__setattr__(sig, "params", shared_params(sig.params))
+            ttl = sig.params.original_ttl
         for record in self.records:
             if record.owner == owner:
                 object.__setattr__(record, "owner", owner)
-        sig = self.signature
-        if sig is not None and sig.params.signer == signer:
-            object.__setattr__(sig.params, "signer", signer)
+            if record.ttl == ttl:
+                object.__setattr__(record, "ttl", ttl)
         return self
 
     def __hash__(self) -> int:

@@ -429,6 +429,24 @@ def _sort_key_name(key: SortKey) -> str:
     return b".".join(key[::-1]).decode()
 
 
+def _itself(value):
+    """value itself. Under functools.lru_cache, the first value equal to it
+    that the cache still holds: a table of shared copies."""
+    return value
+
+
+class ZoneIndex(list):
+    """The sorted sort keys of one zone's owner names, with zone, the
+    zone's own key in HandleServer._zones. The NXT cache's keys hold these
+    key objects, so a cached set adds no copy of its zone's or owner's key."""
+
+    __slots__ = ("zone",)
+
+    def __init__(self, zone: SortKey, keys: Sequence[SortKey] = ()) -> None:
+        super().__init__(keys)
+        self.zone = zone
+
+
 def _fresh(cached: Tuple[SignedRRset, str], now: str) -> bool:
     """Whether a cached NXT set may be served at now: not before its
     inception, and with at least half its validity left."""
@@ -696,12 +714,13 @@ class HandleServer:
     finds a denied name's NXT records, and a zone export walks the same
     index and reads the same cache, so both hand out the same signed sets.
 
-    Each NXT set is signed once and cached by zone and owner, then served
-    as it is while fresh. A write marks the cached sets whose record it can
-    change, the written name's own and its predecessor's in each zone it is
-    in; a marked set is rebuilt before it is next served, and re-signed
-    only when its record did change. A name that leaves a zone drops its
-    cached set there, so the cache holds no more than the zone indexes.
+    Each NXT set is signed once and cached by zone and owner, keyed by the
+    index's own key objects, then served as it is while fresh. A write
+    marks the cached sets whose record it can change, the written name's
+    own and its predecessor's in each zone it is in; a marked set is
+    rebuilt before it is next served, and re-signed only when its record
+    did change. A name that leaves a zone drops its cached set there, so
+    the cache holds no more than the zone indexes.
     """
 
     def __init__(
@@ -720,7 +739,9 @@ class HandleServer:
         self._root_key = canonical_sort_key(self.root_zone)
         self._apex_len = len(self._root_key) + 1  # labels in an apex's sort key
         # zone apex sort key -> sorted sort keys of the zone's owner names
-        self._zones: Dict[SortKey, List[SortKey]] = {self._root_key: [self._root_key]}
+        self._zones: Dict[SortKey, ZoneIndex] = {
+            self._root_key: ZoneIndex(self._root_key, [self._root_key])
+        }
         # (zone, owner) -> (signed NXT set holding its octets, last stamp to serve it at)
         self._nxt_sigs: Dict[Tuple[SortKey, SortKey], Tuple[SignedRRset, str]] = {}
         # keys of cached NXT sets whose record a write may have changed since
@@ -737,6 +758,9 @@ class HandleServer:
         self._event_seq = 0
         self._log_writer: Optional[Callable[[str], Optional[int]]] = None
         self._lock = threading.RLock()
+        # one copy of each signature's params among the sets it holds and
+        # signs: sets signed in one burst share their stamps, signer and TTL
+        self._shared_params = functools.lru_cache(maxsize=CACHE_CAP)(_itself)
 
     # -- persistence hooks --
 
@@ -882,16 +906,18 @@ class HandleServer:
         self, target: Handle, rrsets: List[SignedRRset], serial: int, transfer: bool
     ) -> Verdict:
         """The one way into the store, for updates, replay and zone loads:
-        the gate, then a merge of rrsets into target's slots. Each slot
-        keeps whether records.is_sticky calls its set sticky, and admitting
-        a sticky set first purges the revocable subtree."""
+        the gate, then a merge of rrsets into target's slots. Each set takes
+        the entry's names and the server's copy of equal signature params
+        in place of its own (SignedRRset.sharing). Each slot keeps whether
+        records.is_sticky calls its set sticky, and admitting a sticky set
+        first purges the revocable subtree."""
         refused = self._gate(target, rrsets[0], transfer)
         if refused is not None:
             return refused
         apex, entry = self._ensure_entry(target)
         names = (entry.handle.fqdn_no_dot(), entry.handle.name_key(), apex.handle.fqdn_no_dot())
         slots = [
-            Slot(rrset.sharing(*names), is_sticky(rrset, transfer), serial)
+            Slot(rrset.sharing(*names, self._shared_params), is_sticky(rrset, transfer), serial)
             for rrset in rrsets
         ]
         if any(slot.sticky for slot in slots):
@@ -966,7 +992,12 @@ class HandleServer:
         the cached NXT sets whose records this can change: key's own (its
         bitmap and owner text) and its predecessor's (its next owner). A
         name that leaves drops its cached set."""
-        index = self._zones.setdefault(zone, [])
+        index = self._zones.get(zone)
+        if index is None:
+            if not present:
+                return
+            index = self._zones[zone] = ZoneIndex(zone)
+        zone = index.zone
         i = bisect_left(index, key)
         held = i < len(index) and index[i] == key
         if not (present or held):
@@ -1056,8 +1087,11 @@ class HandleServer:
         return {} if entry is None else entry.slots
 
     def _server_sign(self, records: Sequence[ResourceRecord], now: str) -> SignedRRset:
+        """records signed with the server key at now, holding the server's
+        copy of equal signature params, as _admit's sets do."""
         signature = _sign(records, self.server_secret, self.root_zone, now, SERVER_SIG_VALIDITY)
-        return SignedRRset(tuple(records), signature)
+        params = self._shared_params(signature.params)
+        return SignedRRset(tuple(records), RecordSignature(params, signature.signature_bytes))
 
     def root_key_rrset(self) -> SignedRRset:
         return self._root_key_rrset
@@ -1102,31 +1136,31 @@ class HandleServer:
             zone = self._root_key
         index = self._zones[zone]
         i = (bisect_right(index, key) - 1) % len(index)  # -1: the wrap-around record
-        proof = [self._nxt_at(zone, index, i, now)]
+        proof = [self._nxt_at(index, i, now)]
         if i != 0 and index[0] == zone:
-            proof.append(self._nxt_at(zone, index, 0, now))
+            proof.append(self._nxt_at(index, 0, now))
         return proof
 
-    def _nxt_at(self, zone: SortKey, index: List[SortKey], i: int, now: str) -> SignedRRset:
-        """The signed NXT set of index[i] in zone: the cached one as it is
-        while fresh and unmarked. A marked one is rebuilt, and re-signed
-        only when its record changed; a stale one is signed again."""
-        key = (zone, index[i])
+    def _nxt_at(self, index: ZoneIndex, i: int, now: str) -> SignedRRset:
+        """The signed NXT set of index[i] in index's zone: the cached one as
+        it is while fresh and unmarked. A marked one is rebuilt, and
+        re-signed only when its record changed; a stale one is signed again."""
+        key = (index.zone, index[i])
         cached = self._nxt_sigs.get(key)
         fresh = cached is not None and _fresh(cached, now)
         if fresh and key not in self._nxt_marked:
             return cached[0]
         self._nxt_marked.discard(key)
-        rec = self._indexed_nxt(zone, index, i)
+        rec = self._indexed_nxt(index, i)
         if fresh and cached[0].records[0] == rec:
             return cached[0]
         signed = self._server_sign([rec], now).encoded()
         self._nxt_sigs[key] = (signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
         return signed
 
-    def _indexed_nxt(self, zone: SortKey, index: List[SortKey], i: int) -> ResourceRecord:
-        owner, types = self._nxt_owner(zone, index[i])
-        next_owner, _ = self._nxt_owner(zone, index[(i + 1) % len(index)])
+    def _indexed_nxt(self, index: ZoneIndex, i: int) -> ResourceRecord:
+        owner, types = self._nxt_owner(index.zone, index[i])
+        next_owner, _ = self._nxt_owner(index.zone, index[(i + 1) % len(index)])
         return ResourceRecord(
             owner=owner, ttl=DEFAULT_TTL, rtype="NXT",
             rdata=NxtData(next_owner=next_owner, types=types),
@@ -1227,7 +1261,7 @@ class HandleServer:
         for i, key in enumerate(index):
             if key != self._root_key:
                 rrsets.extend(slot.rrset for _, slot in self._zone_slots(zone, key))
-            rrsets.append(self._nxt_at(zone, index, i, now))
+            rrsets.append(self._nxt_at(index, i, now))
         return ZoneSnapshot(
             apex=apex,
             rrsets={(s.owner_key, s.rtype): s for s in rrsets},

@@ -213,14 +213,17 @@ class HandleService:
     replays the log without mending it, never opens it for append and
     takes no lock, so a command that only reads the store can run beside
     a live server on the same data directory; it logs no update. It
-    writes nothing at all: it makes no directory, and where no server.key
-    is kept it signs with a key made for that run only.
+    writes nothing at all: it refuses a data directory that does not
+    exist, with FileNotFoundError, and where no server.key is kept it
+    signs with a key made for that run only.
     """
 
     def __init__(self, config: ServerConfig, *, read_only: bool = False):
         self.config = config
         data_dir = Path(config.data_dir)
         self._lock_file = None
+        if read_only and not data_dir.is_dir():
+            raise FileNotFoundError(f"data directory {data_dir} does not exist")
         if not read_only:
             data_dir.mkdir(parents=True, exist_ok=True)
             self._lock_file = _lock_data_dir(data_dir)
@@ -344,6 +347,11 @@ def _new_endpoint_id() -> str:
 # ---- TCP front end -----------------------------------------------------------
 
 
+def _on_stop_signal(_signo, _frame) -> None:
+    """Nothing: TcpHandleServer.serve_forever wakes on the byte the signal
+    writes to its wakeup socket."""
+
+
 class TcpHandleServer:
     """Threaded socket server: per connection a reader thread, and a writer if it subscribes."""
 
@@ -374,17 +382,23 @@ class TcpHandleServer:
         self.service.close()
 
     def serve_forever(self) -> None:
-        """Block until interrupted; used by the command line front end."""
+        """Block until SIGTERM or SIGINT, then stop; used by the command
+        line front end. The handlers do nothing and take no lock: each
+        signal writes a byte to a wakeup socket (signal.set_wakeup_fd) that
+        this thread waits on, so a signal that lands anywhere, a later one
+        during stop() as well, cannot block the thread it interrupts."""
         import signal
 
-        done = threading.Event()
-
-        def _quit(_signo, _frame):
-            done.set()
-
-        signal.signal(signal.SIGTERM, _quit)
-        signal.signal(signal.SIGINT, _quit)
-        done.wait()
+        waiting, waking = socket.socketpair()
+        with waiting, waking:
+            waking.setblocking(False)
+            previous = signal.set_wakeup_fd(waking.fileno())
+            try:
+                signal.signal(signal.SIGTERM, _on_stop_signal)
+                signal.signal(signal.SIGINT, _on_stop_signal)
+                waiting.recv(1)
+            finally:
+                signal.set_wakeup_fd(previous)
         self.stop()
 
     def _accept_loop(self) -> None:

@@ -4,6 +4,7 @@ of their error reports on replies that do not read, run in process."""
 import base64
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -321,6 +322,7 @@ def test_zone_dump_and_load(tmp_path, keypool):
 
     # a second instance verifies the dumped zone, and keeps none of it
     dst_conf = write_config(tmp_path / "dst", name="dst.conf")
+    (tmp_path / "dst" / "data").mkdir()
     proc = run_cli("zone", "load", str(owner_zone_file), "--config", dst_conf, expect=0)
     assert re.search(r"\d+ record sets verify; nothing was stored", proc.stdout)
     assert proc.stderr == ""
@@ -381,6 +383,7 @@ def test_zone_commands_replay_a_log_and_leave_it_as_it_is(
 
 def test_zone_load_makes_no_update_log(tmp_path, capsys):
     conf = write_config(tmp_path)
+    (tmp_path / "data").mkdir()
     zone_file = tmp_path / "empty.zone"
     zone_file.write_text(f"$ORIGIN {ROOT}.\n")
     assert cli.main(["zone", "load", str(zone_file), "--config", str(conf)]) == 0
@@ -412,6 +415,73 @@ def test_serve_replays_the_log_on_restart(tmp_path):
         assert " KEY " in proc.stdout
     finally:
         second.stop()
+
+
+# `onhs serve`, with its main thread watched: once a SIGTERM handler is set,
+# it prints "armed", and right after the thread next takes a lock it sends
+# its own process SIGTERM, which the handler then runs inside.
+SIGNAL_WHILE_LOCKED = """
+import os, signal, sys
+from onhs import cli
+
+armed = fired = False
+install = signal.signal
+
+def watched(signo, handler):
+    global armed
+    previous = install(signo, handler)
+    if signo == signal.SIGTERM and callable(handler) and not armed:
+        armed = True
+        print("armed", flush=True)
+    return previous
+
+def on_event(frame, event, arg):
+    global fired
+    took_lock = (
+        event == "c_return"
+        and getattr(arg, "__name__", "") in ("acquire", "__enter__")
+        and type(getattr(arg, "__self__", None)).__name__ in ("lock", "RLock")
+    )
+    if armed and took_lock and not fired:
+        fired = True
+        os.kill(os.getpid(), signal.SIGTERM)
+
+signal.signal = watched
+sys.setprofile(on_event)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_serve_stops_on_a_signal_that_lands_while_it_holds_a_lock(tmp_path):
+    """A SIGTERM handler that took a lock would wait forever on one its own
+    thread holds, and ignore every later SIGTERM as well; serve's takes
+    none. The child signals itself inside its first lock after arming, and
+    the test sends one more SIGTERM once it is armed."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SIGNAL_WHILE_LOCKED, "serve", "--config", str(write_config(tmp_path))],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=clean_env(),
+    )
+    try:
+        lines = []
+        for line in proc.stdout:
+            lines.append(line.rstrip("\n"))
+            if lines[-1] == "armed":
+                break
+        assert lines[-1:] == ["armed"], lines
+        proc.send_signal(signal.SIGTERM)
+        try:
+            code = proc.wait(timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail("serve ignored SIGTERM: its handler waits on a lock its thread holds")
+        assert code == 0, lines + proc.stdout.read().splitlines()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 # ---- replies that do not read, in process with a stub endpoint ----------------
@@ -472,6 +542,8 @@ def test_zone_commands_on_a_missing_data_dir_write_nothing(tmp_path, capsys, com
     zone_file = tmp_path / "empty.zone"
     zone_file.write_text(f"$ORIGIN {ROOT}.\n")
     args = ["dump"] if command == "dump" else ["load", str(zone_file)]
-    assert cli.main(["zone", *args, "--config", str(conf)]) == 0
-    capsys.readouterr()
+    assert cli.main(["zone", *args, "--config", str(conf)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: data directory {tmp_path / 'data'} does not exist\n"
     assert not (tmp_path / "data").exists()

@@ -11,6 +11,7 @@ import hashlib
 import os
 import random
 import stat
+import struct
 from pathlib import Path
 
 import pytest
@@ -96,18 +97,16 @@ class TestLabelDerivation:
         label = derive_pk_label(public, 40)
         assert label.key_suffix == hashlib.sha1(public.key_bytes).hexdigest().upper()
 
-    def test_leading_zero_digest_chars_kept(self, keypool):
-        # scan the pool for a key whose relevant suffix starts with 0;
-        # the label must keep that zero (labels are text, not numbers)
-        for index in range(60):
-            public, _ = keypool.key(index)
-            digest = sha1_hex(public.key_bytes)
-            if digest[-16] == "0":
-                label = derive_pk_label(public, 16)
-                assert label.key_suffix.startswith("0")
-                assert label.encode().endswith(label.key_suffix)
-                return
-        pytest.skip("pool produced no digest with a zero at position -16")
+    def test_leading_zero_digest_chars_kept(self):
+        # the label must keep a suffix's leading 0 (labels are text, not
+        # numbers); derive_pk_label hashes only the KEY payload, so these
+        # fixed octets, found once by a search, give a 0 at position -16
+        header = struct.pack(">HBB", crypto.KEY_FLAGS, crypto.KEY_PROTOCOL, crypto.RSA_SHA1)
+        public = PublicKey(crypto.RSA_SHA1, header + b"leading zero 11")
+        assert sha1_hex(public.key_bytes)[-16:] == "002EF1D17EC38E84"
+        label = derive_pk_label(public, 16)
+        assert label.key_suffix == "002EF1D17EC38E84"
+        assert label.encode().endswith(label.key_suffix)
 
     def test_wrong_key_does_not_match_label(self, keypool):
         pub_a, _ = keypool.key(0)
