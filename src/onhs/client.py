@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import base64
 import functools
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from . import crypto, server as srv
-from .codec import RecordAnswer, Resolution, UpdateMessage, Verdict, canonical_json
+from .codec import RecordAnswer, Resolution, UpdateMessage, Verdict
 from .crypto import PublicKey, SecretKey, now_stamp
 from .errors import (
     DelegationLoopError,
@@ -238,7 +237,6 @@ class HandleReference:
 
     handle: Handle
     pinned_key: Optional[PublicKey] = None
-    last_resolution: Optional[Resolution] = None
     superseded_by: Optional[Handle] = None
 
     def current_handle(self) -> Handle:
@@ -255,9 +253,6 @@ class HandleReference:
             )
         if self.superseded_by is not None:
             lines.append(f"superseded_by {self.superseded_by.fqdn_no_dot()}")
-        if self.last_resolution is not None:
-            blob = base64.b64encode(canonical_json(self.last_resolution.to_dict())).decode()
-            lines.append(f"last_resolution {blob}")
         Path(path).write_text("\n".join(lines) + "\n")
 
     @staticmethod
@@ -293,23 +288,7 @@ class HandleReference:
         superseded = None
         if "superseded_by" in fields:
             superseded = parse_handle(fields["superseded_by"], root)
-        last = None
-        if "last_resolution" in fields:
-            try:
-                last = Resolution.from_dict(
-                    json.loads(base64.b64decode(fields["last_resolution"], validate=True))
-                )
-            except (ValueError, OnhsError, RecursionError) as exc:
-                # binascii and JSON errors are ValueErrors, and JSON nested
-                # past the recursion limit raises RecursionError
-                raise VerificationError(
-                    f"{path}: last_resolution does not decode: {exc}. Files saved before "
-                    "answers carried each set as its canonical octets hold it in an older "
-                    "form; deleting that line keeps the rest of the reference"
-                ) from None
-        return HandleReference(
-            handle=handle, pinned_key=pinned, last_resolution=last, superseded_by=superseded
-        )
+        return HandleReference(handle=handle, pinned_key=pinned, superseded_by=superseded)
 
 
 def update_reference(ref: HandleReference, resolution: Resolution, root_zone: str) -> HandleReference:
@@ -339,7 +318,7 @@ def update_reference(ref: HandleReference, resolution: Resolution, root_zone: st
                 seen.add(notice)
                 changed = True
     superseded = None if current.name_key() == ref.handle.name_key() else current
-    return replace(ref, last_resolution=resolution, superseded_by=superseded)
+    return replace(ref, superseded_by=superseded)
 
 
 # ---- key upgrade -----------------------------------------------------------

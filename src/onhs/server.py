@@ -581,19 +581,28 @@ def _make_update(
     action: str,
     payload: dict,
     serial: int,
-    now: Optional[str],
-    validity: int,
+    now: Optional[str] = None,
+    validity: Optional[int] = None,
+    *,
+    ttl: int = DEFAULT_TTL,
 ) -> UpdateMessage:
-    """The builders' shared body: sign each set _action_records gives. A
-    compromise's payload takes its cancel's signature."""
+    """The one body of the make_* builders: sign each set _action_records
+    gives for payload with ttl added, from now (by default the current
+    second) for validity seconds. Without a validity, a KEY set or a set
+    is_sticky calls sticky is signed for IRREVOCABLE_VALIDITY and any other
+    for DEFAULT_VALIDITY. A compromise's payload takes its cancel's
+    signature."""
     now = now or now_stamp()
+    payload = {**payload, "ttl": ttl}
     owner, signer = target.fqdn_no_dot(), target.apex().fqdn_no_dot()
-    signatures = [
-        _sign(records, secret, signer, now, validity)
-        for records in _action_records(action, owner, payload, target.root_suffix_no_dot())
-    ]
+    sets = _action_records(action, owner, payload, target.root_suffix_no_dot())
+    if validity is None:
+        first = SignedRRset(sets[0])
+        lasting = first.rtype == "KEY" or is_sticky(first, action == TRANSFER)
+        validity = IRREVOCABLE_VALIDITY if lasting else DEFAULT_VALIDITY
+    signatures = [_sign(records, secret, signer, now, validity) for records in sets]
     if action == COMPROMISE:
-        payload = {**payload, "cancel_signature": signature_to_dict(signatures[1])}
+        payload["cancel_signature"] = signature_to_dict(signatures[1])
     return UpdateMessage(
         target=owner,
         action=action,
@@ -604,101 +613,53 @@ def _make_update(
     )
 
 
+# The seven builders. Each makes its action's payload from its own
+# arguments; the keywords ttl, now and validity go on to _make_update.
+
+
 def make_claim(
-    secret: SecretKey,
-    root_zone: str,
-    suffix_len: int,
-    serial: int = 1,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
+    secret: SecretKey, root_zone: str, suffix_len: int, serial: int = 1, **signing
 ) -> UpdateMessage:
     pub = secret.public_key()
     label = crypto.derive_pk_label(pub, suffix_len)
     target = Handle(labels=(label,), root_suffix=strip_dot(root_zone))
-    payload = {"key": base64.b64encode(pub.key_bytes).decode(), "algorithm": pub.algorithm, "ttl": ttl}
-    return _make_update(secret, target, CLAIM, payload, serial, now, validity)
+    payload = {"key": base64.b64encode(pub.key_bytes).decode(), "algorithm": pub.algorithm}
+    return _make_update(secret, target, CLAIM, payload, serial, **signing)
 
 
-def make_create_child(
-    secret: SecretKey,
-    target: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = DEFAULT_VALIDITY,
-) -> UpdateMessage:
-    return _make_update(secret, target, CREATE_CHILD, {"ttl": ttl}, serial, now, validity)
+def make_create_child(secret: SecretKey, target: Handle, serial: int, **signing) -> UpdateMessage:
+    return _make_update(secret, target, CREATE_CHILD, {}, serial, **signing)
 
 
 def make_assign(
-    secret: SecretKey,
-    target: Handle,
-    address: str,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = DEFAULT_VALIDITY,
+    secret: SecretKey, target: Handle, address: str, serial: int, **signing
 ) -> UpdateMessage:
-    payload = {"address": address, "ttl": ttl}
-    return _make_update(secret, target, ASSIGN, payload, serial, now, validity)
+    return _make_update(secret, target, ASSIGN, {"address": address}, serial, **signing)
 
 
 def make_delegate(
-    secret: SecretKey,
-    target: Handle,
-    delegate_to: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = DEFAULT_VALIDITY,
+    secret: SecretKey, target: Handle, delegate_to: Handle, serial: int, **signing
 ) -> UpdateMessage:
-    payload = {"target": delegate_to.fqdn_no_dot(), "ttl": ttl}
-    return _make_update(secret, target, DELEGATE, payload, serial, now, validity)
+    payload = {"target": delegate_to.fqdn_no_dot()}
+    return _make_update(secret, target, DELEGATE, payload, serial, **signing)
 
 
 def make_transfer(
-    secret: SecretKey,
-    target: Handle,
-    transfer_to: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
+    secret: SecretKey, target: Handle, transfer_to: Handle, serial: int, **signing
 ) -> UpdateMessage:
-    payload = {"target": transfer_to.fqdn_no_dot(), "ttl": ttl}
-    return _make_update(secret, target, TRANSFER, payload, serial, now, validity)
+    payload = {"target": transfer_to.fqdn_no_dot()}
+    return _make_update(secret, target, TRANSFER, payload, serial, **signing)
 
 
-def make_cancel(
-    secret: SecretKey,
-    target: Handle,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
-) -> UpdateMessage:
-    return _make_update(secret, target, CANCEL, {"ttl": ttl}, serial, now, validity)
+def make_cancel(secret: SecretKey, target: Handle, serial: int, **signing) -> UpdateMessage:
+    return _make_update(secret, target, CANCEL, {}, serial, **signing)
 
 
 def make_compromise(
-    secret: SecretKey,
-    target: Handle,
-    note_date: str,
-    serial: int,
-    *,
-    ttl: int = DEFAULT_TTL,
-    now: Optional[str] = None,
-    validity: int = IRREVOCABLE_VALIDITY,
+    secret: SecretKey, target: Handle, note_date: str, serial: int, **signing
 ) -> UpdateMessage:
-    payload = {"note": normalize_compromise_note(note_date), "ttl": ttl}
-    return _make_update(secret, target, COMPROMISE, payload, serial, now, validity)
+    payload = {"note": normalize_compromise_note(note_date)}
+    return _make_update(secret, target, COMPROMISE, payload, serial, **signing)
 
 
 # ---- the server ------------------------------------------------------------
@@ -1144,7 +1105,8 @@ class HandleServer:
     def _nxt_at(self, index: ZoneIndex, i: int, now: str) -> SignedRRset:
         """The signed NXT set of index[i] in index's zone: the cached one as
         it is while fresh and unmarked. A marked one is rebuilt, and
-        re-signed only when its record changed; a stale one is signed again."""
+        re-signed only when its record changed; a stale one is signed again.
+        A newly signed set holds its entry's name key, as _admit's sets do."""
         key = (index.zone, index[i])
         cached = self._nxt_sigs.get(key)
         fresh = cached is not None and _fresh(cached, now)
@@ -1155,6 +1117,9 @@ class HandleServer:
         if fresh and cached[0].records[0] == rec:
             return cached[0]
         signed = self._server_sign([rec], now).encoded()
+        entry = self._entries.get(_sort_key_name(index[i]))
+        if entry is not None:  # every indexed name but the root's
+            signed.sharing(rec.owner, entry.handle.name_key(), self.root_zone, self._shared_params)
         self._nxt_sigs[key] = (signed, stamp_add(now, SERVER_SIG_VALIDITY // 2))
         return signed
 

@@ -1,6 +1,5 @@
 """Client-side verification, handle references, and key upgrade."""
 
-import base64
 import functools
 import sys
 import threading
@@ -503,11 +502,9 @@ class TestResolveAndVerify:
 class TestHandleReference:
     def test_save_load_round_trip(self, example_zones, tmp_path):
         z = example_zones
-        res = z.server.resolve(z.old_leaf, now=NOW)
         ref = HandleReference(
             handle=z.old_leaf,
             pinned_key=z.secrets["k1"].public_key(),
-            last_resolution=res,
             superseded_by=z.new_leaf,
         )
         path = tmp_path / "old-leaf.ref"
@@ -516,18 +513,16 @@ class TestHandleReference:
         assert back.handle == ref.handle
         assert back.pinned_key == ref.pinned_key
         assert back.superseded_by == ref.superseded_by
-        # the wire form folds owner names to lower case; all else must match
-        assert back.last_resolution.to_dict() == ref.last_resolution.to_dict()
         assert back.current_handle() == z.new_leaf
 
     def test_denial_resolution_survives_the_file_format(self, example_zones, tmp_path):
         z = example_zones
         ghost = z.apex1.child(IA("99"))
         res = z.server.resolve(ghost, now=NOW)
-        ref = HandleReference(handle=ghost, last_resolution=res)
+        ref = update_reference(HandleReference(handle=ghost), res, ROOT)
         path = tmp_path / "ghost.ref"
         ref.save(path)
-        assert HandleReference.load(path).last_resolution.to_dict() == res.to_dict()
+        assert HandleReference.load(path) == ref
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "not-a-ref"
@@ -535,34 +530,20 @@ class TestHandleReference:
         with pytest.raises(VerificationError):
             HandleReference.load(path)
 
-    def test_a_dict_form_resolution_is_refused_with_the_reason(self, tmp_path):
-        # data/dict-form.ref was saved when answers carried each record set as
-        # nested dicts; its handle, pin and successor lines are still current
+    def test_a_file_with_an_old_last_resolution_line_loads(self, tmp_path):
+        # data/dict-form.ref was saved when a reference kept its last
+        # answer, with each record set as nested dicts; load skips that
+        # line, and the next save leaves it out
         fixture = Path(__file__).parent / "data" / "dict-form.ref"
-        with pytest.raises(VerificationError, match="last_resolution does not decode") as err:
-            HandleReference.load(fixture)
-        assert "lacks field 'octets'" in str(err.value)
-        kept = tmp_path / "kept.ref"
-        kept.write_text("".join(
-            line for line in fixture.read_text().splitlines(keepends=True)
-            if not line.startswith("last_resolution ")
-        ))
-        back = HandleReference.load(kept)
+        back = HandleReference.load(fixture)
         assert back.handle == parse_handle("h0k1.h1g5kBA6529D72AB49333." + ROOT, ROOT)
         assert back.superseded_by == parse_handle("h0k1.h1g5kC909CBE59D058406." + ROOT, ROOT)
         assert back.pinned_key is not None
         assert crypto.verify_key_matches_label(back.pinned_key, back.handle.apex_label)
-
-    def test_a_resolution_nested_too_deep_is_a_verification_error(self, tmp_path):
-        fixture = Path(__file__).parent / "data" / "dict-form.ref"
-        nested = base64.b64encode(b"[" * 5000 + b"]" * 5000).decode()
-        copy = tmp_path / "nested.ref"
-        copy.write_text("".join(
-            f"last_resolution {nested}\n" if text.startswith("last_resolution ") else text
-            for text in fixture.read_text().splitlines(keepends=True)
-        ))
-        with pytest.raises(VerificationError, match="last_resolution does not decode"):
-            HandleReference.load(copy)
+        kept = tmp_path / "kept.ref"
+        back.save(kept)
+        assert "last_resolution" not in kept.read_text()
+        assert HandleReference.load(kept) == back
 
     @pytest.mark.parametrize("line, damaged, named", [
         ("pinned_key ", "pinned_key !!not-base64!!", "pinned_key does not decode"),
@@ -576,7 +557,6 @@ class TestHandleReference:
         copy.write_text("".join(
             damaged + "\n" if text.startswith(line) else text
             for text in original.splitlines(keepends=True)
-            if not text.startswith("last_resolution ")
         ))
         with pytest.raises(VerificationError, match=named):
             HandleReference.load(copy)

@@ -13,6 +13,7 @@ from oracles import merge_law_violations
 
 from onhs import crypto, server as srv
 from onhs.client import verify_resolution
+from onhs.codec import signature_from_dict
 from onhs.crypto import SignatureParams, stamp_add
 from onhs.errors import DelegationLoopError, DepthExceededError, OnhsError, ResolutionError
 from onhs.handles import Handle, HandleLabel, parse_handle
@@ -136,6 +137,49 @@ class TestClaims:
         assert short.target != long.target
         keys = [rtype for _, rtype in server.root_zone_snapshot(now=NOW).rrsets if rtype == "KEY"]
         assert len(keys) == 1 + 2  # the root's own and one per claimed apex
+
+
+# Each builder with its default signature window in days: 10 years for a
+# claim's KEY set and for a sticky set, 7 days for any other set.
+WINDOW_DAYS = {
+    "claim": (lambda sec, apex, **kw: make_claim(sec, ROOT, 16, 1, **kw), 3660),
+    "create": (lambda sec, apex, **kw: make_create_child(sec, apex.child(IA(1)), 2, **kw), 7),
+    "assign": (lambda sec, apex, **kw: make_assign(sec, apex.child(IA(1)), "10.0.0.1", 2, **kw), 7),
+    "delegate": (
+        lambda sec, apex, **kw: make_delegate(sec, apex.child(IA(1)), apex.child(IA(2)), 2, **kw),
+        7,
+    ),
+    "transfer": (
+        lambda sec, apex, **kw: make_transfer(sec, apex.child(IA(1)), apex.child(IA(2)), 2, **kw),
+        3660,
+    ),
+    "cancel": (lambda sec, apex, **kw: make_cancel(sec, apex.child(IA(1)), 2, **kw), 3660),
+    "compromise": (lambda sec, apex, **kw: make_compromise(sec, apex, "2026-08-01", 2, **kw), 3660),
+}
+
+
+@pytest.mark.parametrize("builder", list(WINDOW_DAYS))
+def test_a_builder_signs_for_the_window_its_set_gets(keypool, builder):
+    build, days = WINDOW_DAYS[builder]
+    _, sec = keypool.key(0)
+    apex = parse_handle(make_claim(sec, ROOT, 16, 1, now=NOW).target, ROOT)
+
+    def signed(want_ttl, want_window, **kw):
+        msg = build(sec, apex, now=NOW, **kw)
+        assert msg.payload["ttl"] == want_ttl
+        sigs = [msg.signature]
+        if msg.action == srv.COMPROMISE:  # and its cancel's
+            sigs.append(signature_from_dict(msg.payload["cancel_signature"], "payload"))
+        for sig in sigs:
+            assert sig.params.original_ttl == want_ttl
+            assert sig.params.inception == NOW
+            assert sig.params.expiration == stamp_add(NOW, want_window)
+        assert new_server().apply_update(msg, now=NOW).accepted
+
+    signed(3600, days * 86400)
+    signed(60, days * 86400, ttl=60)
+    signed(3600, 600, validity=600)
+    signed(60, 600, ttl=60, validity=600)
 
 
 class TestVerdicts:

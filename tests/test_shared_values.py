@@ -4,7 +4,8 @@ HandleServer._admit, the one way in for updates, replay and zone loads,
 hands every set the server's own copy of equal signature params, and with
 them one TTL int; _server_sign does the same for the sets the server signs.
 An NXT set works out its span only when it is read, and the NXT cache is
-keyed by the zone index's own key objects.
+keyed by the zone index's own key objects; each set it signs holds its
+entry's name key.
 """
 
 import pytest
@@ -159,3 +160,22 @@ def test_the_nxt_cache_holds_the_zone_index_keys(keypool, via):
     for zone, owner in server._nxt_sigs:
         assert zone is zone_keys[zone]
         assert any(owner is key for key in server._zones[zone])
+
+
+def test_a_cached_nxt_set_holds_its_entrys_name_key(keypool):
+    apex, msgs = updates(keypool)
+    server = new_server()
+    for msg in msgs:
+        assert server.apply_update(msg, now=LATER).accepted
+    for n in (1, 2, 3, 4):
+        server.resolve(apex.child(IA(n)).child(IA(9)), now=LATER)
+    server.root_zone_snapshot(now=LATER)
+    held = 0
+    for (_, owner), (signed, _) in server._nxt_sigs.items():
+        entry = server._entries.get(srv._sort_key_name(owner))
+        if entry is None:  # the root zone's own name
+            assert signed.owner_key == records.name_key(ROOT)
+            continue
+        assert signed.owner_key is entry.handle.name_key()
+        held += 1
+    assert held > 4
